@@ -15,7 +15,6 @@ from .keyrate import (
     RateResult,
     binary_entropy,
     evaluate_point,
-    optimize_bias,
     qber_threshold,
     secure_rate,
 )
@@ -31,7 +30,6 @@ from .montecarlo import (
     AliceLog,
     ResourceLimitError,
     SimulationResult,
-    TimeTag,
     TimeTagStream,
     histogram,
     simulate,
@@ -84,7 +82,6 @@ __all__ = [
     "SweepRow",
     "SweepTable",
     "SystemConfig",
-    "TimeTag",
     "TimeTagStream",
     "binary_entropy",
     "calibrate",
@@ -94,7 +91,6 @@ __all__ = [
     "evaluate_point",
     "histogram",
     "load_config",
-    "optimize_bias",
     "qber_breakdown",
     "qber_threshold",
     "raw_rate",

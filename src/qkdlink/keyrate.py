@@ -1,4 +1,4 @@
-"""Secure-rate arithmetic and operating-point optimization.
+"""Secure-rate arithmetic and closed-form operating-point evaluation.
 
 The distilled key rate follows the standard weak-pulse relation
 
@@ -27,8 +27,6 @@ __all__ = [
     "secure_rate",
     "qber_threshold",
     "evaluate_point",
-    "optimize_bias",
-    "argmax_low_bias",
 ]
 
 
@@ -96,7 +94,7 @@ def evaluate_point(config: SystemConfig):
     receiver = config.receiver
     clicks = linkbudget.click_probabilities(source, channel, receiver)
     blocked = linkbudget.effective_blocked_gates(source, channel, receiver)
-    raw = linkbudget.raw_rate(clicks, source, receiver, blocked_gates=blocked)
+    raw = linkbudget.raw_rate(clicks, source, blocked_gates=blocked)
     breakdown = linkbudget.qber_breakdown(source, channel, receiver)
     # Error rates beyond 1/2 carry no more extractable key than 1/2 itself.
     rate = secure_rate(raw, min(breakdown.total, 0.5), config.protocol)
@@ -108,37 +106,3 @@ def evaluate_point(config: SystemConfig):
         length=channel.length,
     )
     return result, breakdown
-
-
-def argmax_low_bias(secure_rates, etas) -> int:
-    """Index of the best secure rate; ties go to the lowest bias.
-
-    Running the detectors at the lowest bias that achieves the optimum
-    keeps afterpulse stress down and makes the sweep deterministic.
-    """
-    best = 0
-    for i in range(1, len(secure_rates)):
-        if secure_rates[i] > secure_rates[best]:
-            best = i
-    # Walk back through exact ties onto the lowest eta.
-    candidates = [i for i, r in enumerate(secure_rates) if r == secure_rates[best]]
-    return min(candidates, key=lambda i: etas[i])
-
-
-def optimize_bias(config: SystemConfig, eta_grid):
-    """Sweep detector bias and return the best point plus the full table.
-
-    Every grid point re-derives the coupled detector figures (efficiency,
-    dark counts, afterpulsing) through the calibrated bias laws before the
-    closed-form model is evaluated.  Returns ``(best, rows)`` where rows is
-    a list of ``(RateResult, QberBreakdown)`` in ascending bias order.
-    """
-    etas = sorted(float(e) for e in eta_grid)
-    if not etas:
-        raise ParameterError("eta_grid must not be empty")
-    for eta in etas:
-        if not 0.0 < eta <= 1.0:
-            raise ParameterError(f"eta grid values must lie in (0, 1], got {eta}")
-    rows = [evaluate_point(config.at_bias(eta)) for eta in etas]
-    best = argmax_low_bias([r.secure_rate for r, _ in rows], etas)
-    return rows[best][0], rows

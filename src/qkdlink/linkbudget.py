@@ -34,13 +34,9 @@ __all__ = [
     "ClickProbabilities",
     "QberBreakdown",
     "transmittance",
-    "broadened_width",
     "temporal_components",
-    "gate_acceptance",
-    "interclock_error",
     "link_timing",
     "click_probabilities",
-    "nominal_blocked_gates",
     "effective_blocked_gates",
     "raw_rate",
     "qber_breakdown",
@@ -94,20 +90,6 @@ def transmittance(length: float, attenuation: float) -> float:
     if attenuation < 0.0:
         raise ParameterError("attenuation must be non-negative")
     return 10.0 ** (-attenuation * length / 10.0)
-
-
-def broadened_width(source: SourceParams, channel: ChannelParams) -> float:
-    """RMS temporal width of the main pulse component after the fiber, ps.
-
-    Chromatic dispersion stretches the pulse by ``D * L * delta_lambda``;
-    the intrinsic width adds in quadrature.  A dispersion-compensated span
-    restores the launch width exactly (the pre-compensator is assumed to be
-    matched to the fiber).
-    """
-    if channel.compensated:
-        return source.pulse_sigma0
-    spread = channel.dispersion * channel.length * source.spectral_width
-    return math.hypot(source.pulse_sigma0, spread)
 
 
 def temporal_components(
@@ -175,36 +157,6 @@ def _profile_timing(
     return accepted, neighbors
 
 
-def gate_acceptance(width: float, det: DetectorParams) -> float:
-    """Fraction of a centered Gaussian pulse that lands inside a gate window.
-
-    ``width`` is the RMS pulse width in ps before jitter.  Leakage into
-    neighboring periods' windows still counts as accepted (the detector
-    clicks; the photon is merely attributed to the wrong clock cycle), so
-    for very wide pulses the acceptance approaches the gating duty cycle
-    ``gate_window / gate_period``.
-    """
-    if width <= 0.0:
-        raise ParameterError("width must be positive")
-    accepted, _ = _profile_timing(((1.0, 0.0, width),), det)
-    return accepted
-
-
-def interclock_error(width: float, det: DetectorParams) -> float:
-    """Error contribution from pulse mass leaking into neighboring gates.
-
-    A photon detected one clock period away from its own is uncorrelated
-    with the locally encoded bit and is wrong half the time, so the error
-    contribution is half the leaked fraction of the accepted mass.
-    """
-    if width <= 0.0:
-        raise ParameterError("width must be positive")
-    accepted, neighbors = _profile_timing(((1.0, 0.0, width),), det)
-    if accepted == 0.0:
-        return 0.0
-    return 0.5 * neighbors / accepted
-
-
 def link_timing(
     source: SourceParams, channel: ChannelParams, receiver: ReceiverParams
 ) -> tuple[float, float]:
@@ -263,16 +215,6 @@ def _blocked_gate_split(det: DetectorParams) -> tuple[int, list[int]]:
         partial.append(k)
         k += 1
     return k_always, partial
-
-
-def nominal_blocked_gates(det: DetectorParams) -> float:
-    """Hold-off expressed in whole gates, with boundary gates counted half.
-
-    Used when no arrival-time profile is available to weight the partially
-    blocked boundary gate; :func:`effective_blocked_gates` refines this.
-    """
-    k_always, partial = _blocked_gate_split(det)
-    return k_always + 0.5 * len(partial)
 
 
 def effective_blocked_gates(
@@ -339,18 +281,16 @@ def effective_blocked_gates(
 
 
 def raw_rate(
-    clicks: ClickProbabilities,
-    source: SourceParams,
-    receiver: ReceiverParams,
-    blocked_gates: float | None = None,
+    clicks: ClickProbabilities, source: SourceParams, blocked_gates: float
 ) -> float:
     """Detected-event rate in Hz, before basis sifting.
 
     Each detector runs its own hold-off: a click suppresses that detector's
-    candidates for ``blocked_gates`` subsequent gates on average, thinning
-    the per-detector stream from ``q`` to ``q / (1 + q * blocked)`` per gate
-    (renewal process over Bernoulli gates).  Simultaneous clicks on both
-    detectors are recorded as a single event.
+    candidates for ``blocked_gates`` subsequent gates on average (see
+    :func:`effective_blocked_gates`), thinning the per-detector stream from
+    ``q`` to ``q / (1 + q * blocked)`` per gate (renewal process over
+    Bernoulli gates).  Simultaneous clicks on both detectors are recorded as
+    a single event.
     """
     p = clicks.p_total
     if p <= 0.0:
@@ -358,12 +298,8 @@ def raw_rate(
     # Symmetric split of the combined no-click probability between the two
     # detectors; exact for identical detectors under balanced routing.
     q = 1.0 - math.sqrt(1.0 - p)
-    accepted = []
-    for det in (receiver.detector_a, receiver.detector_b):
-        blocked = nominal_blocked_gates(det) if blocked_gates is None else blocked_gates
-        accepted.append(q / (1.0 + q * blocked))
-    a, b = accepted
-    return source.clock_rate * (a + b - a * b)
+    a = q / (1.0 + q * blocked_gates)
+    return source.clock_rate * (a + a - a * a)
 
 
 def qber_breakdown(

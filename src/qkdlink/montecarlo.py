@@ -20,24 +20,19 @@ from __future__ import annotations
 
 import heapq
 import math
-import struct
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import linkbudget
+from . import linkbudget, protocol
 from .params import ParameterError, SystemConfig
 
 __all__ = [
     "ResourceLimitError",
     "AliceLog",
-    "TimeTag",
     "TimeTagStream",
     "SimulationResult",
-    "DetectorState",
     "simulate",
-    "gate_response",
     "histogram",
     "fwhm_from_counts",
     "largest_empty_span",
@@ -55,11 +50,10 @@ DETECTOR_B = 1
 WARMUP_GATES = 10_000
 
 _CHUNK = 1 << 20
-_PI = math.pi
-_HALF_PI = 0.5 * math.pi
 
-# Binary dump record: clock index, detector id, timestamp rounded to ps.
-_RECORD = struct.Struct("<QBI")
+# Binary dump record, packed little-endian (13 bytes, the struct layout
+# ``<QBI``): clock index, detector id, timestamp rounded to ps.
+_RECORD = np.dtype([("clock", "<u8"), ("detector", "u1"), ("ps", "<u4")])
 
 
 class ResourceLimitError(RuntimeError):
@@ -68,32 +62,17 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class AliceLog:
-    """Alice's per-clock preparation record."""
+    """Alice's per-clock preparation record; entry ``i`` is clock ``i``."""
 
-    clock_index: np.ndarray
     bit: np.ndarray
     basis: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.clock_index)
-        if len(self.bit) != n or len(self.basis) != n:
+        if len(self.bit) != len(self.basis):
             raise ParameterError("Alice log columns must have equal length")
-        if n > 1 and not np.all(np.diff(self.clock_index.astype(np.int64)) > 0):
-            raise ParameterError("Alice log clock indices must be strictly increasing")
 
     def __len__(self) -> int:
-        return len(self.clock_index)
-
-    @property
-    def phase(self) -> np.ndarray:
-        """Encoded modulator phases, one per clock."""
-        return _PI * self.bit.astype(np.float64) + _HALF_PI * self.basis.astype(np.float64)
-
-
-class TimeTag(NamedTuple):
-    detector_id: int
-    clock_index: int
-    timestamp: float
+        return len(self.bit)
 
 
 class TimeTagStream:
@@ -114,10 +93,6 @@ class TimeTagStream:
 
     def __len__(self) -> int:
         return len(self.clock_index)
-
-    def __iter__(self) -> Iterator[TimeTag]:
-        for d, c, t in zip(self.detector_id, self.clock_index, self.timestamp):
-            yield TimeTag(int(d), int(c), float(t))
 
     def absolute_times(self) -> np.ndarray:
         """Tag times on the global ps axis."""
@@ -281,14 +256,9 @@ def _run_segment(config, n_gates, rng, ap_rng, budget):
 
             # Interferometer routing against Bob's phase in the gate where
             # the photon is actually detected.
-            phase_a = (
-                _PI * bits[emit].astype(np.float64)
-                + _HALF_PI * bases[emit].astype(np.float64)
-                + _PI * flip[emit].astype(np.float64)
-            )
-            phase_b = _HALF_PI * bob_bases[gate].astype(np.float64)
-            p_detector_a = 0.5 * (
-                1.0 + receiver.visibility * np.cos(phase_a - phase_b)
+            p_detector_a = protocol.detector_a_probability(
+                bits[emit], bases[emit], flip[emit], bob_bases[gate],
+                receiver.visibility,
             )
             to_a = rng.random(gate.size) < p_detector_a
             if det_a.efficiency != det_b.efficiency and eta_max > 0.0:
@@ -441,11 +411,7 @@ def simulate(
         "rng": "Philox (two spawned streams per segment: candidates, afterpulses)",
         "events_generated": budget.used,
     }
-    alice = AliceLog(
-        clock_index=np.arange(n_pulses, dtype=np.uint64),
-        bit=np.concatenate(bits_parts),
-        basis=np.concatenate(bases_parts),
-    )
+    alice = AliceLog(bit=np.concatenate(bits_parts), basis=np.concatenate(bases_parts))
     tags = TimeTagStream(
         detector_id=np.concatenate(tag_det_parts),
         clock_index=np.concatenate(tag_clock_parts),
@@ -453,81 +419,6 @@ def simulate(
         meta=meta,
     )
     return SimulationResult(alice=alice, tags=tags, bob_bases=np.concatenate(bob_parts))
-
-
-# ---------------------------------------------------------------------------
-# Scalar reference detector, useful for unit-level behavior checks.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DetectorState:
-    """Evolving state of one gated detector between gate cycles.
-
-    ``afterpulse_charge`` holds (release_start_ps, expected_events) entries;
-    the expected number of afterpulses released into any time interval
-    decays exponentially from the release start, and summed over all future
-    gates equals the detector's configured afterpulse probability.
-    """
-
-    time: float = 0.0
-    last_click_time: float = -math.inf
-    afterpulse_charge: list = None
-
-    def __post_init__(self) -> None:
-        if self.afterpulse_charge is None:
-            self.afterpulse_charge = []
-
-    def pending_charge(self, now: float, tau: float) -> float:
-        """Expected afterpulses still to come at time ``now``."""
-        total = 0.0
-        for start, mass in self.afterpulse_charge:
-            total += mass * math.exp(-max(0.0, now - start) / tau)
-        return total
-
-
-def gate_response(state: DetectorState, incident_mean: float, det, rng) -> bool:
-    """Advance one gate cycle and decide whether the detector clicks.
-
-    ``incident_mean`` is the mean photon number arriving inside this gate.
-    The click probability combines photon detection, dark counts, and the
-    afterpulse charge scheduled to release in this gate; a click within the
-    hold-off of the previous one is suppressed.  On a click the trapped
-    charge grows so that the expected number of induced afterpulses equals
-    ``det.afterpulse_total``, releasing only after the hold-off expires.
-    """
-    if incident_mean < 0.0:
-        raise ParameterError("incident_mean must be non-negative")
-    t = state.time
-    period = det.gate_period
-    tau = det.afterpulse_decay_ps
-    state.time = t + period
-
-    # Afterpulse mass scheduled into this gate's snap interval (t +- T/2).
-    lo = t - 0.5 * period
-    hi = t + 0.5 * period
-    released = 0.0
-    remaining: list = []
-    for start, mass in state.afterpulse_charge:
-        a = max(lo, start)
-        if hi > a:
-            released += mass * (
-                math.exp(-max(0.0, a - start) / tau) - math.exp(-(hi - start) / tau)
-            )
-        left = mass * math.exp(-max(0.0, hi - start) / tau)
-        if left > 1e-15:
-            remaining.append((start, mass))
-    state.afterpulse_charge = remaining
-
-    p_photon = -math.expm1(-incident_mean * det.efficiency)
-    p_click = 1.0 - (1.0 - p_photon) * (1.0 - det.dark_prob) * math.exp(-released)
-    if t - state.last_click_time < det.dead_time_ps:
-        return False
-    if rng.random() >= p_click:
-        return False
-    state.last_click_time = t
-    state.afterpulse_charge.append((t + det.dead_time_ps, det.afterpulse_total))
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -622,23 +513,35 @@ def mean_peak_spacing(tags: TimeTagStream) -> float | None:
 
 
 def write_binary_dump(tags: TimeTagStream, path) -> None:
-    """Fixed-width little-endian records: u64 clock, u8 detector, u32 ps."""
+    """Fixed-width little-endian records: u64 clock, u8 detector, u32 ps.
+
+    Timestamps round half to even, like Python's ``round``; one that rounds
+    outside the u32 range raises :class:`ParameterError` before anything is
+    written.
+    """
+    ps = np.rint(tags.timestamp)
+    if not np.all((ps >= 0.0) & (ps < 2.0**32)):
+        raise ParameterError("timestamps must round into [0, 2**32) ps for the binary dump")
+    records = np.empty(len(tags), dtype=_RECORD)
+    records["clock"] = tags.clock_index
+    records["detector"] = tags.detector_id
+    records["ps"] = ps
     with open(path, "wb") as handle:
-        for d, c, t in zip(tags.detector_id, tags.clock_index, tags.timestamp):
-            handle.write(_RECORD.pack(int(c), int(d), int(round(float(t)))))
+        handle.write(records.tobytes())
 
 
 def read_binary_dump(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse of :func:`write_binary_dump`; returns (clock, detector, ps)."""
     with open(path, "rb") as handle:
         raw = handle.read()
-    if len(raw) % _RECORD.size:
+    if len(raw) % _RECORD.itemsize:
         raise ValueError(f"truncated event dump: {len(raw)} bytes")
-    records = list(_RECORD.iter_unpack(raw))
-    clock = np.array([r[0] for r in records], dtype=np.uint64)
-    det = np.array([r[1] for r in records], dtype=np.uint8)
-    ts = np.array([r[2] for r in records], dtype=np.uint32)
-    return clock, det, ts
+    records = np.frombuffer(raw, dtype=_RECORD)
+    return (
+        records["clock"].astype(np.uint64),
+        records["detector"].astype(np.uint8),
+        records["ps"].astype(np.uint32),
+    )
 
 
 def write_csv_dump(tags: TimeTagStream, path) -> None:

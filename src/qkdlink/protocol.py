@@ -2,8 +2,10 @@
 
 Alice encodes a random bit in one of two conjugate phase bases; Bob's
 interferometer routes each photon to one of two detectors according to the
-phase difference.  Matched-basis detections form the sifted key, from which
-the error rate is estimated and the distillable key length computed.
+phase difference (:func:`detector_a_probability`, which the event engine
+calls for every detected photon).  Matched-basis detections form the sifted
+key, from which the error rate is estimated and the distillable key length
+computed.
 """
 
 from __future__ import annotations
@@ -19,46 +21,38 @@ from .params import ParameterError, ProtocolConstants
 __all__ = [
     "ProtocolError",
     "SiftedKey",
-    "encode",
-    "decode_click",
+    "detector_a_probability",
     "sift",
-    "estimate_qber",
     "secure_key_length",
     "write_sifted_key",
 ]
 
 HALF_PI = 0.5 * math.pi
 
-DETECTOR_A = 0
-DETECTOR_B = 1
-
 
 class ProtocolError(ValueError):
-    """Raised for malformed protocol inputs (bad bits, unknown clock indices)."""
+    """Raised for malformed protocol inputs (misaligned records, unknown clock indices)."""
 
 
-def encode(bit: int, basis: int) -> float:
-    """Phase applied by Alice's modulator for (bit, basis).
+def detector_a_probability(bit, basis, flip, bob_basis, visibility: float):
+    """Probability that the interferometer routes each photon to detector A.
 
-    bit 0/1 selects 0 or pi; basis 0/1 adds a quarter-wave offset:
-    (0,0) -> 0, (1,0) -> pi, (0,1) -> pi/2, (1,1) -> 3*pi/2.
-    """
-    if bit not in (0, 1) or basis not in (0, 1):
-        raise ProtocolError(f"bit and basis must be 0 or 1, got ({bit}, {basis})")
-    return bit * math.pi + basis * HALF_PI
-
-
-def decode_click(phase_a: float, phase_b: float, visibility: float) -> float:
-    """Probability that the interferometer routes the photon to detector A.
-
-    ``phase_b`` is Bob's analysis phase (0 or pi/2 in normal operation,
-    though any value is accepted).  With matched phases and unit visibility
-    the photon exits deterministically; a quarter-wave mismatch splits it
-    evenly.
+    Alice's modulator applies ``pi * bit + pi/2 * basis``, plus ``pi`` where
+    the encoder mis-modulates (``flip``); Bob's applies ``pi/2 * bob_basis``.
+    The photon exits towards A with probability
+    ``(1 + visibility * cos(phase_a - phase_b)) / 2``: deterministically for
+    matched phases at unit visibility, evenly for a quarter-wave mismatch.
+    Inputs are equal-length arrays of 0/1 values (``flip`` may be boolean).
     """
     if not 0.0 <= visibility <= 1.0:
         raise ParameterError("visibility must lie in [0, 1]")
-    return 0.5 * (1.0 + visibility * math.cos(phase_a - phase_b))
+    phase_a = (
+        math.pi * np.asarray(bit, dtype=np.float64)
+        + HALF_PI * np.asarray(basis, dtype=np.float64)
+        + math.pi * np.asarray(flip, dtype=np.float64)
+    )
+    phase_b = HALF_PI * np.asarray(bob_basis, dtype=np.float64)
+    return 0.5 * (1.0 + visibility * np.cos(phase_a - phase_b))
 
 
 @dataclass(frozen=True)
@@ -96,28 +90,27 @@ def sift(alice, tags, bob_bases) -> SiftedKey:
     Parameters
     ----------
     alice:
-        Per-clock preparation record (see ``montecarlo.AliceLog``).
+        Per-clock preparation record (see ``montecarlo.AliceLog``); entry
+        ``i`` belongs to clock ``i``.
     tags:
         Detection record stream carrying ``clock_index`` and ``detector_id``
         columns.
     bob_bases:
-        Bob's per-clock basis choices, aligned with ``alice.clock_index``.
+        Bob's per-clock basis choices, aligned with ``alice``.
 
     Bob's bit is the identity of the detector that fired.  Bit values are
     never inspected here; only bases and detector identities decide what
     survives.
     """
     bob_bases = np.asarray(bob_bases)
-    if len(bob_bases) != len(alice.clock_index):
+    n_clocks = len(alice)
+    if len(bob_bases) != n_clocks:
         raise ProtocolError("bob_bases must align with Alice's clock record")
     tag_clocks = np.asarray(tags.clock_index, dtype=np.uint64)
-    positions = np.searchsorted(alice.clock_index, tag_clocks)
-    bad = (positions >= len(alice.clock_index)) | (
-        alice.clock_index[np.minimum(positions, len(alice.clock_index) - 1)] != tag_clocks
-    )
-    if np.any(bad):
-        missing = tag_clocks[bad][0]
-        raise ProtocolError(f"tag references unknown clock index {missing}")
+    unknown = tag_clocks >= n_clocks
+    if np.any(unknown):
+        raise ProtocolError(f"tag references unknown clock index {tag_clocks[unknown][0]}")
+    positions = tag_clocks.astype(np.intp)
     matched = alice.basis[positions] == bob_bases[positions]
     keep = np.flatnonzero(matched)
     return SiftedKey(
@@ -125,13 +118,6 @@ def sift(alice, tags, bob_bases) -> SiftedKey:
         alice_bits=np.asarray(alice.bit)[positions[keep]].astype(np.uint8),
         bob_bits=np.asarray(tags.detector_id)[keep].astype(np.uint8),
     )
-
-
-def estimate_qber(key: SiftedKey) -> float:
-    """Observed error rate of a sifted key."""
-    if key.n_sifted < 1:
-        raise ProtocolError("cannot estimate an error rate from an empty key")
-    return key.qber_estimate
 
 
 def secure_key_length(n_sifted: int, qber: float, consts: ProtocolConstants) -> int:

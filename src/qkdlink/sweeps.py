@@ -115,6 +115,17 @@ def _resolve_point(config, engine, n_pulses, seed):
     raise ParameterError(f"unknown engine {engine!r} (expected 'analytic' or 'mc')")
 
 
+def _sweep(key_name: str, points, engine, n_pulses, seed) -> SweepTable:
+    """Resolve ``(x, config)`` points in order; row ``i`` uses ``seed + i``."""
+    rows = []
+    for i, (x, point) in enumerate(points):
+        rate, qber = _resolve_point(point, engine, n_pulses, seed + i)
+        rows.append(
+            SweepRow(x=x, rate=rate, qber=qber, compensated=point.channel.compensated)
+        )
+    return SweepTable(key_name=key_name, rows=tuple(rows))
+
+
 def run_distance_sweep(
     config: SystemConfig,
     lengths=DEFAULT_LENGTHS,
@@ -133,14 +144,8 @@ def run_distance_sweep(
     lengths = [float(length) for length in lengths]
     if not lengths:
         raise ParameterError("lengths must not be empty")
-    rows = []
-    for i, length in enumerate(lengths):
-        point = config.at_length(length, compensated=compensated)
-        rate, qber = _resolve_point(point, engine, n_pulses, seed + i)
-        rows.append(
-            SweepRow(x=length, rate=rate, qber=qber, compensated=point.channel.compensated)
-        )
-    return SweepTable(key_name="length_km", rows=tuple(rows))
+    points = [(x, config.at_length(x, compensated=compensated)) for x in lengths]
+    return _sweep("length_km", points, engine, n_pulses, seed)
 
 
 def run_bias_sweep(
@@ -151,24 +156,21 @@ def run_bias_sweep(
     n_pulses: int = 1_000_000,
     seed: int = 0,
 ) -> SweepTable:
-    """Rates and error budget across detector bias (efficiency) settings."""
-    if engine == "analytic":
-        _, pairs = keyrate.optimize_bias(config, eta_grid)
-        etas = sorted(float(e) for e in eta_grid)
-        rows = [
-            SweepRow(x=eta, rate=rate, qber=qber, compensated=config.channel.compensated)
-            for eta, (rate, qber) in zip(etas, pairs)
-        ]
-        return SweepTable(key_name="eta_bob", rows=tuple(rows))
+    """Rates and error budget across detector bias (efficiency) settings.
+
+    The grid is sorted ascending.  Every point re-derives the coupled
+    detector figures (efficiency, dark counts, afterpulsing) through the
+    calibrated bias laws (:meth:`SystemConfig.at_bias`) before either engine
+    runs.  Event-engine rows use seed + row index.
+    """
     etas = sorted(float(e) for e in eta_grid)
-    rows = []
-    for i, eta in enumerate(etas):
-        point = config.at_bias(eta)
-        rate, qber = _resolve_point(point, engine, n_pulses, seed + i)
-        rows.append(
-            SweepRow(x=eta, rate=rate, qber=qber, compensated=point.channel.compensated)
-        )
-    return SweepTable(key_name="eta_bob", rows=tuple(rows))
+    if not etas:
+        raise ParameterError("eta_grid must not be empty")
+    for eta in etas:
+        if not 0.0 < eta <= 1.0:
+            raise ParameterError(f"eta grid values must lie in (0, 1], got {eta}")
+    points = [(eta, config.at_bias(eta)) for eta in etas]
+    return _sweep("eta_bob", points, engine, n_pulses, seed)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import entropy as scipy_entropy
 
-from qkdlink import linkbudget
+from qkdlink import linkbudget, sweeps
 from qkdlink.keyrate import (
     RateResult,
-    argmax_low_bias,
     binary_entropy,
     evaluate_point,
-    optimize_bias,
     qber_threshold,
     secure_rate,
 )
@@ -145,9 +143,7 @@ class TestEvaluatePoint:
         blocked = linkbudget.effective_blocked_gates(
             config.source, config.channel, config.receiver
         )
-        raw = linkbudget.raw_rate(
-            clicks, config.source, config.receiver, blocked_gates=blocked
-        )
+        raw = linkbudget.raw_rate(clicks, config.source, blocked_gates=blocked)
         assert result.raw_rate == pytest.approx(raw, rel=1e-12)
         assert result.qber == breakdown.total
         assert result.secure_rate == pytest.approx(
@@ -163,29 +159,26 @@ class TestEvaluatePoint:
 
 
 class TestBiasOptimization:
-    def test_argmax_prefers_lowest_bias_on_ties(self):
-        rates = [2.0, 2.0, 1.0]
-        etas = [0.05, 0.03, 0.02]
-        assert argmax_low_bias(rates, etas) == 1
-
-    def test_argmax_plain_maximum(self):
-        assert argmax_low_bias([1.0, 5.0, 3.0], [0.02, 0.04, 0.06]) == 1
+    """The bias sweep evaluates the closed-form model on a validated grid."""
 
     def test_empty_grid_rejected(self, cfg):
-        with pytest.raises(ParameterError):
-            optimize_bias(cfg, [])
+        with pytest.raises(ParameterError, match="must not be empty"):
+            sweeps.run_bias_sweep(cfg, [])
 
     def test_out_of_range_bias_rejected(self, cfg):
         with pytest.raises(ParameterError, match="eta grid"):
-            optimize_bias(cfg, [0.05, 1.5])
+            sweeps.run_bias_sweep(cfg, [0.05, 1.5])
         with pytest.raises(ParameterError):
-            optimize_bias(cfg, [0.0])
+            sweeps.run_bias_sweep(cfg, [0.0])
 
     def test_rows_sorted_and_best_is_max(self, cfg):
         grid = [0.10, 0.02, 0.06, 0.04]
-        best, rows = optimize_bias(cfg.at_length(5.6), grid)
-        etas = [r.eta_bob for r, _ in rows]
-        assert etas == sorted(etas)
-        rates = [r.secure_rate for r, _ in rows]
-        assert best.secure_rate == max(rates)
-        assert math.isfinite(best.qber)
+        config = cfg.at_length(5.6)
+        table = sweeps.run_bias_sweep(config, grid)
+        etas = [row.rate.eta_bob for row in table]
+        assert etas == sorted(grid)
+        for eta, row in zip(etas, table):
+            assert (row.rate, row.qber) == evaluate_point(config.at_bias(eta))
+        best = max(table, key=lambda row: row.rate.secure_rate)
+        assert best.x == 0.06
+        assert math.isfinite(best.rate.qber)

@@ -9,13 +9,9 @@ from qkdlink import linkbudget
 from qkdlink.linkbudget import (
     ClickProbabilities,
     QberBreakdown,
-    broadened_width,
     click_probabilities,
     effective_blocked_gates,
-    gate_acceptance,
-    interclock_error,
     link_timing,
-    nominal_blocked_gates,
     qber_breakdown,
     raw_rate,
     temporal_components,
@@ -47,17 +43,32 @@ class TestTransmittance:
         assert combined == pytest.approx(product, rel=1e-9)
 
 
+def gaussian_pulse(cfg, sigma):
+    """Single centered Gaussian of RMS width ``sigma`` ps at the receiver.
+
+    Zero dispersion and no side mode leave the launch width unbroadened, so
+    :func:`link_timing` sees exactly this pulse (plus detector jitter).
+    """
+    source = replace(cfg.source, pulse_sigma0=sigma, side_mode_weight=0.0)
+    channel = replace(cfg.channel, dispersion=0.0, compensated=False)
+    assert temporal_components(source, channel) == ((1.0, 0.0, sigma),)
+    return source, channel
+
+
 class TestPulseWidth:
     def test_dispersion_adds_in_quadrature(self, cfg):
-        source = cfg.source
+        source = replace(cfg.source, side_mode_weight=0.0)
         channel = cfg.channel.__class__(length=40.0, attenuation=0.195, dispersion=17.0)
         expected = math.hypot(source.pulse_sigma0,
                               17.0 * 40.0 * source.spectral_width)
-        assert broadened_width(source, channel) == pytest.approx(expected)
+        ((weight, mean, sigma),) = temporal_components(source, channel)
+        assert (weight, mean) == (1.0, 0.0)
+        assert sigma == pytest.approx(expected)
 
     def test_compensated_restores_intrinsic_width(self, cfg):
         channel = replace(cfg.channel, length=101.1, compensated=True)
-        assert broadened_width(cfg.source, channel) == cfg.source.pulse_sigma0
+        ((_, _, sigma),) = temporal_components(cfg.source, channel)
+        assert sigma == cfg.source.pulse_sigma0
 
     def test_compensated_profile_is_single_component(self, cfg):
         channel = replace(cfg.channel, length=75.8, compensated=True)
@@ -75,29 +86,37 @@ class TestPulseWidth:
 
 
 class TestGateAcceptance:
+    """Window acceptance and neighbor-gate leakage of a single Gaussian."""
+
+    def timing(self, cfg, sigma, receiver=None):
+        source, channel = gaussian_pulse(cfg, sigma)
+        return link_timing(source, channel, receiver or cfg.receiver)
+
     def test_narrow_pulse_fully_accepted(self, cfg):
-        det = replace(cfg.receiver.detector_a, jitter_fwhm=0.0)
-        assert gate_acceptance(1e-6, det) == pytest.approx(1.0, abs=1e-12)
+        det_a = replace(cfg.receiver.detector_a, jitter_fwhm=0.0)
+        det_b = replace(cfg.receiver.detector_b, jitter_fwhm=0.0)
+        receiver = replace(cfg.receiver, detector_a=det_a, detector_b=det_b)
+        acceptance, _ = self.timing(cfg, 1e-6, receiver)
+        assert acceptance == pytest.approx(1.0, abs=1e-12)
 
     def test_very_broad_pulse_approaches_window_duty_cycle(self, cfg):
         det = cfg.receiver.detector_a
         duty = det.gate_window / det.gate_period
-        assert gate_acceptance(5e5, det) == pytest.approx(duty, rel=1e-3)
+        acceptance, _ = self.timing(cfg, 5e5)
+        assert acceptance == pytest.approx(duty, rel=1e-3)
 
     def test_monotone_decreasing_in_width(self, cfg):
-        det = cfg.receiver.detector_a
         widths = [1.0, 10.0, 50.0, 100.0, 300.0, 1000.0]
-        values = [gate_acceptance(w, det) for w in widths]
+        values = [self.timing(cfg, w)[0] for w in widths]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_interclock_error_negligible_for_narrow_pulse(self, cfg):
-        det = cfg.receiver.detector_a
-        assert interclock_error(5.0, det) < 1e-12
+        _, e_interclock = self.timing(cfg, 5.0)
+        assert e_interclock < 1e-12
 
     def test_interclock_error_grows_and_saturates_below_half(self, cfg):
-        det = cfg.receiver.detector_a
-        wide = interclock_error(800.0, det)
-        assert interclock_error(200.0, det) < wide <= 0.5
+        _, wide = self.timing(cfg, 800.0)
+        assert self.timing(cfg, 200.0)[1] < wide <= 0.5
 
 
 class TestLinkTiming:
@@ -138,8 +157,9 @@ class TestClickProbabilities:
 class TestDeadTimeBlocking:
     def test_nominal_count_from_geometry(self, cfg):
         # 7.7 ns hold-off spans 7 full gates beyond the window plus one
-        # partially covered gate counted at half weight.
-        assert nominal_blocked_gates(cfg.receiver.detector_a) == pytest.approx(7.5)
+        # partially covered boundary gate.
+        split = linkbudget._blocked_gate_split(cfg.receiver.detector_a)
+        assert split == (7, [8])
 
     def test_effective_count_brackets(self, cfg):
         blocked = effective_blocked_gates(cfg.source, cfg.channel, cfg.receiver)
@@ -154,17 +174,17 @@ class TestDeadTimeBlocking:
 class TestRawRate:
     def test_no_clicks_no_rate(self, cfg):
         clicks = ClickProbabilities(p_signal=0.0, p_dark=0.0, p_total=0.0)
-        assert raw_rate(clicks, cfg.source, cfg.receiver) == 0.0
+        assert raw_rate(clicks, cfg.source, blocked_gates=7.5) == 0.0
 
     def test_dead_time_only_reduces(self, cfg):
         clicks = click_probabilities(cfg.source, cfg.channel, cfg.receiver)
-        free = raw_rate(clicks, cfg.source, cfg.receiver, blocked_gates=0.0)
-        held = raw_rate(clicks, cfg.source, cfg.receiver, blocked_gates=7.33)
+        free = raw_rate(clicks, cfg.source, blocked_gates=0.0)
+        held = raw_rate(clicks, cfg.source, blocked_gates=7.33)
         assert held < free
 
     def test_squash_keeps_rate_below_clock(self, cfg):
         clicks = ClickProbabilities(p_signal=1.0, p_dark=0.0, p_total=1.0)
-        rate = raw_rate(clicks, cfg.source, cfg.receiver, blocked_gates=0.0)
+        rate = raw_rate(clicks, cfg.source, blocked_gates=0.0)
         assert rate <= cfg.source.clock_rate * (1.0 + 1e-12)
 
     @settings(max_examples=40)
@@ -172,8 +192,8 @@ class TestRawRate:
            st.floats(min_value=1e-9, max_value=0.5))
     def test_monotone_in_click_probability(self, cfg, p1, p2):
         lo, hi = sorted((p1, p2))
-        r_lo = raw_rate(ClickProbabilities(lo, 0.0, lo), cfg.source, cfg.receiver)
-        r_hi = raw_rate(ClickProbabilities(hi, 0.0, hi), cfg.source, cfg.receiver)
+        r_lo = raw_rate(ClickProbabilities(lo, 0.0, lo), cfg.source, blocked_gates=7.5)
+        r_hi = raw_rate(ClickProbabilities(hi, 0.0, hi), cfg.source, blocked_gates=7.5)
         assert r_lo <= r_hi + 1e-9
 
 

@@ -1,4 +1,4 @@
-"""Tests for phase encoding, sifting, and key accounting."""
+"""Tests for interferometer routing, sifting, and key accounting."""
 
 import math
 
@@ -11,9 +11,7 @@ from qkdlink.params import ParameterError, ProtocolConstants
 from qkdlink.protocol import (
     ProtocolError,
     SiftedKey,
-    decode_click,
-    encode,
-    estimate_qber,
+    detector_a_probability,
     secure_key_length,
     sift,
     write_sifted_key,
@@ -22,51 +20,59 @@ from qkdlink.protocol import (
 CONSTS = ProtocolConstants(f_ec=1.10, sift_factor=0.5)
 
 
+def route(bit, basis, bob_basis, visibility=1.0, flip=0):
+    """Routing probabilities for broadcast 0/1 inputs, as an array."""
+    bit, basis, bob_basis, flip = np.broadcast_arrays(bit, basis, bob_basis, flip)
+    return detector_a_probability(bit, basis, flip, bob_basis, visibility)
+
+
 class TestEncoding:
     def test_phase_table(self):
-        assert encode(0, 0) == 0.0
-        assert encode(1, 0) == math.pi
-        assert encode(0, 1) == math.pi / 2
-        assert encode(1, 1) == 3 * math.pi / 2
+        # Alice's phases 0, pi, pi/2, 3pi/2 for (bit, basis) = (0,0), (1,0),
+        # (0,1), (1,1), read off against Bob's two analysis phases 0, pi/2.
+        bits, bases = [0, 1, 0, 1], [0, 0, 1, 1]
+        assert route(bits, bases, 0) == pytest.approx([1.0, 0.0, 0.5, 0.5], abs=1e-15)
+        assert route(bits, bases, 1) == pytest.approx([0.5, 0.5, 1.0, 0.0], abs=1e-15)
 
-    @pytest.mark.parametrize("bit,basis", [(2, 0), (0, -1), (0, 2), (5, 5)])
-    def test_rejects_non_binary_inputs(self, bit, basis):
-        with pytest.raises(ProtocolError):
-            encode(bit, basis)
+    def test_mismodulation_flips_the_bit(self):
+        assert route([0, 1], [0, 1], [0, 1], flip=True) == pytest.approx(
+            route([1, 0], [0, 1], [0, 1]), abs=1e-15
+        )
 
 
 class TestDecoding:
     def test_matched_phase_routes_deterministically(self):
-        assert decode_click(0.0, 0.0, 1.0) == 1.0
-        assert decode_click(math.pi, 0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert route([0, 1], 0, 0).tolist() == pytest.approx([1.0, 0.0], abs=1e-15)
+        assert route(0, 0, 0)[()] == 1.0
 
     def test_conjugate_basis_splits_evenly(self):
         # Quarter-wave offset between preparation and analysis: coin flip.
-        assert decode_click(math.pi / 2, 0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
-        assert decode_click(0.0, math.pi / 2, 0.877) == pytest.approx(0.5, abs=1e-15)
+        assert route([0, 1], 1, 0) == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert route([0, 1], 0, 1, 0.877) == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_finite_visibility_floor(self):
         v = 0.994
-        assert decode_click(0.0, 0.0, v) == pytest.approx(0.5 * (1 + v))
-        assert decode_click(math.pi, 0.0, v) == pytest.approx(0.5 * (1 - v))
+        assert route([0, 1], 0, 0, v) == pytest.approx([0.5 * (1 + v), 0.5 * (1 - v)])
 
     def test_rejects_bad_visibility(self):
         with pytest.raises(ParameterError):
-            decode_click(0.0, 0.0, 1.2)
+            route(0, 0, 0, 1.2)
 
-    @given(
-        st.floats(min_value=-10.0, max_value=10.0),
-        st.floats(min_value=-10.0, max_value=10.0),
-        st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_always_a_probability(self, pa, pb, v):
-        p = decode_click(pa, pb, v)
-        assert 0.0 <= p <= 1.0
+    @given(st.data())
+    def test_always_a_probability(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=16))
+        binary = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        p = route(
+            data.draw(binary), data.draw(binary), data.draw(binary),
+            data.draw(st.floats(min_value=0.0, max_value=1.0)),
+            data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        )
+        assert p.shape == (n,)
+        assert np.all((0.0 <= p) & (p <= 1.0))
 
 
-def make_alice(clocks, bits, bases):
+def make_alice(bits, bases):
     return AliceLog(
-        clock_index=np.asarray(clocks, dtype=np.uint64),
         bit=np.asarray(bits, dtype=np.uint8),
         basis=np.asarray(bases, dtype=np.uint8),
     )
@@ -82,7 +88,7 @@ def make_tags(clocks, detectors):
 
 class TestSift:
     def test_handcrafted_example(self):
-        alice = make_alice([0, 1, 2, 3, 4], [0, 1, 0, 1, 1], [0, 0, 1, 1, 0])
+        alice = make_alice([0, 1, 0, 1, 1], [0, 0, 1, 1, 0])
         bob_bases = [0, 1, 1, 0, 0]
         tags = make_tags([0, 1, 2, 4], [0, 1, 1, 1])
         key = sift(alice, tags, bob_bases)
@@ -95,21 +101,22 @@ class TestSift:
         assert key.qber_estimate == pytest.approx(1.0 / 3.0)
 
     def test_no_matches_yields_empty_key(self):
-        alice = make_alice([0, 1], [0, 1], [0, 0])
+        alice = make_alice([0, 1], [0, 0])
         key = sift(alice, make_tags([0, 1], [0, 1]), [1, 1])
         assert key.n_sifted == 0
         assert math.isnan(key.qber_estimate)
         assert not key.qber_defined
 
     def test_unknown_clock_index_rejected(self):
-        alice = make_alice([0, 2, 4], [0, 1, 0], [0, 0, 0])
+        alice = make_alice([0, 1, 0], [0, 0, 0])
+        # Clock 3 is the first one past Alice's three-clock record.
         with pytest.raises(ProtocolError, match="unknown clock index 3"):
             sift(alice, make_tags([0, 3], [0, 0]), [0, 0, 0])
         with pytest.raises(ProtocolError, match="unknown clock index 9"):
             sift(alice, make_tags([9], [0]), [0, 0, 0])
 
     def test_misaligned_bob_record_rejected(self):
-        alice = make_alice([0, 1, 2], [0, 1, 0], [0, 0, 1])
+        alice = make_alice([0, 1, 0], [0, 0, 1])
         with pytest.raises(ProtocolError, match="align"):
             sift(alice, make_tags([0], [0]), [0, 0])
 
@@ -127,7 +134,7 @@ class TestSift:
         dets = data.draw(
             st.lists(st.integers(0, 1), min_size=len(clicked), max_size=len(clicked))
         )
-        alice = make_alice(range(n), bits, bases)
+        alice = make_alice(bits, bases)
         key = sift(alice, make_tags(clicked, dets), bob)
 
         expect = [
@@ -142,15 +149,6 @@ class TestSift:
 
 
 class TestKeyAccounting:
-    def test_estimate_qber_empty_key_raises(self):
-        empty = SiftedKey(
-            clock_index=np.array([], dtype=np.uint64),
-            alice_bits=np.array([], dtype=np.uint8),
-            bob_bits=np.array([], dtype=np.uint8),
-        )
-        with pytest.raises(ProtocolError):
-            estimate_qber(empty)
-
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ProtocolError):
             SiftedKey(

@@ -238,6 +238,17 @@ class TestCli:
         assert rc == 2
         assert "comma-separated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["analytic", "mc"])
+    @pytest.mark.parametrize(
+        "etas,message", [("", "must not be empty"), ("0", "eta grid")]
+    )
+    def test_bad_eta_grid_exits_2_on_both_engines(self, engine, etas, message, capsys):
+        rc = main(["sweep-bias", "--engine", engine, "--pulses", "2000", "--etas", etas])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_missing_config_file_exits_4(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 4
