@@ -2,8 +2,8 @@
 
 Two engines cover the same physics at different resolutions: a closed-form
 link-budget model (:mod:`qkdlink.linkbudget`, :mod:`qkdlink.keyrate`) and a
-per-pulse stochastic event engine (:mod:`qkdlink.montecarlo`) whose time-tag
-streams feed the BB84 sifting layer (:mod:`qkdlink.protocol`).  Scenario
+stochastic event engine (:mod:`qkdlink.montecarlo`) whose time-tag streams
+feed the BB84 sifting layer (:mod:`qkdlink.protocol`).  Scenario
 runners and the CLI live in :mod:`qkdlink.sweeps` / :mod:`qkdlink.cli`;
 model couplings are fitted to measured link anchors by
 :mod:`qkdlink.calibrate`.

@@ -44,7 +44,7 @@ def _shared_flags() -> argparse.ArgumentParser:
     )
     shared.add_argument(
         "--engine", choices=("analytic", "mc"), default="analytic",
-        help="closed-form model or per-pulse event engine",
+        help="closed-form model or Monte Carlo event engine",
     )
     shared.add_argument("--out", metavar="PATH", help="output path ('-' for stdout)")
     return shared

@@ -1,19 +1,24 @@
-"""Per-pulse stochastic event engine for the gated QKD link.
+"""Stochastic event engine for the gated QKD link.
 
-For every clock cycle the engine draws Alice's bit/basis pair, samples the
-photons that survive the fiber, routes them through the interferometer,
-and runs both gated detectors: window acceptance with timing jitter, dark
-counts, afterpulse release, hold-off (dead time) and double-click
-squashing.  The output is Alice's preparation log plus Bob's time-tagged
-detection stream, bit-reproducible for a fixed (config, n_pulses, seed).
+Alice's bit/basis pair and Bob's basis are drawn for every clock cycle,
+as packed random bytes.  Everything else is drawn per event, so its cost
+scales with the events rather than the clock cycles: the engine draws how
+many photons survive the fiber and how many dark counts each detector
+sees, then places them on uniform clocks (Poisson superposition and
+uniform subsets, exact in law for per-gate Poisson photons and Bernoulli
+darks).  Each photon is routed through the interferometer and both gated
+detectors are run: window acceptance with timing jitter, dark counts,
+afterpulse release, hold-off (dead time) and double-click squashing.  The
+output is Alice's preparation log plus Bob's time-tagged detection stream,
+bit-reproducible for a fixed (config, n_pulses, seed).
 
-Candidate events are generated in vectorized batches; the stateful part
-(hold-off and afterpulse feedback) runs as a chronological sweep over the
-sparse candidate list, per detector, with afterpulses injected through a
-priority queue.  Long runs may be split into contiguous segments with
-independent random streams; each later segment re-establishes detector
-equilibrium on a discarded warm-up prefix, so segments can be produced
-independently (and in principle concurrently) without sharing state.
+The stateful part (hold-off and afterpulse feedback) runs as a
+chronological sweep over the sparse candidate list, per detector, with
+afterpulses injected through a priority queue.  Long runs may be split
+into contiguous segments with independent random streams; each later
+segment re-establishes detector equilibrium on a discarded warm-up prefix,
+so segments can be produced independently (and in principle concurrently)
+without sharing state.
 """
 
 from __future__ import annotations
@@ -48,8 +53,6 @@ DETECTOR_B = 1
 # Gates discarded at the start of every segment after the first, long enough
 # for afterpulse memory (tens of ns) to forget the missing history.
 WARMUP_GATES = 10_000
-
-_CHUNK = 1 << 20
 
 # Binary dump record, packed little-endian (13 bytes, the struct layout
 # ``<QBI``): clock index, detector id, timestamp rounded to ps.
@@ -189,9 +192,41 @@ def _sweep_detector(gates, offsets, det, ap_rng, period, n_gates, budget):
     )
 
 
-def _run_segment(config, n_gates, rng, ap_rng, budget):
+def _random_bits(rng, n):
+    """``n`` fair 0/1 draws as uint8, unpacked from ``ceil(n / 8)`` random bytes."""
+    packed = rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8)
+    return np.unpackbits(packed, count=n)
+
+
+def _candidate_counts(config, n_gates, rng, budget):
+    """Draw and charge one segment's photon count and per-detector dark counts.
+
+    Candidates are drawn by count and then position rather than gate by
+    gate: the photons reaching a detector form one Poisson(m * n_gates)
+    total, and each detector's darks a Binomial(n_gates, p) count.  Given
+    their counts, photons sit at uniform emitting clocks and darks at
+    distinct uniform gates, which is exactly the law of iid per-gate
+    Poisson(m) photons and Bernoulli(p) darks.
+    """
+    receiver = config.receiver
+    mean_candidates = (
+        config.source.mu
+        * linkbudget.transmittance(config.channel.length, config.channel.attenuation)
+        * max(receiver.detector_a.efficiency, receiver.detector_b.efficiency)
+    )
+    n_photons = int(rng.poisson(mean_candidates * n_gates)) if mean_candidates > 0 else 0
+    budget.charge(n_photons)
+    n_darks = []
+    for det in (receiver.detector_a, receiver.detector_b):
+        n_darks.append(int(rng.binomial(n_gates, det.dark_prob)) if det.dark_prob > 0 else 0)
+        budget.charge(n_darks[-1])
+    return n_photons, n_darks
+
+
+def _run_segment(config, n_gates, counts, rng, ap_rng, budget):
     """Simulate ``n_gates`` consecutive clock cycles with fresh detectors.
 
+    ``counts`` comes from :func:`_candidate_counts` on the same ``rng``.
     Returns Alice's arrays, Bob's bases, and the squashed tag columns with
     gate indices local to the segment.
     """
@@ -200,90 +235,68 @@ def _run_segment(config, n_gates, rng, ap_rng, budget):
     receiver = config.receiver
     det_a = receiver.detector_a
     det_b = receiver.detector_b
-    if det_a.jitter_fwhm != det_b.jitter_fwhm:
-        raise ParameterError(
-            "event engine requires matched detector jitter "
-            "(routing is resolved per detected gate)"
-        )
     period = source.gate_period
     window = det_a.gate_window
     center = 0.5 * period
     half_window = 0.5 * window
-
-    bits = rng.integers(0, 2, n_gates, dtype=np.uint8)
-    bases = rng.integers(0, 2, n_gates, dtype=np.uint8)
-    bob_bases = rng.integers(0, 2, n_gates, dtype=np.uint8)
-    flip = rng.random(n_gates) < receiver.mismodulation_error
-
     eta_max = max(det_a.efficiency, det_b.efficiency)
-    mean_candidates = (
-        source.mu
-        * linkbudget.transmittance(channel.length, channel.attenuation)
-        * eta_max
-    )
-    components = linkbudget.temporal_components(source, channel)
-    comp_weights = np.array([w for w, _, _ in components])
-    comp_means = np.array([m for _, m, _ in components])
-    comp_sigmas = np.array([s for _, _, s in components])
-    comp_edges = np.cumsum(comp_weights)
-    jitter_sigma = det_a.jitter_sigma
+    n_photons, n_darks = counts
+
+    bits = _random_bits(rng, n_gates)
+    bases = _random_bits(rng, n_gates)
+    bob_bases = _random_bits(rng, n_gates)
 
     cand_gates = {DETECTOR_A: [], DETECTOR_B: []}
     cand_offsets = {DETECTOR_A: [], DETECTOR_B: []}
 
-    for start in range(0, n_gates, _CHUNK):
-        stop = min(start + _CHUNK, n_gates)
-        span = stop - start
+    # --- photons that reach a detector -------------------------------------
+    if n_photons:
+        emit = np.sort(rng.integers(0, n_gates, n_photons))
+        # One mis-modulation draw per emitting clock, shared by its photons.
+        clocks, clock_of = np.unique(emit, return_inverse=True)
+        flip = (rng.random(clocks.size) < receiver.mismodulation_error)[clock_of]
+        components = linkbudget.temporal_components(source, channel)
+        if len(components) == 1:
+            _, comp_mean, comp_sigma = components[0]
+            arrival = comp_mean + comp_sigma * rng.standard_normal(n_photons)
+        else:
+            comp_means = np.array([m for _, m, _ in components])
+            comp_sigmas = np.array([s for _, _, s in components])
+            comp_edges = np.cumsum([w for w, _, _ in components])
+            comp = np.searchsorted(comp_edges, rng.random(n_photons), side="right")
+            comp = np.minimum(comp, len(components) - 1)
+            arrival = comp_means[comp] + comp_sigmas[comp] * rng.standard_normal(n_photons)
+        arrival = arrival + det_a.jitter_sigma * rng.standard_normal(n_photons)
+        shift = np.rint(arrival / period).astype(np.int64)
+        offset = arrival - shift * period
+        gate = emit + shift
+        keep = (np.abs(offset) <= half_window) & (gate >= 0) & (gate < n_gates)
+        emit, gate, offset, flip = emit[keep], gate[keep], offset[keep], flip[keep]
 
-        # --- photons that reach a detector ---------------------------------
-        counts = rng.poisson(mean_candidates, span) if mean_candidates > 0 else None
-        if counts is not None and counts.any():
-            emit = start + np.repeat(np.arange(span, dtype=np.int64), counts)
-            m = emit.size
-            budget.charge(m)
-            if len(components) == 1:
-                arrival = comp_means[0] + comp_sigmas[0] * rng.standard_normal(m)
-            else:
-                comp = np.searchsorted(comp_edges, rng.random(m), side="right")
-                comp = np.minimum(comp, len(components) - 1)
-                arrival = comp_means[comp] + comp_sigmas[comp] * rng.standard_normal(m)
-            arrival = arrival + jitter_sigma * rng.standard_normal(m)
-            shift = np.rint(arrival / period).astype(np.int64)
-            offset = arrival - shift * period
-            gate = emit + shift
-            keep = (np.abs(offset) <= half_window) & (gate >= 0) & (gate < n_gates)
-            emit, gate, offset = emit[keep], gate[keep], offset[keep]
-
-            # Interferometer routing against Bob's phase in the gate where
-            # the photon is actually detected.
-            p_detector_a = protocol.detector_a_probability(
-                bits[emit], bases[emit], flip[emit], bob_bases[gate],
-                receiver.visibility,
+        # Interferometer routing against Bob's phase in the gate where the
+        # photon is actually detected.
+        p_detector_a = protocol.detector_a_probability(
+            bits[emit], bases[emit], flip, bob_bases[gate], receiver.visibility
+        )
+        to_a = rng.random(gate.size) < p_detector_a
+        if det_a.efficiency != det_b.efficiency and eta_max > 0.0:
+            # Residual per-detector thinning after the shared eta_max draw.
+            survival = np.where(
+                to_a, det_a.efficiency / eta_max, det_b.efficiency / eta_max
             )
-            to_a = rng.random(gate.size) < p_detector_a
-            if det_a.efficiency != det_b.efficiency and eta_max > 0.0:
-                # Residual per-detector thinning after the shared eta_max draw.
-                survival = np.where(
-                    to_a, det_a.efficiency / eta_max, det_b.efficiency / eta_max
-                )
-                alive = rng.random(gate.size) < survival
-                gate, offset, to_a = gate[alive], offset[alive], to_a[alive]
-            ts = center + offset
-            for det_id, mask in ((DETECTOR_A, to_a), (DETECTOR_B, ~to_a)):
-                cand_gates[det_id].append(gate[mask])
-                cand_offsets[det_id].append(ts[mask])
+            alive = rng.random(gate.size) < survival
+            gate, offset, to_a = gate[alive], offset[alive], to_a[alive]
+        ts = center + offset
+        for det_id, mask in ((DETECTOR_A, to_a), (DETECTOR_B, ~to_a)):
+            cand_gates[det_id].append(gate[mask])
+            cand_offsets[det_id].append(ts[mask])
 
-        # --- dark counts ----------------------------------------------------
-        for det_id, det in ((DETECTOR_A, det_a), (DETECTOR_B, det_b)):
-            if det.dark_prob <= 0.0:
-                continue
-            fired = np.flatnonzero(rng.random(span) < det.dark_prob)
-            if fired.size:
-                budget.charge(fired.size)
-                cand_gates[det_id].append(start + fired.astype(np.int64))
-                cand_offsets[det_id].append(
-                    center + (rng.random(fired.size) - 0.5) * window
-                )
+    # --- dark counts: distinct uniform gates per detector ------------------
+    for det_id, k in zip((DETECTOR_A, DETECTOR_B), n_darks):
+        if k:
+            fired = rng.choice(n_gates, k, replace=False, shuffle=False)
+            cand_gates[det_id].append(np.sort(fired))
+            cand_offsets[det_id].append(center + (rng.random(k) - 0.5) * window)
 
     accepted = {}
     for det_id, det in ((DETECTOR_A, det_a), (DETECTOR_B, det_b)):
@@ -340,6 +353,11 @@ def simulate(
 ) -> SimulationResult:
     """Run the event engine over ``n_pulses`` clock cycles.
 
+    Photon and dark-count candidates are drawn by count and position, so
+    the run costs O(events) plus the per-clock bit and basis columns.
+    Every segment's photon and dark counts are charged against
+    ``max_events`` before any per-clock or per-event array is allocated.
+
     Parameters
     ----------
     config:
@@ -368,34 +386,47 @@ def simulate(
         raise ParameterError("n_pulses must be at least 1")
     if segments < 1 or segments > n_pulses:
         raise ParameterError("segments must lie in [1, n_pulses]")
+    if config.receiver.detector_a.jitter_fwhm != config.receiver.detector_b.jitter_fwhm:
+        raise ParameterError(
+            "event engine requires matched detector jitter "
+            "(routing is resolved per detected gate)"
+        )
     budget = _EventBudget(max_events)
 
     root = np.random.SeedSequence(seed)
     children = root.spawn(segments)
     bounds = np.linspace(0, n_pulses, segments + 1).astype(np.int64)
 
-    bits_parts = []
-    bases_parts = []
-    bob_parts = []
+    # Every segment's event counts are charged before any per-clock column
+    # exists; the columns are then filled segment by segment, so only one
+    # segment's own columns are alive next to the run's.
+    segment_streams = []
+    for s, child in enumerate(children):
+        warm = WARMUP_GATES if s > 0 else 0
+        n_local = int(bounds[s + 1] - bounds[s]) + warm
+        cand_ss, ap_ss = child.spawn(2)
+        rng = np.random.Generator(np.random.Philox(cand_ss))
+        counts = _candidate_counts(config, n_local, rng, budget)
+        segment_streams.append((warm, n_local, counts, rng, ap_ss))
+
+    alice_bit = np.empty(n_pulses, dtype=np.uint8)
+    alice_basis = np.empty(n_pulses, dtype=np.uint8)
+    bob_bases = np.empty(n_pulses, dtype=np.uint8)
     tag_clock_parts = []
     tag_ts_parts = []
     tag_det_parts = []
-    for s in range(segments):
+    for s, (warm, n_local, counts, rng, ap_ss) in enumerate(segment_streams):
         own_start = int(bounds[s])
         own_end = int(bounds[s + 1])
-        warm = WARMUP_GATES if s > 0 else 0
-        cand_ss, ap_ss = children[s].spawn(2)
-        rng = np.random.Generator(np.random.Philox(cand_ss))
         ap_rng = np.random.Generator(np.random.Philox(ap_ss))
-        n_local = own_end - own_start + warm
         bits, bases, bob, gates, ts, dets = _run_segment(
-            config, n_local, rng, ap_rng, budget
+            config, n_local, counts, rng, ap_rng, budget
         )
         base_clock = own_start - warm
         keep = gates >= warm
-        bits_parts.append(bits[warm:])
-        bases_parts.append(bases[warm:])
-        bob_parts.append(bob[warm:])
+        alice_bit[own_start:own_end] = bits[warm:]
+        alice_basis[own_start:own_end] = bases[warm:]
+        bob_bases[own_start:own_end] = bob[warm:]
         tag_clock_parts.append((gates[keep] + base_clock).astype(np.uint64))
         tag_ts_parts.append(ts[keep])
         tag_det_parts.append(dets[keep])
@@ -408,17 +439,21 @@ def simulate(
         "warmup_gates": WARMUP_GATES,
         "gate_period_ps": source.gate_period,
         "gate_window_ps": config.receiver.detector_a.gate_window,
-        "rng": "Philox (two spawned streams per segment: candidates, afterpulses)",
+        "rng": (
+            "Philox, two spawned streams per segment: sparse candidates "
+            "(photon and dark counts, then packed bit/basis columns, then "
+            "positions), afterpulses"
+        ),
         "events_generated": budget.used,
     }
-    alice = AliceLog(bit=np.concatenate(bits_parts), basis=np.concatenate(bases_parts))
+    alice = AliceLog(bit=alice_bit, basis=alice_basis)
     tags = TimeTagStream(
         detector_id=np.concatenate(tag_det_parts),
         clock_index=np.concatenate(tag_clock_parts),
         timestamp=np.concatenate(tag_ts_parts),
         meta=meta,
     )
-    return SimulationResult(alice=alice, tags=tags, bob_bases=np.concatenate(bob_parts))
+    return SimulationResult(alice=alice, tags=tags, bob_bases=bob_bases)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +582,11 @@ def read_binary_dump(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def write_csv_dump(tags: TimeTagStream, path) -> None:
     """Readable alternative to the binary dump for small runs."""
     lines = ["clock_index,detector_id,timestamp_ps"]
-    for d, c, t in zip(tags.detector_id, tags.clock_index, tags.timestamp):
-        lines.append(f"{int(c)},{int(d)},{float(t)!r}")
+    lines += [
+        f"{c},{d},{t!r}"
+        for c, d, t in zip(
+            tags.clock_index.tolist(), tags.detector_id.tolist(), tags.timestamp.tolist()
+        )
+    ]
     with open(path, "w", encoding="ascii") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -141,8 +141,12 @@ def write_sifted_key(key: SiftedKey, path, consts: ProtocolConstants) -> None:
     follows the records so the file remains trivially machine-parsable.
     """
     lines = [
-        f"{int(c)},{int(a)},{int(b)}"
-        for c, a, b in zip(key.clock_index, key.alice_bits, key.bob_bits)
+        f"{c},{a},{b}"
+        for c, a, b in zip(
+            np.asarray(key.clock_index, dtype=np.uint64).tolist(),
+            np.asarray(key.alice_bits, dtype=np.uint8).tolist(),
+            np.asarray(key.bob_bits, dtype=np.uint8).tolist(),
+        )
     ]
     if key.qber_defined:
         qber = key.qber_estimate

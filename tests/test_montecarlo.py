@@ -1,12 +1,16 @@
-"""Tests for the per-pulse event engine and tag-stream analysis helpers."""
+"""Tests for the event engine and tag-stream analysis helpers."""
 
 import dataclasses
+import hashlib
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qkdlink import montecarlo
+from qkdlink import linkbudget, montecarlo
+from qkdlink.cli import main
 from qkdlink.montecarlo import (
     AliceLog,
     ResourceLimitError,
@@ -117,6 +121,18 @@ class TestSimulate:
         with pytest.raises(ResourceLimitError):
             simulate(cfg.at_length(0.0), 1_000_000, seed=0, max_events=100)
 
+    def test_event_budget_charged_before_allocation(self, cfg):
+        """A run far over budget fails on its counts, before the per-clock
+        columns (3 bytes per pulse, 900 MB here) are allocated."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                simulate(cfg.at_length(0.0), 300_000_000, seed=0, max_events=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_unequal_jitter_rejected(self, cfg):
         det_b = dataclasses.replace(cfg.receiver.detector_b, jitter_fwhm=30.0)
         lopsided = dataclasses.replace(
@@ -136,6 +152,73 @@ class TestSimulate:
         assert float(np.mean(result.tags.timestamp)) == pytest.approx(
             0.5 * PERIOD, abs=1.5
         )
+
+
+def _assert_count_law(counts, mean, var, mu4):
+    """Sample mean and variance of ``counts`` within 5 sigma of the law.
+
+    ``mu4`` is the law's fourth central moment, which sets the standard
+    error of the sample variance.
+    """
+    n = len(counts)
+    counts = np.asarray(counts, dtype=np.float64)
+    z_mean = (counts.mean() - mean) / math.sqrt(var / n)
+    se_var = math.sqrt((mu4 - var**2 * (n - 3) / (n - 1)) / n)
+    z_var = (counts.var(ddof=1) - var) / se_var
+    assert abs(z_mean) < 5.0, f"mean {counts.mean():.1f} vs {mean:.1f} ({z_mean:+.2f} sigma)"
+    assert abs(z_var) < 5.0, f"variance {counts.var(ddof=1):.1f} vs {var:.1f} ({z_var:+.2f} sigma)"
+
+
+class TestCandidateLaw:
+    """Candidates drawn by count and position keep the per-gate law, seen
+    through the engine's own ``events_generated`` counter."""
+
+    # 200 runs put a zero-variance count 10 sigma from a Poisson one.
+    SEEDS = range(200)
+    N = 50_000
+
+    def test_photon_count_is_poisson(self, cfg):
+        config = with_detectors(cfg.at_length(5.6), dark_prob=0.0, afterpulse_total=0.0)
+        det = config.receiver.detector_a
+        m = (
+            config.source.mu
+            * linkbudget.transmittance(config.channel.length, config.channel.attenuation)
+            * det.efficiency
+        )
+        lam = m * self.N
+        counts = [simulate(config, self.N, seed=s).meta["events_generated"] for s in self.SEEDS]
+        _assert_count_law(counts, lam, lam, lam * (1.0 + 3.0 * lam))
+
+    def test_dark_count_is_binomial(self, cfg):
+        p = 1e-3
+        config = with_detectors(
+            dataclasses.replace(cfg, source=dataclasses.replace(cfg.source, mu=0.0)),
+            dark_prob=p,
+            afterpulse_total=0.0,
+        )
+        trials = 2 * self.N  # two detectors, one Bernoulli(p) per gate each
+        mean = trials * p
+        var = mean * (1.0 - p)
+        mu4 = var * (1.0 + 3.0 * (trials - 2) * p * (1.0 - p))
+        counts = [simulate(config, self.N, seed=s).meta["events_generated"] for s in self.SEEDS]
+        _assert_count_law(counts, mean, var, mu4)
+
+
+class TestStreamLayout:
+    """Pins the random-stream layout, so a change to it is deliberate and
+    recorded.  The digests also move if NumPy changes one of the Generator
+    distributions the engine draws from."""
+
+    DUMP_SHA256 = "426ebabe253629b8f10c92ab493059199adb5cf2e373b489b6f33d1e19d7fd74"
+    KEY_SHA256 = "ee59a555d1346df6c9aa990daef7654c33e26028a03c20fd4f754992f2c26b27"
+
+    def test_fixed_seed_output_digests(self, tmp_path):
+        dump, key = tmp_path / "tags.bin", tmp_path / "key.txt"
+        argv = ["simulate", "--pulses", "300000", "--seed", "8",
+                "--out", str(dump), "--sifted-key", str(key)]
+        assert main(argv) == 0
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.DUMP_SHA256
+        assert hashlib.sha256(key.read_bytes()).hexdigest() == self.KEY_SHA256
 
 
 class TestGateResponse:
