@@ -12,9 +12,11 @@ afterpulse release, hold-off (dead time) and double-click squashing.  The
 output is Alice's preparation log plus Bob's time-tagged detection stream,
 bit-reproducible for a fixed (config, n_pulses, seed).
 
-The stateful part (hold-off and afterpulse feedback) runs as a
-chronological sweep over the sparse candidate list, per detector, with
-afterpulses injected through a priority queue.  Long runs may be split
+The stateful part (hold-off and afterpulse feedback) runs per detector:
+every candidate's potential afterpulse tree is drawn up front, a
+generation at a time, and a chronological sweep over the tree decides
+which nodes fire, in numpy wherever no earlier click can interfere and in
+a short loop over the clustered rest.  Long runs may be split
 into contiguous segments with independent random streams; each later
 segment re-establishes detector equilibrium on a discarded warm-up prefix,
 so segments can be produced independently (and in principle concurrently)
@@ -23,8 +25,6 @@ without sharing state.
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,67 +129,81 @@ class _EventBudget:
             )
 
 
+def _afterpulse_tree(gates, offsets, det, ap_rng, period, n_gates, budget):
+    """Every potential afterpulse of the candidates, drawn up front.
+
+    Each node (a photon or dark candidate, or a potential afterpulse)
+    carries a Poisson number of potential afterpulses, released an
+    exponential time after the hold-off expires and snapped to the nearest
+    gate, where they land uniformly inside the window.  Per generation the
+    spawn counts are drawn in one call and charged to ``budget``, then the
+    delays, then the offsets.  A child in its parent's gate would always
+    merge with the parent's click, and one past the run never fires, so
+    both are dropped.  Returns ``(gate, offset, parent)`` in time order,
+    candidates first on a tie; ``parent`` indexes the node that must fire
+    for a potential afterpulse to exist (-1 for a candidate) and always
+    precedes it.
+    """
+    pa = det.afterpulse_total
+    center = 0.5 * period
+    gen_gate = np.asarray(gates, dtype=np.int64)
+    gen_off = np.asarray(offsets, dtype=np.float64)
+    node_gate, node_off, node_parent = [gen_gate], [gen_off], [np.full(gen_gate.size, -1)]
+    first = 0
+    while pa > 0.0 and gen_gate.size:
+        spawned = ap_rng.poisson(pa, gen_gate.size)
+        budget.charge(spawned.sum())
+        parent = np.repeat(np.arange(gen_gate.size), spawned)
+        release = gen_gate[parent] * period + gen_off[parent] + det.dead_time_ps
+        release += ap_rng.exponential(det.afterpulse_decay_ps, parent.size)
+        child_gate = np.rint((release - center) / period).astype(np.int64)
+        child_off = center + (ap_rng.random(parent.size) - 0.5) * det.gate_window
+        keep = (child_gate > gen_gate[parent]) & (child_gate < n_gates)
+        node_parent.append(parent[keep] + first)
+        first += gen_gate.size
+        gen_gate, gen_off = child_gate[keep], child_off[keep]
+        node_gate.append(gen_gate)
+        node_off.append(gen_off)
+    gate, off, parent = (np.concatenate(c) for c in (node_gate, node_off, node_parent))
+    order = np.lexsort((parent >= 0, off, gate))
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    parent = parent[order]
+    return gate[order], off[order], np.where(parent >= 0, rank[parent], -1)
+
+
 def _sweep_detector(gates, offsets, det, ap_rng, period, n_gates, budget):
     """Chronological hold-off / afterpulse sweep for one detector.
 
-    ``gates``/``offsets`` are the candidate events (photon or dark) sorted
-    here by time.  Accepted clicks spawn a Poisson number of afterpulse
-    candidates; each is released an exponential time after the hold-off
-    expires and snaps to the nearest gate, where it lands uniformly inside
-    the window like any other charge-induced event.  Afterpulses feed back:
-    they obey the hold-off, can themselves afterpulse, and merge with other
-    candidates in the same gate (a gate yields at most one avalanche).
+    A node of the :func:`_afterpulse_tree` exists if it is a candidate or
+    its parent fired, and it fires unless the last click before it lies in
+    its gate (a gate yields at most one avalanche) or less than the hold-off
+    earlier.  The tree's draws do not depend on the history, so using them
+    only for nodes that fire keeps the law of drawing per click.  A node at
+    least the hold-off after its predecessor, in another gate, cannot be
+    blocked: such candidates fire in numpy, and a loop settles the rest.
+    Returns the clicks' gates and offsets in time order.
     """
     dead = det.dead_time_ps
-    pa = det.afterpulse_total
-    tau = det.afterpulse_decay_ps
-    window = det.gate_window
-    center = 0.5 * period
-
-    order = np.lexsort((offsets, gates))
-    gates = gates[order]
-    offsets = offsets[order]
-    n = gates.size
-
-    out_gates: list[int] = []
-    out_offsets: list[float] = []
-    heap: list[tuple[float, int, float]] = []
-    i = 0
-    last_abs = -math.inf
-    last_gate = -1
-    while i < n or heap:
-        if i < n:
-            cand_abs = gates[i] * period + offsets[i]
-        if heap and (i >= n or heap[0][0] < cand_abs):
-            t_abs, gate, t_in = heapq.heappop(heap)
-        else:
-            gate = int(gates[i])
-            t_in = float(offsets[i])
-            t_abs = cand_abs
-            i += 1
-        if gate == last_gate:
-            continue  # the detector already avalanched in this gate
-        if t_abs - last_abs < dead:
+    gate, off, parent = _afterpulse_tree(gates, offsets, det, ap_rng, period, n_gates, budget)
+    t_abs = gate * period + off
+    fired = np.ones(gate.size, dtype=bool)
+    fired[1:] = (np.diff(t_abs) >= dead) & (np.diff(gate) != 0)
+    fired &= parent < 0
+    rest = np.flatnonzero(~fired)
+    anchor = np.maximum.accumulate(np.where(fired, np.arange(gate.size), -1))[rest]
+    gate_l, t_l, fired_l = gate.tolist(), t_abs.tolist(), fired.tolist()
+    last = -1
+    for j, p, a in zip(rest.tolist(), parent[rest].tolist(), anchor.tolist()):
+        if p >= 0 and not fired_l[p]:
             continue
-        out_gates.append(gate)
-        out_offsets.append(t_in)
-        last_abs = t_abs
-        last_gate = gate
-        if pa > 0.0:
-            spawned = int(ap_rng.poisson(pa))
-            if spawned:
-                budget.charge(spawned)
-                for _ in range(spawned):
-                    release = t_abs + dead + ap_rng.exponential(tau)
-                    ap_gate = int(round((release - center) / period))
-                    if ap_gate >= n_gates:
-                        continue
-                    ap_in = center + (ap_rng.random() - 0.5) * window
-                    heapq.heappush(heap, (ap_gate * period + ap_in, ap_gate, ap_in))
-    return (
-        np.asarray(out_gates, dtype=np.int64),
-        np.asarray(out_offsets, dtype=np.float64),
-    )
+        k = max(last, a)  # the last click before node j
+        if k >= 0 and (gate_l[k] == gate_l[j] or t_l[j] - t_l[k] < dead):
+            continue
+        fired_l[j] = True
+        last = j
+    fired = np.array(fired_l, dtype=bool)
+    return gate[fired], off[fired]
 
 
 def _random_bits(rng, n):
@@ -356,7 +370,10 @@ def simulate(
     Photon and dark-count candidates are drawn by count and position, so
     the run costs O(events) plus the per-clock bit and basis columns.
     Every segment's photon and dark counts are charged against
-    ``max_events`` before any per-clock or per-event array is allocated.
+    ``max_events`` before any per-clock or per-event array is allocated,
+    and each afterpulse generation's spawn total before its delays and
+    offsets.  ``meta["events_generated"]`` counts photons, darks and every
+    drawn potential afterpulse, including those of blocked candidates.
 
     Parameters
     ----------
@@ -442,7 +459,8 @@ def simulate(
         "rng": (
             "Philox, two spawned streams per segment: sparse candidates "
             "(photon and dark counts, then packed bit/basis columns, then "
-            "positions), afterpulses"
+            "positions), afterpulses (per detector and generation: spawn "
+            "counts per node, then delays, then offsets)"
         ),
         "events_generated": budget.used,
     }

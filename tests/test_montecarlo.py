@@ -1,13 +1,16 @@
 """Tests for the event engine and tag-stream analysis helpers."""
 
+import collections
 import dataclasses
 import hashlib
 import math
+import random
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from qkdlink import linkbudget, montecarlo
 from qkdlink.cli import main
@@ -133,6 +136,25 @@ class TestSimulate:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_afterpulse_budget_charged_per_generation(self, cfg):
+        """A near-critical cascade (about 20 nodes per candidate, 600k in
+        all here) fails on its first afterpulse generation's spawn total,
+        before the rest of the tree is drawn."""
+        bright = dataclasses.replace(cfg.at_length(0.0), source=dataclasses.replace(cfg.source, mu=5.0))
+        n = 100_000
+        candidates = simulate(
+            with_detectors(bright, afterpulse_total=0.0), n, seed=0
+        ).meta["events_generated"]
+        cascade = with_detectors(bright, afterpulse_total=0.95)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                simulate(cascade, n, seed=0, max_events=candidates + 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
     def test_unequal_jitter_rejected(self, cfg):
         det_b = dataclasses.replace(cfg.receiver.detector_b, jitter_fwhm=30.0)
         lopsided = dataclasses.replace(
@@ -209,8 +231,8 @@ class TestStreamLayout:
     recorded.  The digests also move if NumPy changes one of the Generator
     distributions the engine draws from."""
 
-    DUMP_SHA256 = "426ebabe253629b8f10c92ab493059199adb5cf2e373b489b6f33d1e19d7fd74"
-    KEY_SHA256 = "ee59a555d1346df6c9aa990daef7654c33e26028a03c20fd4f754992f2c26b27"
+    DUMP_SHA256 = "11e9344af81fdf0a2342459c1f5b9af7a6f3a580fc222da880527ad319fbea18"
+    KEY_SHA256 = "3d2fe0270a3f59d43b3bed21c6c8afa9ab04af415950ed3b38f410ba1719cc06"
 
     def test_fixed_seed_output_digests(self, tmp_path):
         dump, key = tmp_path / "tags.bin", tmp_path / "key.txt"
@@ -221,16 +243,24 @@ class TestStreamLayout:
         assert hashlib.sha256(key.read_bytes()).hexdigest() == self.KEY_SHA256
 
 
+def _sweep(det, gates, offsets, rng, n_gates, period=PERIOD, budget=None):
+    return montecarlo._sweep_detector(
+        np.asarray(gates, dtype=np.int64),
+        np.asarray(offsets, dtype=np.float64),
+        det,
+        rng,
+        period,
+        n_gates,
+        budget or montecarlo._EventBudget(10**6),
+    )
+
+
 class TestGateResponse:
     """The engine's hold-off / afterpulse sweep for one detector."""
 
     def sweep(self, cfg, gates, rng, n_gates, **changes):
         det = dataclasses.replace(cfg.receiver.detector_a, **changes)
-        gates = np.asarray(gates, dtype=np.int64)
-        offsets = np.full(gates.size, 0.5 * PERIOD)
-        clicks, _ = montecarlo._sweep_detector(
-            gates, offsets, det, rng, PERIOD, n_gates, montecarlo._EventBudget(10**6)
-        )
+        clicks, _ = _sweep(det, gates, np.full(len(gates), 0.5 * PERIOD), rng, n_gates)
         return clicks
 
     def test_hold_off_suppresses_consecutive_clicks(self, cfg):
@@ -252,6 +282,177 @@ class TestGateResponse:
             extra += clicks.size - 1
         mean = extra / trials
         assert mean == pytest.approx(pa / (1.0 - pa), abs=0.021)
+
+
+class TestSweepBoundaries:
+    """Edge cases of the hold-off / merge rule, on exact-in-binary times."""
+
+    def det(self, cfg, **changes):
+        changes.setdefault("afterpulse_total", 0.0)
+        return dataclasses.replace(cfg.receiver.detector_a, **changes)
+
+    def test_empty_input(self, cfg):
+        gates, offsets = _sweep(self.det(cfg, afterpulse_total=0.5), [], [],
+                                np.random.default_rng(0), 10)
+        assert gates.dtype == np.int64 and gates.size == 0
+        assert offsets.dtype == np.float64 and offsets.size == 0
+
+    def test_gap_of_exactly_the_hold_off_fires(self, cfg):
+        det = self.det(cfg, dead_time=2.0)  # 2000 ps on a 1000 ps period
+        rng = np.random.default_rng(0)
+        gates, _ = _sweep(det, [0, 2], [500.0, 500.0], rng, 3, period=1000.0)
+        assert gates.tolist() == [0, 2]
+        # The same gap behind a blocked candidate.
+        gates, _ = _sweep(det, [0, 1, 2], [500.0] * 3, rng, 3, period=1000.0)
+        assert gates.tolist() == [0, 2]
+        gates, _ = _sweep(det, [0, 2], [500.0, 499.5], rng, 3, period=1000.0)
+        assert gates.tolist() == [0]
+
+    def test_one_click_per_gate_the_earliest(self, cfg):
+        gates, offsets = _sweep(self.det(cfg), [3, 3], [600.0, 400.0],
+                                np.random.default_rng(0), 5)
+        assert gates.tolist() == [3]
+        assert offsets.tolist() == [400.0]
+
+    def test_zero_hold_off_leaves_only_the_merge(self, cfg):
+        gates, offsets = _sweep(self.det(cfg, dead_time=0.0), [2, 0, 0, 1, 2],
+                                [450.0, 520.0, 510.0, 530.0, 440.0],
+                                np.random.default_rng(0), 3)
+        assert gates.tolist() == [0, 1, 2]
+        assert offsets.tolist() == [510.0, 530.0, 440.0]
+
+    def test_afterpulses_past_the_run_are_dropped(self, cfg):
+        det = self.det(cfg, afterpulse_total=0.9, dead_time=0.0)
+        rng = np.random.default_rng(1)
+        budget = montecarlo._EventBudget(10**6)
+        for _ in range(200):
+            gates, _ = _sweep(det, [0], [0.5 * PERIOD], rng, 1, budget=budget)
+            assert gates.tolist() == [0]
+        assert budget.used > 100  # drawn and charged, then dropped
+
+
+def _oracle_detector(gates, offsets, det, rng, period, n_gates):
+    """Per-gate brute-force detector with the engine's semantics.
+
+    Walks every gate in turn.  In a gate, the earliest charge (candidate or
+    released afterpulse) at least the hold-off after the last click fires
+    and the others merge into it.  Each click spawns Poisson(pa)
+    afterpulses, released an exponential time after the hold-off, snapped
+    to the nearest gate and placed uniformly in its window; one landing in
+    the clicking gate merges.  Uses ``random.Random``, not numpy.
+    """
+    dead, pa, tau = det.dead_time_ps, det.afterpulse_total, det.afterpulse_decay_ps
+    center, window = 0.5 * period, det.gate_window
+    pending = collections.defaultdict(list)
+    for g, o in zip(gates, offsets):
+        pending[g].append(o)
+    clicks = []
+    last = -math.inf
+    for g in range(n_gates):
+        if g not in pending:
+            continue
+        times = [t for t in sorted(g * period + o for o in pending.pop(g)) if t - last >= dead]
+        if not times:
+            continue
+        last = times[0]
+        clicks.append(g)
+        spawned, p = 0, rng.random()
+        while p > math.exp(-pa):  # Poisson(pa) by multiplying uniforms
+            spawned += 1
+            p *= rng.random()
+        for _ in range(spawned):
+            ap_gate = round((last + dead + rng.expovariate(1.0 / tau) - center) / period)
+            ap_off = center + (rng.random() - 0.5) * window
+            if g < ap_gate < n_gates:
+                pending[ap_gate].append(ap_off)
+    return clicks
+
+
+class TestSweepOracle:
+    """The vectorized sweep against the per-gate brute force, in law."""
+
+    N_GATES = 400
+    TRIALS = 3000
+
+    # The shipped detector, then release times of a few gates, where the
+    # snap to a gate and the hold-off shape the afterpulse clicks most.
+    @pytest.mark.parametrize(
+        "pa,dead_ns,decay_ns", [(0.06, 7.7, 30.0), (0.3, 7.7, 3.0), (0.5, 2.0, 3.0), (0.3, 0.3, 1.0)]
+    )
+    def test_matches_brute_force(self, cfg, pa, dead_ns, decay_ns):
+        det = dataclasses.replace(
+            cfg.receiver.detector_a, afterpulse_total=pa, dead_time=dead_ns, afterpulse_decay=decay_ns
+        )
+        layout = np.random.default_rng(7)
+        gates = np.sort(layout.integers(0, 300, 60))  # clusters and shared gates
+        offsets = 0.5 * PERIOD + (layout.random(60) - 0.5) * det.gate_window
+        oracle_rng, engine_rng = random.Random(11), np.random.default_rng(12)
+        oracle_hist = np.zeros(self.N_GATES, dtype=np.int64)
+        engine_hist = np.zeros(self.N_GATES, dtype=np.int64)
+        oracle_n, engine_n = [], []
+        for _ in range(self.TRIALS):
+            clicks = _oracle_detector(gates.tolist(), offsets.tolist(), det, oracle_rng,
+                                      PERIOD, self.N_GATES)
+            oracle_hist[clicks] += 1
+            oracle_n.append(len(clicks))
+            clicks, _ = _sweep(det, gates, offsets, engine_rng, self.N_GATES)
+            engine_hist[clicks] += 1
+            engine_n.append(clicks.size)
+
+        z = (np.mean(engine_n) - np.mean(oracle_n)) / math.sqrt(
+            (np.var(engine_n, ddof=1) + np.var(oracle_n, ddof=1)) / self.TRIALS
+        )
+        assert abs(z) < 5.0, f"mean clicks {np.mean(engine_n):.3f} vs {np.mean(oracle_n):.3f}"
+
+        # Two-sample chi-square over gates, sparse gates pooled into one bin.
+        table = np.stack([engine_hist, oracle_hist])
+        dense = table.sum(axis=0) >= 20
+        table = np.column_stack([table[:, dense], table[:, ~dense].sum(axis=1)])
+        _, p_value, dof, _ = chi2_contingency(table[:, table.sum(axis=0) > 0])
+        assert p_value > 1e-4, f"per-gate clicks differ: p = {p_value:.2e} over {dof} dof"
+
+
+def _walk_tree(gate, offset, parent, dead, period):
+    """Scalar resolution of a time-ordered afterpulse tree, node by node."""
+    fired, last = [], None
+    for g, o, p in zip(gate.tolist(), offset.tolist(), parent.tolist()):
+        t = g * period + o
+        fires = (p < 0 or fired[p]) and (
+            last is None or (g != last[0] and t - last[1] >= dead)
+        )
+        fired.append(fires)
+        if fires:
+            last = (g, t)
+    return np.array(fired, dtype=bool)
+
+
+def test_vectorized_resolution_is_exact(cfg):
+    """On the same pre-drawn trees, the sweep fires exactly the nodes a
+    node-by-node walk fires."""
+    layout = np.random.default_rng(99)
+    for trial in range(30):
+        det = dataclasses.replace(
+            cfg.receiver.detector_a,
+            afterpulse_total=float(layout.uniform(0.0, 0.9)),
+            dead_time=float(layout.choice([0.0, 0.3, 1.0, 2.0, 7.7, 20.0])),
+        )
+        n_gates = int(layout.integers(50, 600))
+        k = int(layout.integers(0, 150))
+        gates = layout.integers(0, n_gates, k)
+        offsets = 0.5 * PERIOD + (layout.random(k) - 0.5) * det.gate_window
+        offsets[: k // 10] = 0.5 * PERIOD  # exact ties inside shared gates
+
+        budget = montecarlo._EventBudget(10**7)
+        gate, offset, parent = montecarlo._afterpulse_tree(
+            gates, offsets, det, np.random.default_rng(trial), PERIOD, n_gates, budget
+        )
+        assert np.all(parent < np.arange(parent.size))
+        assert np.all(np.diff(gate * PERIOD + offset) >= 0.0)
+        fired = _walk_tree(gate, offset, parent, det.dead_time_ps, PERIOD)
+
+        clicks, click_offsets = _sweep(det, gates, offsets, np.random.default_rng(trial), n_gates)
+        assert clicks.tolist() == gate[fired].tolist()
+        assert click_offsets.tolist() == offset[fired].tolist()
 
 
 class TestHistogramAnalysis:
