@@ -25,10 +25,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from . import keyrate, linkbudget
-from .params import SystemConfig
+from .params import ParameterError, SystemConfig
 
 __all__ = ["CalibrationAnchors", "ConvergenceError", "FitReport", "calibrate"]
 
@@ -62,6 +61,17 @@ class CalibrationAnchors:
     pa_ceiling_eta: float = 0.10
     pa_ceiling: float = 0.06
     dark_ceiling: float = 3.3e-5
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not _all_finite(value):
+                raise ParameterError(f"anchor {name} must be finite, got {value}")
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, tuple):
+        return all(_all_finite(item) for item in value)
+    return math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,17 @@ _STATE_FIELDS = (
 # crossing before handing over to the root finder.
 _OFFSET_GRID = np.arange(0.56, 0.951, 0.015)
 _SIDE_WEIGHT_MAX = 0.45
+
+
+def _optimize():
+    """``scipy.optimize``, imported on first use.
+
+    Its import costs more than a 10M-pulse simulation (about 0.3 s and
+    40 MB), and only a fit needs it, so importing qkdlink never loads SciPy.
+    """
+    import scipy.optimize
+
+    return scipy.optimize
 
 
 class _Fitter:
@@ -153,7 +174,7 @@ class _Fitter:
 
     def _solve(self, func, lo, hi, label):
         try:
-            return brentq(func, lo, hi, xtol=1e-13, maxiter=200)
+            return _optimize().brentq(func, lo, hi, xtol=1e-13, maxiter=200)
         except ValueError as exc:
             raise ConvergenceError(
                 f"{label}: no solution in [{lo}, {hi}] ({exc}); "
@@ -187,7 +208,7 @@ class _Fitter:
             return None  # even a maximal side mode cannot reach the anchor
         if residual(1e-6) > 0.0:
             return None
-        return brentq(residual, 1e-6, _SIDE_WEIGHT_MAX, xtol=1e-14, maxiter=200)
+        return _optimize().brentq(residual, 1e-6, _SIDE_WEIGHT_MAX, xtol=1e-14, maxiter=200)
 
     def stage_side_mode(self) -> None:
         (l_near, t_near), (l_far, t_far) = self.anchors.interclock
@@ -219,7 +240,9 @@ class _Fitter:
                 "side mode: wrong-clock anchors admit no (weight, offset) pair; "
                 f"residuals so far: {self.residuals()}"
             )
-        offset = brentq(far_residual, bracket[0], bracket[1], xtol=1e-12, maxiter=200)
+        offset = _optimize().brentq(
+            far_residual, bracket[0], bracket[1], xtol=1e-12, maxiter=200
+        )
         weight = self._side_weight_for(offset, l_near, t_near)
         if weight is None:
             raise ConvergenceError("side mode: root left the feasible region")
@@ -252,7 +275,7 @@ class _Fitter:
                 total += ((rate.secure_rate - target) / target) ** 2
             return total
 
-        result = minimize_scalar(
+        result = _optimize().minimize_scalar(
             objective, bounds=(1e-4, 0.25), method="bounded",
             options={"xatol": 1e-11},
         )
@@ -351,8 +374,11 @@ def calibrate(
     the input, detector-level values refreshed from the fitted couplings)
     together with a :class:`FitReport`.  Raises :class:`ConvergenceError`
     when an anchor is unreachable or the fixed point does not settle
-    within ``max_iter`` sweeps.
+    within ``max_iter`` sweeps, and :class:`ParameterError` when
+    ``max_iter`` is below 1.
     """
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     anchors = anchors or CalibrationAnchors()
     fitter = _Fitter(config, anchors)
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from . import linkbudget
 from .params import ParameterError, ProtocolConstants, SystemConfig
 
@@ -76,6 +74,8 @@ def qber_threshold(consts: ProtocolConstants) -> float:
     Root of ``(1 + f_ec) * H(e) = 1`` on (0, 0.5), located by bracketed
     bisection refinement well past 1e-9 accuracy.
     """
+    from scipy.optimize import brentq  # deferred: only this solve needs SciPy
+
     target = 1.0 / (1.0 + consts.f_ec)
 
     def residual(e: float) -> float:

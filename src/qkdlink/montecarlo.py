@@ -485,8 +485,8 @@ def histogram(tags: TimeTagStream, bin_ps: float, gate_period: float | None = No
     Returns ``(counts, edges)`` with ``edges`` in ps.  A bin wider than the
     period degenerates to a single all-inclusive bin.
     """
-    if bin_ps <= 0.0:
-        raise ParameterError("bin_ps must be positive")
+    if not bin_ps > 0.0:  # also rejects NaN
+        raise ParameterError(f"bin_ps must be positive, got {bin_ps}")
     period = gate_period if gate_period is not None else tags.meta["gate_period_ps"]
     folded = np.mod(tags.timestamp, period)
     if bin_ps >= period:

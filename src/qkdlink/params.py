@@ -103,9 +103,14 @@ class ChannelParams:
     compensated: bool = False
 
     def __post_init__(self) -> None:
-        _check(self.length >= 0.0, "channel.length", "must be non-negative")
-        _check(self.attenuation >= 0.0, "channel.attenuation", "must be non-negative")
-        _check(self.dispersion >= 0.0, "channel.dispersion", "must be non-negative")
+        # Chained comparisons reject NaN and inf at plain-float cost:
+        # calibration builds thousands of channels per fit.
+        _check(0.0 <= self.length < math.inf, "channel.length",
+               "must be finite and non-negative")
+        _check(0.0 <= self.attenuation < math.inf, "channel.attenuation",
+               "must be finite and non-negative")
+        _check(0.0 <= self.dispersion < math.inf, "channel.dispersion",
+               "must be finite and non-negative")
 
 
 @dataclass(frozen=True)

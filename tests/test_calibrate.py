@@ -1,6 +1,7 @@
 """Tests for the staged anchor-fitting procedure."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -9,6 +10,7 @@ from qkdlink.calibrate import (
     ConvergenceError,
     calibrate,
 )
+from qkdlink.params import ParameterError
 
 # Calibration sweeps a handful of scipy root finds per iteration; run the
 # expensive full fits once per module.
@@ -101,3 +103,18 @@ class TestRecalibration:
         assert report.converged
         assert report.fitted["spectral_width"] > base_report.fitted["spectral_width"]
         assert abs(report.residuals["slope_db_per_km"]) < 1e-6
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("slope_db_per_km", math.nan),
+            ("qber_low", math.inf),
+            ("slope_lengths", (5.6, math.nan)),
+            ("secure", ((5.6, 2.37e6), (25.3, -math.inf))),
+        ],
+    )
+    def test_non_finite_anchor_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            dataclasses.replace(CalibrationAnchors(), **{field: value})

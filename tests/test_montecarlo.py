@@ -474,6 +474,14 @@ class TestHistogramAnalysis:
         with pytest.raises(ParameterError):
             histogram(stream, 0.0)
 
+    def test_nan_bin_rejected_inf_bin_is_single(self):
+        stream = synthetic_stream([0, 1], [0, 0], [100.0, 900.0])
+        with pytest.raises(ParameterError, match="bin_ps"):
+            histogram(stream, math.nan)
+        counts, edges = histogram(stream, math.inf)
+        assert counts.tolist() == [2]
+        assert edges.tolist() == [0.0, PERIOD]
+
     def test_fwhm_of_synthetic_gaussian(self):
         sigma = 10.0
         edges = np.arange(0.0, 200.5, 0.5)

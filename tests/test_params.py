@@ -186,3 +186,11 @@ class TestSystemConfig:
             ChannelParams(length=-1.0, attenuation=0.195, dispersion=17.0)
         with pytest.raises(ParameterError):
             ChannelParams(length=10.0, attenuation=-0.1, dispersion=17.0)
+
+    @pytest.mark.parametrize("field", ["length", "attenuation", "dispersion"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_channel_rejects_non_finite(self, field, value):
+        values = {"length": 10.0, "attenuation": 0.195, "dispersion": 17.0}
+        values[field] = value
+        with pytest.raises(ParameterError, match=f"channel.{field}"):
+            ChannelParams(**values)

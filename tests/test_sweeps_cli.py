@@ -270,3 +270,38 @@ class TestCli:
 
         refit = load_config(out)
         assert refit.source.spectral_width == pytest.approx(0.16048, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            pytest.param(
+                ["histogram", "--pulses", "2000", "--bin-ps", "nan"], "bin_ps",
+                id="histogram-bin-nan",
+            ),
+            pytest.param(
+                ["sweep-distance", "--lengths", "inf"], "channel.length",
+                id="sweep-distance-length-inf",
+            ),
+            pytest.param(
+                ["simulate", "--length", "inf", "--pulses", "1000"], "channel.length",
+                id="simulate-length-inf",
+            ),
+            pytest.param(
+                ["calibrate", "--max-iter", "0"], "max_iter", id="calibrate-max-iter-0"
+            ),
+            pytest.param(
+                ["calibrate", "--max-iter", "-3"], "max_iter", id="calibrate-max-iter-neg"
+            ),
+            pytest.param(
+                ["calibrate", "--slope-target", "nan"], "slope_db_per_km",
+                id="calibrate-slope-nan",
+            ),
+        ],
+    )
+    def test_invalid_input_exits_2_without_traceback(self, argv, message, capsys):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
