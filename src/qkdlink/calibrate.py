@@ -76,13 +76,14 @@ def _all_finite(value) -> bool:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of a calibration run: fitted values, residuals, warnings."""
+    """Outcome of a calibration run: fitted values, residuals, warnings, trace."""
 
     iterations: int
     converged: bool
     fitted: dict
     residuals: dict
     warnings: tuple
+    trace: tuple  # per sweep, the largest relative change of any coupling
 
     def summary(self) -> str:
         lines = [
@@ -140,26 +141,33 @@ class _Fitter:
             "pa_ref": config.calibration.pa_ref,
             "gamma": config.calibration.gamma,
         }
+        # Most trial values move one coupling, so the validated objects that
+        # the other couplings determine are kept and reused.
+        self._source = self._calibration = (None, None)
+        self._biased: dict = {}  # eta -> receiver under the current calibration
+        self._channels: dict = {}  # (length, compensated) -> channel
 
     # -- model evaluation under the current state ---------------------------
 
     def _config(self, length: float, compensated: bool, eta: float) -> SystemConfig:
         s = self.state
-        source = replace(
-            self.base.source,
-            spectral_width=s["spectral_width"],
-            side_mode_weight=s["side_mode_weight"],
-            side_mode_offset=s["side_mode_offset"],
-        )
-        calibration = replace(
-            self.base.calibration,
-            dark_slope=s["dark_slope"],
-            pa_ref=s["pa_ref"],
-            pa_ref_eta=self.anchors.operating_eta,
-            gamma=s["gamma"],
-        )
-        cfg = replace(self.base, source=source, calibration=calibration)
-        return cfg.at_length(length, compensated=compensated).at_bias(eta)
+        key = {name: s[name] for name in _STATE_FIELDS[:3]}  # source couplings
+        if key != self._source[0]:
+            self._source = key, replace(self.base.source, **key)
+        key = {name: s[name] for name in _STATE_FIELDS[3:]}  # detector couplings
+        if key != self._calibration[0]:
+            cal = replace(self.base.calibration, pa_ref_eta=self.anchors.operating_eta, **key)
+            self._calibration, self._biased = (key, cal), {}
+        cal = self._calibration[1]
+        if eta not in self._biased:
+            self._biased[eta] = replace(self.base, calibration=cal).at_bias(eta).receiver
+        channel = self._channels.get((length, compensated))
+        if channel is None:
+            channel = replace(self.base.channel, length=length, compensated=compensated)
+            self._channels[length, compensated] = channel
+        return SystemConfig(source=self._source[1], channel=channel,
+                            receiver=self._biased[eta], protocol=self.base.protocol,
+                            calibration=cal)
 
     def _point(self, length: float, compensated: bool = False, eta: float | None = None):
         eta = self.anchors.operating_eta if eta is None else eta
@@ -384,6 +392,7 @@ def calibrate(
 
     iterations = 0
     converged = False
+    trace = []
     for iterations in range(1, max_iter + 1):
         before = [fitter.state[name] for name in _STATE_FIELDS]
         fitter.stage_spectral_width()
@@ -396,6 +405,7 @@ def calibrate(
             abs(new - old) / max(abs(new), 1e-12)
             for new, old in zip(after, before)
         )
+        trace.append(change)
         if change < tol:
             converged = True
             break
@@ -433,5 +443,6 @@ def calibrate(
         fitted=dict(state),
         residuals=residuals,
         warnings=warnings,
+        trace=tuple(trace),
     )
     return fitted_config, report

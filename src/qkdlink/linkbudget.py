@@ -13,10 +13,17 @@ components (main spectral line plus an optional displaced side mode), each
 convolved with the detector jitter.  Gate acceptance and inter-clock
 leakage both follow from integrating that profile over the periodic gate
 windows.
+
+Calibration evaluates thousands of points that share most inputs, so three
+kernels are memoized (128 entries each) on the plain values they read:
+``_profile_timing`` on (components, jitter, period, window), ``_offset_grid``
+on (window, period, dead time, partial gates) and ``_blocked_gates`` on
+(components, jitter, that geometry, ``p_signal``, ``p_dark``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,16 +148,14 @@ def _window_masses(
     return out
 
 
-def _profile_timing(
-    components: tuple[tuple[float, float, float], ...], det: DetectorParams
-) -> tuple[float, float]:
+@functools.lru_cache(maxsize=128)
+def _profile_timing(components, jitter: float, period: float, window: float):
     """Accepted fraction and neighbor-window fraction of a mixture profile."""
-    jitter = det.jitter_sigma
     accepted = 0.0
     neighbors = 0.0
     for weight, mean, sigma in components:
         eff_sigma = math.hypot(sigma, jitter)
-        for k, mass in _window_masses(mean, eff_sigma, det.gate_period, det.gate_window):
+        for k, mass in _window_masses(mean, eff_sigma, period, window):
             accepted += weight * mass
             if k != 0:
                 neighbors += weight * mass
@@ -170,7 +175,8 @@ def link_timing(
     acc_sum = 0.0
     err_sum = 0.0
     for det in (receiver.detector_a, receiver.detector_b):
-        accepted, neighbors = _profile_timing(components, det)
+        accepted, neighbors = _profile_timing(components, det.jitter_sigma,
+                                              det.gate_period, det.gate_window)
         acc_sum += accepted
         if not channel.compensated and accepted > 0.0:
             err_sum += 0.5 * neighbors / accepted
@@ -233,16 +239,39 @@ def effective_blocked_gates(
     k_always, partial = _blocked_gate_split(det)
     if not partial:
         return float(k_always)
+    clicks = click_probabilities(source, channel, receiver)
+    geometry = (det.gate_window, det.gate_period, det.dead_time_ps, k_always, tuple(partial))
+    return _blocked_gates(temporal_components(source, channel), det.jitter_sigma,
+                          geometry, clicks.p_signal, clicks.p_dark)
 
-    window = det.gate_window
-    period = det.gate_period
+
+@functools.lru_cache(maxsize=128)
+def _offset_grid(window: float, period: float, dead: float, partial: tuple[int, ...]):
+    """In-window offset grid, its step, and per partial gate ``k`` the CDF
+    lookup of ``u2 - (dead - k*period)``: a candidate at ``u2`` is blocked
+    when the previous click sat later.  The arrays are shared, so read-only."""
     half = 0.5 * window
     grid = np.linspace(-half, half, 2049)
-    density = np.zeros_like(grid)
+    du = grid[1] - grid[0]
+    lookups = []
+    for k in partial:
+        threshold = dead - k * period
+        position = np.clip(
+            np.searchsorted(grid, grid - threshold, side="right") - 1, -1, len(grid) - 1
+        )
+        lookups.append((position >= 0, np.maximum(position, 0)))
+    for array in (grid, *(a for pair in lookups for a in pair)):
+        array.flags.writeable = False
+    return grid, du, tuple(lookups)
 
-    clicks = click_probabilities(source, channel, receiver)
-    components = temporal_components(source, channel)
-    jitter = det.jitter_sigma
+
+@functools.lru_cache(maxsize=128)
+def _blocked_gates(components, jitter, geometry, p_signal, p_dark) -> float:
+    """Blocked gates from the offset density of signal and dark clicks;
+    ``geometry`` is ``(window, period, dead, k_always, partial)``."""
+    window, period, dead, k_always, partial = geometry
+    grid, du, lookups = _offset_grid(window, period, dead, partial)
+    density = np.zeros_like(grid)
     # Signal photons: profile restricted to the windows, folded onto the
     # in-window offset coordinate.
     for weight, mean, sigma in components:
@@ -251,31 +280,23 @@ def effective_blocked_gates(
             center = k * period
             density += (
                 weight
-                * clicks.p_signal
+                * p_signal
                 * np.exp(-0.5 * ((grid + center - mean) / eff_sigma) ** 2)
                 / (eff_sigma * math.sqrt(2.0 * math.pi))
             )
     # Dark counts: uniform across the window.
-    density += clicks.p_dark / window
+    density += p_dark / window
 
     total = np.trapezoid(density, grid)
     if total <= 0.0:
         return float(k_always) + 0.5 * len(partial)
     density = density / total
-    du = grid[1] - grid[0]
     weights = density * du
     cdf = np.cumsum(weights)
 
     blocked = float(k_always)
-    dead = det.dead_time_ps
-    for k in partial:
-        # Candidate blocked when u2 - u1 < dead - k*period, i.e. when the
-        # previous click sat later in its window than u2 - threshold.
-        threshold = dead - k * period
-        position = np.clip(
-            np.searchsorted(grid, grid - threshold, side="right") - 1, -1, len(grid) - 1
-        )
-        accept = np.where(position >= 0, cdf[np.maximum(position, 0)], 0.0)
+    for on_grid, index in lookups:
+        accept = np.where(on_grid, cdf[index], 0.0)
         blocked += float(np.sum(weights * (1.0 - accept)))
     return blocked
 

@@ -382,8 +382,8 @@ def simulate(
     n_pulses:
         Number of clock cycles to simulate.
     seed:
-        Root seed; every run with the same (config, n_pulses, seed,
-        segments) is bit-identical.
+        Non-negative root seed; every run with the same (config, n_pulses,
+        seed, segments) is bit-identical.
     segments:
         Number of independently seeded contiguous stretches.  Segments
         after the first prepend a discarded 10^4-gate warm-up to restore
@@ -401,6 +401,8 @@ def simulate(
     """
     if n_pulses < 1:
         raise ParameterError("n_pulses must be at least 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     if segments < 1 or segments > n_pulses:
         raise ParameterError("segments must lie in [1, n_pulses]")
     if config.receiver.detector_a.jitter_fwhm != config.receiver.detector_b.jitter_fwhm:

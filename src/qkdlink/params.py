@@ -3,7 +3,8 @@
 Every container validates its physical ranges on construction, so the
 model code downstream can assume well-formed inputs.  All containers are
 frozen; derived operating points are produced with :func:`dataclasses.replace`
-via the helpers on :class:`SystemConfig`.
+via the helpers on :class:`SystemConfig`.  A frozen object can be shared, so
+the calibration fitter reuses the validated objects a trial value leaves unchanged.
 
 Units follow the conventions used throughout the package: rates in Hz,
 times in ps unless a field name says otherwise (``dead_time`` and
@@ -76,7 +77,7 @@ class SourceParams:
 
     def __post_init__(self) -> None:
         _check(self.clock_rate > 0.0, "source.clock_rate", "must be positive")
-        _check(self.mu >= 0.0, "source.mu", "must be non-negative")
+        _check(0.0 <= self.mu < math.inf, "source.mu", "must be finite and non-negative")
         _check(self.pulse_sigma0 > 0.0, "source.pulse_sigma0", "must be positive")
         _check(self.spectral_width >= 0.0, "source.spectral_width", "must be non-negative")
         _check(
@@ -206,6 +207,11 @@ class ReceiverParams:
             self.detector_a.gate_window == self.detector_b.gate_window,
             "receiver.detector_b.gate_window",
             "must match detector_a (both detectors share the gating)",
+        )
+        _check(
+            self.detector_a.dead_time == self.detector_b.dead_time,
+            "receiver.detector_b.dead_time",
+            "must match detector_a (the link model has one hold-off for both)",
         )
 
     @property

@@ -1,6 +1,7 @@
 """Tests for the staged anchor-fitting procedure."""
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -10,6 +11,8 @@ from qkdlink.calibrate import (
     ConvergenceError,
     calibrate,
 )
+from qkdlink.cli import main
+from qkdlink.config import save_config
 from qkdlink.params import ParameterError
 
 # Calibration sweeps a handful of scipy root finds per iteration; run the
@@ -118,3 +121,62 @@ class TestInputValidation:
     def test_non_finite_anchor_rejected(self, field, value):
         with pytest.raises(ParameterError, match=field):
             dataclasses.replace(CalibrationAnchors(), **{field: value})
+
+
+def perturbed(cfg, spectral_width, side_mode_weight, side_mode_offset,
+              dark_slope, pa_ref, gamma):
+    """``cfg`` with each fitted coupling scaled by the given factor."""
+    source = dataclasses.replace(
+        cfg.source,
+        spectral_width=cfg.source.spectral_width * spectral_width,
+        side_mode_weight=cfg.source.side_mode_weight * side_mode_weight,
+        side_mode_offset=cfg.source.side_mode_offset * side_mode_offset,
+    )
+    calibration = dataclasses.replace(
+        cfg.calibration,
+        dark_slope=cfg.calibration.dark_slope * dark_slope,
+        pa_ref=cfg.calibration.pa_ref * pa_ref,
+        gamma=cfg.calibration.gamma * gamma,
+    )
+    return dataclasses.replace(cfg, source=source, calibration=calibration)
+
+
+class TestFitReport:
+    def test_trace_records_each_sweep(self, cfg):
+        start = perturbed(cfg, 1.1, 1.1, 1.1, 1.1, 1.1, 1.1)
+        tol = 1e-9
+        _, report = calibrate(start, tol=tol)
+        assert report.iterations > 1
+        assert len(report.trace) == report.iterations
+        assert report.trace[-1] < tol
+        assert all(change >= tol for change in report.trace[:-1])
+
+
+class TestAnalyticOutputPin:
+    """Byte pin of the analytic engine: refit from a perturbed start, then
+    both sweeps from the refit.
+
+    The digests were recorded before the fitter and the link-budget kernels
+    began reusing earlier results; a change that moves them changes what
+    the analytic engine computes, not only how fast.
+    """
+
+    DIGESTS = {
+        "refit.cfg": "c8788403c5262cd29e00dbfeeee5c671979a436da8d2327ab7c43b1b694871f7",
+        "distance.csv": "3c6532adb9f94182d849fa56ab20afc25ad38e4b7525f84730837fbf009fa63c",
+        "bias.csv": "a7f99223fc4c808f52f8a1ecfd86eb7051308134439d21f2fe558903ccaf1a47",
+    }
+
+    def test_refit_and_sweep_digests(self, cfg, tmp_path, capsys):
+        start = tmp_path / "start.cfg"
+        save_config(perturbed(cfg, 1.13, 0.88, 1.05, 0.92, 1.12, 0.87), start)
+        refit = tmp_path / "refit.cfg"
+        assert main(["calibrate", "--config", str(start), "--out", str(refit)]) == 0
+        for command, name in (("sweep-distance", "distance.csv"), ("sweep-bias", "bias.csv")):
+            assert main([command, "--config", str(refit), "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.DIGESTS
+        }
+        assert digests == self.DIGESTS

@@ -1,11 +1,12 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qkdlink import linkbudget
+from qkdlink import keyrate, linkbudget
 from qkdlink.linkbudget import (
     ClickProbabilities,
     QberBreakdown,
@@ -225,3 +226,97 @@ class TestQberBreakdown:
         with pytest.raises(ParameterError):
             QberBreakdown(e_opt=0.01, e_afterpulse=0.0, e_dark=0.0,
                           e_interclock=0.0, total=0.5)
+
+
+def _kernel_caches():
+    """Every memoized function defined at module level in qkdlink."""
+    return {
+        f"{name}.{attr}": value
+        for name, module in list(sys.modules.items())
+        if name == "qkdlink" or name.startswith("qkdlink.")
+        for attr, value in vars(module).items()
+        if callable(getattr(value, "cache_info", None))
+    }
+
+
+def _with_detectors(cfg, **changes):
+    det_a = replace(cfg.receiver.detector_a, **changes)
+    det_b = replace(cfg.receiver.detector_b, **changes)
+    return replace(cfg, receiver=replace(cfg.receiver, detector_a=det_a, detector_b=det_b))
+
+
+def _at_equal_signal(cfg, changed):
+    """``changed`` re-biased so that its ``p_signal`` equals ``cfg``'s bit for bit.
+
+    Kernels also key on ``p_signal``, which most inputs move; holding it
+    fixed shows whether the key holds the input itself.
+    """
+    def p_signal_of(c):
+        return click_probabilities(c.source, c.channel, c.receiver).p_signal
+
+    target = p_signal_of(cfg)
+    # The mean detected photon number is proportional to eta_bob.
+    eta = changed.receiver.eta_bob * math.log1p(-target) / math.log1p(-p_signal_of(changed))
+    for _ in range(64):
+        candidate = replace(changed, receiver=replace(changed.receiver, eta_bob=eta))
+        p_signal = p_signal_of(candidate)
+        if p_signal == target:
+            return candidate
+        eta = math.nextafter(eta, math.inf if p_signal < target else -math.inf)
+    pytest.fail("no bias reproduces p_signal exactly")
+
+
+class TestCacheKeys:
+    """A memoized kernel whose key misses an input would hand one config's
+    value to another; evaluating in both orders exposes that."""
+
+    ALL = {"dark_prob", "jitter_fwhm", "side_mode_weight", "dead_time", "eta_bob", "length"}
+    # Inputs each public function depends on, of those perturbed below.
+    DEPENDS = {
+        "link_timing": {"jitter_fwhm", "side_mode_weight", "length"},
+        "effective_blocked_gates": ALL,
+        "evaluate_point": ALL,
+    }
+
+    @staticmethod
+    def variants(cfg):
+        one_input = {
+            "dark_prob": _with_detectors(cfg, dark_prob=3.0 * cfg.receiver.detector_a.dark_prob),
+            "jitter_fwhm": _with_detectors(cfg, jitter_fwhm=45.0),
+            "side_mode_weight": replace(cfg, source=replace(cfg.source, side_mode_weight=0.2)),
+            "dead_time": _with_detectors(cfg, dead_time=7.5),
+            "eta_bob": replace(cfg, receiver=replace(cfg.receiver, eta_bob=0.08)),
+            "length": cfg.at_length(25.3),
+        }
+        equal_signal = [
+            (f"{name}@p_signal", _at_equal_signal(cfg, one_input[name]))
+            for name in ("jitter_fwhm", "side_mode_weight", "length")
+        ]
+        return [("base", cfg), *one_input.items(), *equal_signal]
+
+    @pytest.mark.parametrize("function", sorted(DEPENDS))
+    def test_each_input_reaches_the_key(self, cfg, function):
+        evaluate = {
+            "link_timing": lambda c: link_timing(c.source, c.channel, c.receiver),
+            "effective_blocked_gates": lambda c: effective_blocked_gates(
+                c.source, c.channel, c.receiver
+            ),
+            "evaluate_point": keyrate.evaluate_point,
+        }[function]
+        configs = self.variants(cfg)
+        values = []
+        for order in (configs, configs[::-1]):
+            for kernel in _kernel_caches().values():
+                kernel.cache_clear()
+            values.append({name: evaluate(config) for name, config in order})
+        forward, backward = values
+        assert forward == backward
+        for name, _ in configs[1:]:
+            depends = name.split("@")[0] in self.DEPENDS[function]
+            assert (forward[name] != forward["base"]) == depends, name
+
+    def test_every_cache_is_bounded(self):
+        caches = _kernel_caches()
+        assert len(caches) >= 3, sorted(caches)
+        for name, kernel in caches.items():
+            assert kernel.cache_info().maxsize is not None, name

@@ -45,6 +45,8 @@ class TestSourceParams:
         [
             ("clock_rate", 0.0),
             ("mu", -0.1),
+            ("mu", math.inf),
+            ("mu", math.nan),
             ("pulse_sigma0", 0.0),
             ("spectral_width", -1e-9),
             ("side_mode_weight", 1.0),
@@ -94,6 +96,15 @@ class TestReceiverParams:
         det = make_detector()
         other = make_detector(gate_window=200.0)
         with pytest.raises(ParameterError):
+            ReceiverParams(eta_bob=0.06, visibility=0.994,
+                           mismodulation_error=0.006,
+                           detector_a=det, detector_b=other)
+
+    def test_mismatched_dead_times_rejected(self):
+        # The analytic hold-off model reads one dead time for both detectors.
+        det = make_detector()
+        other = make_detector(dead_time=5.0)
+        with pytest.raises(ParameterError, match="dead_time"):
             ReceiverParams(eta_bob=0.06, visibility=0.994,
                            mismodulation_error=0.006,
                            detector_a=det, detector_b=other)

@@ -296,6 +296,22 @@ class TestCli:
                 ["calibrate", "--slope-target", "nan"], "slope_db_per_km",
                 id="calibrate-slope-nan",
             ),
+            pytest.param(
+                ["simulate", "--seed", "-1", "--pulses", "1000"], "seed",
+                id="simulate-seed-neg",
+            ),
+            pytest.param(
+                ["histogram", "--seed", "-1", "--pulses", "1000"], "seed",
+                id="histogram-seed-neg",
+            ),
+            pytest.param(
+                ["sweep-distance", "--engine", "mc", "--seed", "-1", "--pulses", "1000"],
+                "seed", id="sweep-distance-mc-seed-neg",
+            ),
+            pytest.param(
+                ["histogram", "--mu", "inf", "--pulses", "1000"], "source.mu",
+                id="histogram-mu-inf",
+            ),
         ],
     )
     def test_invalid_input_exits_2_without_traceback(self, argv, message, capsys):
