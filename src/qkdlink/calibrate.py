@@ -149,7 +149,9 @@ class _Fitter:
 
     # -- model evaluation under the current state ---------------------------
 
-    def _config(self, length: float, compensated: bool, eta: float) -> SystemConfig:
+    def fitted(self):
+        """The source and calibration that the current state determines, each
+        rebuilt only when its own couplings move."""
         s = self.state
         key = {name: s[name] for name in _STATE_FIELDS[:3]}  # source couplings
         if key != self._source[0]:
@@ -158,14 +160,17 @@ class _Fitter:
         if key != self._calibration[0]:
             cal = replace(self.base.calibration, pa_ref_eta=self.anchors.operating_eta, **key)
             self._calibration, self._biased = (key, cal), {}
-        cal = self._calibration[1]
+        return self._source[1], self._calibration[1]
+
+    def _config(self, length: float, compensated: bool, eta: float) -> SystemConfig:
+        source, cal = self.fitted()
         if eta not in self._biased:
             self._biased[eta] = replace(self.base, calibration=cal).at_bias(eta).receiver
         channel = self._channels.get((length, compensated))
         if channel is None:
             channel = replace(self.base.channel, length=length, compensated=compensated)
             self._channels[length, compensated] = channel
-        return SystemConfig(source=self._source[1], channel=channel,
+        return SystemConfig(source=source, channel=channel,
                             receiver=self._biased[eta], protocol=self.base.protocol,
                             calibration=cal)
 
@@ -339,13 +344,7 @@ class _Fitter:
 
     def diagnostics(self) -> tuple[tuple, dict]:
         a = self.anchors
-        cal = replace(
-            self.base.calibration,
-            dark_slope=self.state["dark_slope"],
-            pa_ref=self.state["pa_ref"],
-            pa_ref_eta=a.operating_eta,
-            gamma=self.state["gamma"],
-        )
+        _, cal = self.fitted()
         pa_high = cal.afterpulse_at(a.pa_ceiling_eta)
         dark_high = cal.dark_at(a.pa_ceiling_eta)
         warnings = []
@@ -415,24 +414,12 @@ def calibrate(
             f"residuals: {fitter.residuals()}"
         )
 
-    state = fitter.state
-    source = replace(
-        config.source,
-        spectral_width=state["spectral_width"],
-        side_mode_weight=state["side_mode_weight"],
-        side_mode_offset=state["side_mode_offset"],
-    )
-    calibration = replace(
-        config.calibration,
-        dark_slope=state["dark_slope"],
-        pa_ref=state["pa_ref"],
-        pa_ref_eta=anchors.operating_eta,
-        gamma=state["gamma"],
-    )
-    fitted_config = replace(config, source=source, calibration=calibration)
+    source, calibration = fitter.fitted()
     # Refresh detector-level dark/afterpulse values from the new couplings
     # at the config's own bias point.
-    fitted_config = fitted_config.at_bias(config.receiver.eta_bob)
+    fitted_config = replace(config, source=source, calibration=calibration).at_bias(
+        config.receiver.eta_bob
+    )
 
     warnings, extras = fitter.diagnostics()
     residuals = fitter.residuals()
@@ -440,7 +427,7 @@ def calibrate(
     report = FitReport(
         iterations=iterations,
         converged=converged,
-        fitted=dict(state),
+        fitted=dict(fitter.state),
         residuals=residuals,
         warnings=warnings,
         trace=tuple(trace),

@@ -167,20 +167,17 @@ def link_timing(
 ) -> tuple[float, float]:
     """Gate acceptance and inter-clock error of the full arrival profile.
 
-    Returns ``(acceptance, e_interclock)`` averaged over the two detectors
-    (the interferometer routes photons to either one with equal long-run
-    frequency).  A compensated span has no leakage by construction.
+    Returns ``(acceptance, e_interclock)`` of the detector response, which
+    both detectors of the matched pair share.  A compensated span has no
+    leakage by construction.
     """
-    components = temporal_components(source, channel)
-    acc_sum = 0.0
-    err_sum = 0.0
-    for det in (receiver.detector_a, receiver.detector_b):
-        accepted, neighbors = _profile_timing(components, det.jitter_sigma,
-                                              det.gate_period, det.gate_window)
-        acc_sum += accepted
-        if not channel.compensated and accepted > 0.0:
-            err_sum += 0.5 * neighbors / accepted
-    return 0.5 * acc_sum, 0.5 * err_sum
+    det = receiver.detector_a
+    accepted, neighbors = _profile_timing(temporal_components(source, channel),
+                                          det.jitter_sigma, det.gate_period, det.gate_window)
+    if channel.compensated or accepted <= 0.0:
+        return accepted, 0.0
+    # A photon detected in a neighboring clock errs half the time.
+    return accepted, 0.5 * neighbors / accepted
 
 
 def click_probabilities(
@@ -195,9 +192,8 @@ def click_probabilities(
         * acceptance
     )
     p_signal = -math.expm1(-mean_detected)
-    d_a = receiver.detector_a.dark_prob
-    d_b = receiver.detector_b.dark_prob
-    p_dark = 1.0 - (1.0 - d_a) * (1.0 - d_b)
+    d = receiver.detector_a.dark_prob
+    p_dark = 1.0 - (1.0 - d) * (1.0 - d)
     p_total = 1.0 - (1.0 - p_signal) * (1.0 - p_dark)
     return ClickProbabilities(p_signal=p_signal, p_dark=p_dark, p_total=p_total)
 
@@ -317,7 +313,7 @@ def raw_rate(
     if p <= 0.0:
         return 0.0
     # Symmetric split of the combined no-click probability between the two
-    # detectors; exact for identical detectors under balanced routing.
+    # detectors; exact, since the pair is matched and routing is balanced.
     q = 1.0 - math.sqrt(1.0 - p)
     a = q / (1.0 + q * blocked_gates)
     return source.clock_rate * (a + a - a * a)
@@ -337,10 +333,7 @@ def qber_breakdown(
       compared against an unrelated bit.
     """
     e_opt = receiver.optical_error
-    pa = 0.5 * (
-        receiver.detector_a.afterpulse_total + receiver.detector_b.afterpulse_total
-    )
-    e_afterpulse = 0.5 * pa
+    e_afterpulse = 0.5 * receiver.detector_a.afterpulse_total
     clicks = click_probabilities(source, channel, receiver)
     e_dark = 0.5 * clicks.p_dark / clicks.p_total if clicks.p_total > 0.0 else 0.0
     _, e_interclock = link_timing(source, channel, receiver)

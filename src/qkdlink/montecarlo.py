@@ -222,17 +222,17 @@ def _candidate_counts(config, n_gates, rng, budget):
     distinct uniform gates, which is exactly the law of iid per-gate
     Poisson(m) photons and Bernoulli(p) darks.
     """
-    receiver = config.receiver
     mean_candidates = (
         config.source.mu
         * linkbudget.transmittance(config.channel.length, config.channel.attenuation)
-        * max(receiver.detector_a.efficiency, receiver.detector_b.efficiency)
+        * config.receiver.eta_bob
     )
     n_photons = int(rng.poisson(mean_candidates * n_gates)) if mean_candidates > 0 else 0
     budget.charge(n_photons)
+    dark_prob = config.receiver.detector_a.dark_prob
     n_darks = []
-    for det in (receiver.detector_a, receiver.detector_b):
-        n_darks.append(int(rng.binomial(n_gates, det.dark_prob)) if det.dark_prob > 0 else 0)
+    for _ in range(2):  # one count per detector
+        n_darks.append(int(rng.binomial(n_gates, dark_prob)) if dark_prob > 0 else 0)
         budget.charge(n_darks[-1])
     return n_photons, n_darks
 
@@ -247,13 +247,11 @@ def _run_segment(config, n_gates, counts, rng, ap_rng, budget):
     source = config.source
     channel = config.channel
     receiver = config.receiver
-    det_a = receiver.detector_a
-    det_b = receiver.detector_b
+    det = receiver.detector_a  # both detectors of the matched pair
     period = source.gate_period
-    window = det_a.gate_window
+    window = det.gate_window
     center = 0.5 * period
     half_window = 0.5 * window
-    eta_max = max(det_a.efficiency, det_b.efficiency)
     n_photons, n_darks = counts
 
     bits = _random_bits(rng, n_gates)
@@ -280,7 +278,7 @@ def _run_segment(config, n_gates, counts, rng, ap_rng, budget):
             comp = np.searchsorted(comp_edges, rng.random(n_photons), side="right")
             comp = np.minimum(comp, len(components) - 1)
             arrival = comp_means[comp] + comp_sigmas[comp] * rng.standard_normal(n_photons)
-        arrival = arrival + det_a.jitter_sigma * rng.standard_normal(n_photons)
+        arrival = arrival + det.jitter_sigma * rng.standard_normal(n_photons)
         shift = np.rint(arrival / period).astype(np.int64)
         offset = arrival - shift * period
         gate = emit + shift
@@ -293,13 +291,6 @@ def _run_segment(config, n_gates, counts, rng, ap_rng, budget):
             bits[emit], bases[emit], flip, bob_bases[gate], receiver.visibility
         )
         to_a = rng.random(gate.size) < p_detector_a
-        if det_a.efficiency != det_b.efficiency and eta_max > 0.0:
-            # Residual per-detector thinning after the shared eta_max draw.
-            survival = np.where(
-                to_a, det_a.efficiency / eta_max, det_b.efficiency / eta_max
-            )
-            alive = rng.random(gate.size) < survival
-            gate, offset, to_a = gate[alive], offset[alive], to_a[alive]
         ts = center + offset
         for det_id, mask in ((DETECTOR_A, to_a), (DETECTOR_B, ~to_a)):
             cand_gates[det_id].append(gate[mask])
@@ -312,25 +303,17 @@ def _run_segment(config, n_gates, counts, rng, ap_rng, budget):
             cand_gates[det_id].append(np.sort(fired))
             cand_offsets[det_id].append(center + (rng.random(k) - 0.5) * window)
 
-    accepted = {}
-    for det_id, det in ((DETECTOR_A, det_a), (DETECTOR_B, det_b)):
-        gates = (
-            np.concatenate(cand_gates[det_id])
-            if cand_gates[det_id]
-            else np.empty(0, dtype=np.int64)
+    # --- hold-off and afterpulses, detector A first -----------------------
+    (gates_a, ts_a), (gates_b, ts_b) = (
+        _sweep_detector(
+            np.concatenate(cand_gates[det_id] or [np.empty(0, dtype=np.int64)]),
+            np.concatenate(cand_offsets[det_id] or [np.empty(0)]),
+            det, ap_rng, period, n_gates, budget,
         )
-        offsets = (
-            np.concatenate(cand_offsets[det_id])
-            if cand_offsets[det_id]
-            else np.empty(0, dtype=np.float64)
-        )
-        accepted[det_id] = _sweep_detector(
-            gates, offsets, det, ap_rng, period, n_gates, budget
-        )
+        for det_id in (DETECTOR_A, DETECTOR_B)
+    )
 
     # --- squash simultaneous clicks into a single recorded event -----------
-    gates_a, ts_a = accepted[DETECTOR_A]
-    gates_b, ts_b = accepted[DETECTOR_B]
     common, idx_a, idx_b = np.intersect1d(
         gates_a, gates_b, assume_unique=True, return_indices=True
     )
@@ -405,11 +388,6 @@ def simulate(
         raise ParameterError(f"seed must be non-negative, got {seed}")
     if segments < 1 or segments > n_pulses:
         raise ParameterError("segments must lie in [1, n_pulses]")
-    if config.receiver.detector_a.jitter_fwhm != config.receiver.detector_b.jitter_fwhm:
-        raise ParameterError(
-            "event engine requires matched detector jitter "
-            "(routing is resolved per detected gate)"
-        )
     budget = _EventBudget(max_events)
 
     root = np.random.SeedSequence(seed)

@@ -6,6 +6,10 @@ frozen; derived operating points are produced with :func:`dataclasses.replace`
 via the helpers on :class:`SystemConfig`.  A frozen object can be shared, so
 the calibration fitter reuses the validated objects a trial value leaves unchanged.
 
+The receiver's two detectors form a matched pair: :class:`ReceiverParams`
+rejects any field on which they differ, and an ``eta_bob`` other than their
+efficiency, so both engines model one detector response.
+
 Units follow the conventions used throughout the package: rates in Hz,
 times in ps unless a field name says otherwise (``dead_time`` and
 ``afterpulse_decay`` are in ns), fiber lengths in km, attenuation in dB/km,
@@ -15,7 +19,7 @@ dispersion in ps/(nm km), spectral widths in nm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 __all__ = [
     "FWHM_PER_SIGMA",
@@ -180,9 +184,12 @@ class DetectorParams:
         return 1000.0 * self.afterpulse_decay
 
 
+_DETECTOR_FIELDS = tuple(field.name for field in fields(DetectorParams))
+
+
 @dataclass(frozen=True)
 class ReceiverParams:
-    """Interferometric receiver with its pair of gated detectors."""
+    """Interferometric receiver with its matched pair of gated detectors."""
 
     eta_bob: float
     visibility: float
@@ -198,20 +205,16 @@ class ReceiverParams:
             "receiver.mismodulation_error",
             "must lie in [0, 1]",
         )
+        for name in _DETECTOR_FIELDS:
+            _check(
+                getattr(self.detector_a, name) == getattr(self.detector_b, name),
+                f"receiver.detector_b.{name}",
+                "must match detector_a (the link model has one detector response)",
+            )
         _check(
-            self.detector_a.gate_period == self.detector_b.gate_period,
-            "receiver.detector_b.gate_period",
-            "must match detector_a (both detectors share the clock)",
-        )
-        _check(
-            self.detector_a.gate_window == self.detector_b.gate_window,
-            "receiver.detector_b.gate_window",
-            "must match detector_a (both detectors share the gating)",
-        )
-        _check(
-            self.detector_a.dead_time == self.detector_b.dead_time,
-            "receiver.detector_b.dead_time",
-            "must match detector_a (the link model has one hold-off for both)",
+            self.eta_bob == self.detector_a.efficiency,
+            "receiver.eta_bob",
+            "must equal the detector efficiency",
         )
 
     @property
@@ -290,13 +293,11 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         period = self.source.gate_period
-        for name, det in (("detector_a", self.receiver.detector_a),
-                          ("detector_b", self.receiver.detector_b)):
-            _check(
-                abs(det.gate_period - period) <= 1e-9 * period,
-                f"receiver.{name}.gate_period",
-                "must equal the source clock period",
-            )
+        _check(
+            abs(self.receiver.detector_a.gate_period - period) <= 1e-9 * period,
+            "receiver.detector_a.gate_period",
+            "must equal the source clock period",
+        )
 
     def at_length(self, length: float, compensated: bool | None = None) -> "SystemConfig":
         """Return a copy operating over a different fiber span."""
@@ -314,10 +315,7 @@ class SystemConfig:
         """
         dark = self.calibration.dark_at(eta)
         pa = self.calibration.afterpulse_at(eta)
-        det_a = replace(self.receiver.detector_a, efficiency=eta,
-                        dark_prob=dark, afterpulse_total=pa)
-        det_b = replace(self.receiver.detector_b, efficiency=eta,
-                        dark_prob=dark, afterpulse_total=pa)
-        receiver = replace(self.receiver, eta_bob=eta,
-                           detector_a=det_a, detector_b=det_b)
+        det = replace(self.receiver.detector_a, efficiency=eta,
+                      dark_prob=dark, afterpulse_total=pa)
+        receiver = replace(self.receiver, eta_bob=eta, detector_a=det, detector_b=det)
         return replace(self, receiver=receiver)

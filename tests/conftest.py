@@ -46,6 +46,6 @@ def _scan_stream_invariants(result, config):
             )
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def scan_stream_invariants():
     return _scan_stream_invariants

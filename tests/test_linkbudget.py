@@ -245,6 +245,14 @@ def _with_detectors(cfg, **changes):
     return replace(cfg, receiver=replace(cfg.receiver, detector_a=det_a, detector_b=det_b))
 
 
+def _at_efficiency(cfg, eta):
+    """``cfg`` with ``eta_bob`` and both detectors' efficiency moved to ``eta``
+    together, as a valid receiver requires; nothing else moves."""
+    det = replace(cfg.receiver.detector_a, efficiency=eta)
+    receiver = replace(cfg.receiver, eta_bob=eta, detector_a=det, detector_b=det)
+    return replace(cfg, receiver=receiver)
+
+
 def _at_equal_signal(cfg, changed):
     """``changed`` re-biased so that its ``p_signal`` equals ``cfg``'s bit for bit.
 
@@ -258,7 +266,7 @@ def _at_equal_signal(cfg, changed):
     # The mean detected photon number is proportional to eta_bob.
     eta = changed.receiver.eta_bob * math.log1p(-target) / math.log1p(-p_signal_of(changed))
     for _ in range(64):
-        candidate = replace(changed, receiver=replace(changed.receiver, eta_bob=eta))
+        candidate = _at_efficiency(changed, eta)
         p_signal = p_signal_of(candidate)
         if p_signal == target:
             return candidate
@@ -285,7 +293,7 @@ class TestCacheKeys:
             "jitter_fwhm": _with_detectors(cfg, jitter_fwhm=45.0),
             "side_mode_weight": replace(cfg, source=replace(cfg.source, side_mode_weight=0.2)),
             "dead_time": _with_detectors(cfg, dead_time=7.5),
-            "eta_bob": replace(cfg, receiver=replace(cfg.receiver, eta_bob=0.08)),
+            "eta_bob": _at_efficiency(cfg, 0.08),
             "length": cfg.at_length(25.3),
         }
         equal_signal = [

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,20 +93,22 @@ class TestReceiverParams:
         assert rec.optical_error == pytest.approx((1 - 0.994) / 2 + 0.006)
         assert rec.optical_error == pytest.approx(0.009)
 
-    def test_mismatched_gate_windows_rejected(self):
-        det = make_detector()
-        other = make_detector(gate_window=200.0)
-        with pytest.raises(ParameterError):
-            ReceiverParams(eta_bob=0.06, visibility=0.994,
-                           mismodulation_error=0.006,
-                           detector_a=det, detector_b=other)
+    # A value that differs from make_detector()'s, for every detector field.
+    OTHER = dict(efficiency=0.05, dark_prob=1e-5, afterpulse_total=0.05,
+                 afterpulse_decay=20.0, gate_period=900.0, gate_window=200.0,
+                 dead_time=5.0, jitter_fwhm=30.0)
 
-    def test_mismatched_dead_times_rejected(self):
-        # The analytic hold-off model reads one dead time for both detectors.
+    @pytest.mark.parametrize("field", [f.name for f in fields(DetectorParams)] + ["eta_bob"])
+    def test_mismatched_pair_rejected(self, field):
+        # Both engines model one detector response for the pair.
         det = make_detector()
-        other = make_detector(dead_time=5.0)
-        with pytest.raises(ParameterError, match="dead_time"):
-            ReceiverParams(eta_bob=0.06, visibility=0.994,
+        if field == "eta_bob":
+            eta_bob, other, name = 0.08, det, "receiver.eta_bob"
+        else:
+            eta_bob, name = 0.06, f"receiver.detector_b.{field}"
+            other = make_detector(**{field: self.OTHER[field]})
+        with pytest.raises(ParameterError, match=re.escape(name)):
+            ReceiverParams(eta_bob=eta_bob, visibility=0.994,
                            mismodulation_error=0.006,
                            detector_a=det, detector_b=other)
 

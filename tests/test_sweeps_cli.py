@@ -13,6 +13,10 @@ from qkdlink.linkbudget import QberBreakdown
 from qkdlink.montecarlo import read_binary_dump
 from qkdlink.params import ParameterError
 
+# Stands in for a config file, written per test, whose detector_b.dark_prob
+# differs from detector_a's.
+MISMATCHED_CFG = "<mismatched.cfg>"
+
 HEADER = "length_km,raw_hz,qber,e_opt,e_afterpulse,e_dark,e_interclock,secure_hz,compensated"
 
 
@@ -312,9 +316,23 @@ class TestCli:
                 ["histogram", "--mu", "inf", "--pulses", "1000"], "source.mu",
                 id="histogram-mu-inf",
             ),
+            pytest.param(
+                ["simulate", "--config", MISMATCHED_CFG, "--pulses", "1000"],
+                "receiver.detector_b.dark_prob", id="config-dark-prob-mismatch",
+            ),
         ],
     )
-    def test_invalid_input_exits_2_without_traceback(self, argv, message, capsys):
+    def test_invalid_input_exits_2_without_traceback(self, argv, message, cfg, tmp_path,
+                                                     capsys):
+        if MISMATCHED_CFG in argv:
+            from qkdlink.config import dumps_config
+
+            text = dumps_config(cfg)
+            dark = f"detector_b.dark_prob = {cfg.receiver.detector_b.dark_prob!r}"
+            assert dark in text
+            path = tmp_path / "mismatched.cfg"
+            path.write_text(text.replace(dark, "detector_b.dark_prob = 1e-5"))
+            argv = [str(path) if arg == MISMATCHED_CFG else arg for arg in argv]
         rc = main(argv)
         captured = capsys.readouterr()
         assert rc == 2
