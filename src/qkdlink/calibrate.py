@@ -418,7 +418,7 @@ def calibrate(
     # Refresh detector-level dark/afterpulse values from the new couplings
     # at the config's own bias point.
     fitted_config = replace(config, source=source, calibration=calibration).at_bias(
-        config.receiver.eta_bob
+        config.receiver.detector.efficiency
     )
 
     warnings, extras = fitter.diagnostics()

@@ -12,8 +12,9 @@ All subcommands accept --config/--seed/--pulses/--engine/--out either
 before or after the subcommand name.  Every run is reproducible: the
 config, seed and command line fully determine the output bytes.
 
-Exit codes: 0 success, 2 configuration or parameter problem, 3 fit did
-not converge, 4 file I/O failure.
+Exit codes: 0 success, 2 configuration or parameter problem (including a
+run whose events would exceed the event budget), 3 fit did not converge,
+4 file I/O failure.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import replace
 from . import montecarlo, protocol, sweeps
 from .calibrate import CalibrationAnchors, ConvergenceError, calibrate
 from .config import ConfigError, default_config, load_config, save_config
+from .montecarlo import ResourceLimitError
 from .params import ParameterError
 from .protocol import ProtocolError
 
@@ -233,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParameterError, ProtocolError) as exc:
+    except (ConfigError, ParameterError, ProtocolError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:

@@ -6,6 +6,13 @@ strict: every known key must appear exactly once and unknown keys are
 errors, so a config file is always a complete, unambiguous snapshot of the
 system.  Units are part of the key name (``_ps``, ``_ns``, ``_km``, ...);
 detector gate periods are derived from the source clock rather than stored.
+
+The file keeps nine keys whose values can only be copies: the seven
+``detector_b.*`` keys copy ``detector_a.*`` (the receiver has one matched
+detector pair), ``receiver.eta_bob`` copies the detector efficiency and
+``protocol.sift_factor`` is always :data:`~qkdlink.params.SIFT_FACTOR`.
+Parsing rejects any copy that differs, and :func:`dumps_config` writes each
+one from the value it copies, so the parameter objects hold every value once.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .params import (
+    SIFT_FACTOR,
     CalibrationParams,
     ChannelParams,
     DetectorParams,
@@ -24,7 +32,17 @@ from .params import (
 
 __all__ = ["ConfigError", "load_config", "parse_config", "save_config", "default_config"]
 
-_PS_PER_S = 1e12
+# The key, under a ``detector_a.`` or ``detector_b.`` prefix, of each
+# DetectorParams field, in file order.
+_DETECTOR_KEYS = {
+    "efficiency": "efficiency",
+    "dark_prob": "dark_prob",
+    "afterpulse_total": "afterpulse_total",
+    "afterpulse_decay": "afterpulse_decay_ns",
+    "gate_window": "gate_window_ps",
+    "dead_time": "dead_time_ns",
+    "jitter_fwhm": "jitter_fwhm_ps",
+}
 
 _FLOAT_KEYS = (
     "source.clock_rate_hz",
@@ -40,20 +58,8 @@ _FLOAT_KEYS = (
     "receiver.eta_bob",
     "receiver.visibility",
     "receiver.mismodulation_error",
-    "detector_a.efficiency",
-    "detector_a.dark_prob",
-    "detector_a.afterpulse_total",
-    "detector_a.afterpulse_decay_ns",
-    "detector_a.gate_window_ps",
-    "detector_a.dead_time_ns",
-    "detector_a.jitter_fwhm_ps",
-    "detector_b.efficiency",
-    "detector_b.dark_prob",
-    "detector_b.afterpulse_total",
-    "detector_b.afterpulse_decay_ns",
-    "detector_b.gate_window_ps",
-    "detector_b.dead_time_ns",
-    "detector_b.jitter_fwhm_ps",
+    *(f"{prefix}.{key}" for prefix in ("detector_a", "detector_b")
+      for key in _DETECTOR_KEYS.values()),
     "protocol.f_ec",
     "protocol.sift_factor",
     "calibration.pa_ref",
@@ -107,17 +113,21 @@ def parse_config(text: str, origin: str = "<config>") -> SystemConfig:
     return _build(values)
 
 
-def _detector(values: dict, prefix: str, gate_period: float) -> DetectorParams:
-    return DetectorParams(
-        efficiency=values[f"{prefix}.efficiency"],
-        dark_prob=values[f"{prefix}.dark_prob"],
-        afterpulse_total=values[f"{prefix}.afterpulse_total"],
-        afterpulse_decay=values[f"{prefix}.afterpulse_decay_ns"],
-        gate_period=gate_period,
-        gate_window=values[f"{prefix}.gate_window_ps"],
-        dead_time=values[f"{prefix}.dead_time_ns"],
-        jitter_fwhm=values[f"{prefix}.jitter_fwhm_ps"],
-    )
+def _check_copies(values: dict, detector: DetectorParams) -> None:
+    """Reject a copy key whose value differs from the value it copies."""
+    copies = [
+        (f"detector_b.{key}", getattr(detector, name), f"receiver.detector_b.{name} must "
+         "match detector_a (the link model has one detector response)")
+        for name, key in _DETECTOR_KEYS.items()
+    ]
+    copies += [
+        ("receiver.eta_bob", detector.efficiency,
+         "receiver.eta_bob must equal the detector efficiency"),
+        ("protocol.sift_factor", SIFT_FACTOR, f"protocol.sift_factor must be {SIFT_FACTOR}"),
+    ]
+    for key, expected, message in copies:
+        if values[key] != expected:
+            raise ConfigError(f"{message}, got {values[key]!r}")
 
 
 def _section(name: str, builder):
@@ -141,7 +151,6 @@ def _build(values: dict) -> SystemConfig:
             wavelength=values["source.wavelength_nm"],
         ),
     )
-    gate_period = _PS_PER_S / source.clock_rate
     channel = _section(
         "channel",
         lambda: ChannelParams(
@@ -151,27 +160,22 @@ def _build(values: dict) -> SystemConfig:
             compensated=values["channel.compensated"],
         ),
     )
+    detector = _section(
+        "detector_a",
+        lambda: DetectorParams(**{
+            name: values[f"detector_a.{key}"] for name, key in _DETECTOR_KEYS.items()
+        }),
+    )
+    _check_copies(values, detector)
     receiver = _section(
         "receiver",
         lambda: ReceiverParams(
-            eta_bob=values["receiver.eta_bob"],
             visibility=values["receiver.visibility"],
             mismodulation_error=values["receiver.mismodulation_error"],
-            detector_a=_section(
-                "detector_a", lambda: _detector(values, "detector_a", gate_period)
-            ),
-            detector_b=_section(
-                "detector_b", lambda: _detector(values, "detector_b", gate_period)
-            ),
+            detector=detector,
         ),
     )
-    protocol = _section(
-        "protocol",
-        lambda: ProtocolConstants(
-            f_ec=values["protocol.f_ec"],
-            sift_factor=values["protocol.sift_factor"],
-        ),
-    )
+    protocol = _section("protocol", lambda: ProtocolConstants(f_ec=values["protocol.f_ec"]))
     calibration = _section(
         "calibration",
         lambda: CalibrationParams(
@@ -203,15 +207,7 @@ def load_config(path) -> SystemConfig:
 
 
 def _dump_detector(det: DetectorParams, prefix: str) -> list[str]:
-    return [
-        f"{prefix}.efficiency = {det.efficiency!r}",
-        f"{prefix}.dark_prob = {det.dark_prob!r}",
-        f"{prefix}.afterpulse_total = {det.afterpulse_total!r}",
-        f"{prefix}.afterpulse_decay_ns = {det.afterpulse_decay!r}",
-        f"{prefix}.gate_window_ps = {det.gate_window!r}",
-        f"{prefix}.dead_time_ns = {det.dead_time!r}",
-        f"{prefix}.jitter_fwhm_ps = {det.jitter_fwhm!r}",
-    ]
+    return [f"{prefix}.{key} = {getattr(det, name)!r}" for name, key in _DETECTOR_KEYS.items()]
 
 
 def dumps_config(config: SystemConfig) -> str:
@@ -237,16 +233,16 @@ def dumps_config(config: SystemConfig) -> str:
         f"channel.dispersion_ps_per_nm_km = {c.dispersion!r}",
         f"channel.compensated = {'true' if c.compensated else 'false'}",
         "",
-        f"receiver.eta_bob = {r.eta_bob!r}",
+        f"receiver.eta_bob = {r.detector.efficiency!r}",
         f"receiver.visibility = {r.visibility!r}",
         f"receiver.mismodulation_error = {r.mismodulation_error!r}",
         "",
-        *_dump_detector(r.detector_a, "detector_a"),
+        *_dump_detector(r.detector, "detector_a"),
         "",
-        *_dump_detector(r.detector_b, "detector_b"),
+        *_dump_detector(r.detector, "detector_b"),
         "",
         f"protocol.f_ec = {p.f_ec!r}",
-        f"protocol.sift_factor = {p.sift_factor!r}",
+        f"protocol.sift_factor = {SIFT_FACTOR!r}",
         "",
         f"calibration.pa_ref = {k.pa_ref!r}",
         f"calibration.pa_ref_eta = {k.pa_ref_eta!r}",

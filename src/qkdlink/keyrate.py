@@ -16,12 +16,13 @@ import math
 from dataclasses import dataclass
 
 from . import linkbudget
-from .params import ParameterError, ProtocolConstants, SystemConfig
+from .params import SIFT_FACTOR, ParameterError, ProtocolConstants, SystemConfig
 
 __all__ = [
     "RateResult",
     "ProtocolConstants",
     "binary_entropy",
+    "key_yield",
     "secure_rate",
     "qber_threshold",
     "evaluate_point",
@@ -44,10 +45,6 @@ class RateResult:
         if self.secure_rate > 0.5 * self.raw_rate + 1e-9:
             raise ParameterError("secure_rate cannot exceed half the raw rate")
 
-    @property
-    def is_secure(self) -> bool:
-        return self.secure_rate > 0.0
-
 
 def binary_entropy(e: float) -> float:
     """Binary Shannon entropy H(e) in bits, with H(0) = H(1) = 0."""
@@ -58,14 +55,21 @@ def binary_entropy(e: float) -> float:
     return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
 
 
+def key_yield(qber: float, consts: ProtocolConstants) -> float:
+    """Distillable fraction of the sifted bits, ``1 - (1 + f_ec) * H(e)``.
+
+    Negative beyond the security threshold; callers clamp at zero.
+    """
+    if not 0.0 <= qber <= 0.5:
+        raise ParameterError(f"qber must lie in [0, 0.5], got {qber}")
+    return 1.0 - (1.0 + consts.f_ec) * binary_entropy(qber)
+
+
 def secure_rate(raw: float, qber: float, consts: ProtocolConstants) -> float:
     """Distillable key rate in Hz; zero when the error rate is too high."""
     if raw < 0.0:
         raise ParameterError("raw rate must be non-negative")
-    if not 0.0 <= qber <= 0.5:
-        raise ParameterError(f"qber must lie in [0, 0.5], got {qber}")
-    yield_fraction = 1.0 - (1.0 + consts.f_ec) * binary_entropy(qber)
-    return max(0.0, consts.sift_factor * raw * yield_fraction)
+    return max(0.0, SIFT_FACTOR * raw * key_yield(qber, consts))
 
 
 def qber_threshold(consts: ProtocolConstants) -> float:
@@ -102,7 +106,7 @@ def evaluate_point(config: SystemConfig):
         raw_rate=raw,
         qber=breakdown.total,
         secure_rate=rate,
-        eta_bob=receiver.eta_bob,
+        eta_bob=receiver.detector.efficiency,
         length=channel.length,
     )
     return result, breakdown

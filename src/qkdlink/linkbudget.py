@@ -171,9 +171,9 @@ def link_timing(
     both detectors of the matched pair share.  A compensated span has no
     leakage by construction.
     """
-    det = receiver.detector_a
+    det = receiver.detector
     accepted, neighbors = _profile_timing(temporal_components(source, channel),
-                                          det.jitter_sigma, det.gate_period, det.gate_window)
+                                          det.jitter_sigma, source.gate_period, det.gate_window)
     if channel.compensated or accepted <= 0.0:
         return accepted, 0.0
     # A photon detected in a neighboring clock errs half the time.
@@ -188,17 +188,17 @@ def click_probabilities(
     mean_detected = (
         source.mu
         * transmittance(channel.length, channel.attenuation)
-        * receiver.eta_bob
+        * receiver.detector.efficiency
         * acceptance
     )
     p_signal = -math.expm1(-mean_detected)
-    d = receiver.detector_a.dark_prob
+    d = receiver.detector.dark_prob
     p_dark = 1.0 - (1.0 - d) * (1.0 - d)
     p_total = 1.0 - (1.0 - p_signal) * (1.0 - p_dark)
     return ClickProbabilities(p_signal=p_signal, p_dark=p_dark, p_total=p_total)
 
 
-def _blocked_gate_split(det: DetectorParams) -> tuple[int, list[int]]:
+def _blocked_gate_split(det: DetectorParams, period: float) -> tuple[int, list[int]]:
     """Gates fully and partially covered by the hold-off after a click.
 
     A candidate in gate ``k`` after a click is separated from it by
@@ -208,7 +208,6 @@ def _blocked_gate_split(det: DetectorParams) -> tuple[int, list[int]]:
     blocked only for part of the offset combinations.
     """
     dead = det.dead_time_ps
-    period = det.gate_period
     window = det.gate_window
     k_always = max(0, int(math.floor((dead - window) / period)))
     partial = []
@@ -231,12 +230,13 @@ def effective_blocked_gates(
     in-window click offsets: the accepted signal profile plus the uniform
     dark-count background, weighted by their click shares.
     """
-    det = receiver.detector_a
-    k_always, partial = _blocked_gate_split(det)
+    det = receiver.detector
+    period = source.gate_period
+    k_always, partial = _blocked_gate_split(det, period)
     if not partial:
         return float(k_always)
     clicks = click_probabilities(source, channel, receiver)
-    geometry = (det.gate_window, det.gate_period, det.dead_time_ps, k_always, tuple(partial))
+    geometry = (det.gate_window, period, det.dead_time_ps, k_always, tuple(partial))
     return _blocked_gates(temporal_components(source, channel), det.jitter_sigma,
                           geometry, clicks.p_signal, clicks.p_dark)
 
@@ -333,7 +333,7 @@ def qber_breakdown(
       compared against an unrelated bit.
     """
     e_opt = receiver.optical_error
-    e_afterpulse = 0.5 * receiver.detector_a.afterpulse_total
+    e_afterpulse = 0.5 * receiver.detector.afterpulse_total
     clicks = click_probabilities(source, channel, receiver)
     e_dark = 0.5 * clicks.p_dark / clicks.p_total if clicks.p_total > 0.0 else 0.0
     _, e_interclock = link_timing(source, channel, receiver)

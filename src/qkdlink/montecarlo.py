@@ -58,6 +58,9 @@ WARMUP_GATES = 10_000
 # ``<QBI``): clock index, detector id, timestamp rounded to ps.
 _RECORD = np.dtype([("clock", "<u8"), ("detector", "u1"), ("ps", "<u4")])
 
+# Largest Poisson mean NumPy's generators can draw (their POISSON_LAM_MAX).
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
 
 class ResourceLimitError(RuntimeError):
     """Raised when a run would generate more events than allowed."""
@@ -220,16 +223,20 @@ def _candidate_counts(config, n_gates, rng, budget):
     total, and each detector's darks a Binomial(n_gates, p) count.  Given
     their counts, photons sit at uniform emitting clocks and darks at
     distinct uniform gates, which is exactly the law of iid per-gate
-    Poisson(m) photons and Bernoulli(p) darks.
+    Poisson(m) photons and Bernoulli(p) darks.  A photon mean too large to
+    draw raises :class:`ResourceLimitError` without drawing.
     """
     mean_candidates = (
         config.source.mu
         * linkbudget.transmittance(config.channel.length, config.channel.attenuation)
-        * config.receiver.eta_bob
+        * config.receiver.detector.efficiency
     )
-    n_photons = int(rng.poisson(mean_candidates * n_gates)) if mean_candidates > 0 else 0
+    lam = mean_candidates * n_gates
+    if lam > _POISSON_LAM_MAX:
+        raise ResourceLimitError(f"event budget exceeded: {lam:.3g} expected photons")
+    n_photons = int(rng.poisson(lam)) if mean_candidates > 0 else 0
     budget.charge(n_photons)
-    dark_prob = config.receiver.detector_a.dark_prob
+    dark_prob = config.receiver.detector.dark_prob
     n_darks = []
     for _ in range(2):  # one count per detector
         n_darks.append(int(rng.binomial(n_gates, dark_prob)) if dark_prob > 0 else 0)
@@ -247,7 +254,7 @@ def _run_segment(config, n_gates, counts, rng, ap_rng, budget):
     source = config.source
     channel = config.channel
     receiver = config.receiver
-    det = receiver.detector_a  # both detectors of the matched pair
+    det = receiver.detector  # both detectors of the matched pair
     period = source.gate_period
     window = det.gate_window
     center = 0.5 * period
@@ -435,7 +442,7 @@ def simulate(
         "n_pulses": int(n_pulses),
         "warmup_gates": WARMUP_GATES,
         "gate_period_ps": source.gate_period,
-        "gate_window_ps": config.receiver.detector_a.gate_window,
+        "gate_window_ps": config.receiver.detector.gate_window,
         "rng": (
             "Philox, two spawned streams per segment: sparse candidates "
             "(photon and dark counts, then packed bit/basis columns, then "

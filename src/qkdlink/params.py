@@ -6,9 +6,12 @@ frozen; derived operating points are produced with :func:`dataclasses.replace`
 via the helpers on :class:`SystemConfig`.  A frozen object can be shared, so
 the calibration fitter reuses the validated objects a trial value leaves unchanged.
 
-The receiver's two detectors form a matched pair: :class:`ReceiverParams`
-rejects any field on which they differ, and an ``eta_bob`` other than their
-efficiency, so both engines model one detector response.
+Each object holds only independent values.  The receiver's two detectors
+form a matched pair, so :class:`ReceiverParams` holds the one
+:class:`DetectorParams` they share, whose efficiency is also Bob's
+detection efficiency; the detector gates run on the source clock period;
+and the sift factor is the constant :data:`SIFT_FACTOR`.  The config file
+still stores these copies, and :mod:`qkdlink.config` checks them.
 
 Units follow the conventions used throughout the package: rates in Hz,
 times in ps unless a field name says otherwise (``dead_time`` and
@@ -19,7 +22,7 @@ dispersion in ps/(nm km), spectral widths in nm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 __all__ = [
     "FWHM_PER_SIGMA",
@@ -29,6 +32,7 @@ __all__ = [
     "DetectorParams",
     "ReceiverParams",
     "ProtocolConstants",
+    "SIFT_FACTOR",
     "CalibrationParams",
     "SystemConfig",
 ]
@@ -133,10 +137,8 @@ class DetectorParams:
         integrated over all later gates.
     afterpulse_decay:
         Release time constant of the trapped carriers, ns.
-    gate_period:
-        Clock period, ps.
     gate_window:
-        Span per period during which the detector is armed, ps.
+        Span per clock period during which the detector is armed, ps.
     dead_time:
         Hold-off after an avalanche during which the detector stays blind, ns.
     jitter_fwhm:
@@ -147,7 +149,6 @@ class DetectorParams:
     dark_prob: float
     afterpulse_total: float
     afterpulse_decay: float
-    gate_period: float
     gate_window: float
     dead_time: float
     jitter_fwhm: float
@@ -161,12 +162,7 @@ class DetectorParams:
             "must lie in [0, 1)",
         )
         _check(self.afterpulse_decay > 0.0, "detector.afterpulse_decay", "must be positive")
-        _check(self.gate_period > 0.0, "detector.gate_period", "must be positive")
-        _check(
-            0.0 < self.gate_window < self.gate_period,
-            "detector.gate_window",
-            "must lie in (0, gate_period)",
-        )
+        _check(self.gate_window > 0.0, "detector.gate_window", "must be positive")
         _check(self.dead_time >= 0.0, "detector.dead_time", "must be non-negative")
         _check(self.jitter_fwhm >= 0.0, "detector.jitter_fwhm", "must be non-negative")
 
@@ -184,37 +180,20 @@ class DetectorParams:
         return 1000.0 * self.afterpulse_decay
 
 
-_DETECTOR_FIELDS = tuple(field.name for field in fields(DetectorParams))
-
-
 @dataclass(frozen=True)
 class ReceiverParams:
-    """Interferometric receiver with its matched pair of gated detectors."""
+    """Interferometric receiver; ``detector`` is each of its matched pair."""
 
-    eta_bob: float
     visibility: float
     mismodulation_error: float
-    detector_a: DetectorParams
-    detector_b: DetectorParams
+    detector: DetectorParams
 
     def __post_init__(self) -> None:
-        _check(0.0 <= self.eta_bob <= 1.0, "receiver.eta_bob", "must lie in [0, 1]")
         _check(0.0 <= self.visibility <= 1.0, "receiver.visibility", "must lie in [0, 1]")
         _check(
             0.0 <= self.mismodulation_error <= 1.0,
             "receiver.mismodulation_error",
             "must lie in [0, 1]",
-        )
-        for name in _DETECTOR_FIELDS:
-            _check(
-                getattr(self.detector_a, name) == getattr(self.detector_b, name),
-                f"receiver.detector_b.{name}",
-                "must match detector_a (the link model has one detector response)",
-            )
-        _check(
-            self.eta_bob == self.detector_a.efficiency,
-            "receiver.eta_bob",
-            "must equal the detector efficiency",
         )
 
     @property
@@ -223,18 +202,19 @@ class ReceiverParams:
         return 0.5 * (1.0 - self.visibility) + self.mismodulation_error
 
 
+# Alice and Bob choose between two bases uniformly, so exactly half of the
+# detections survive sifting on average.
+SIFT_FACTOR = 0.5
+
+
 @dataclass(frozen=True)
 class ProtocolConstants:
     """Constants of the key-distillation arithmetic."""
 
     f_ec: float
-    sift_factor: float = 0.5
 
     def __post_init__(self) -> None:
         _check(self.f_ec >= 1.0, "protocol.f_ec", "must be >= 1")
-        # Alice and Bob choose between two bases uniformly, so exactly half
-        # of the detections survive sifting on average.
-        _check(self.sift_factor == 0.5, "protocol.sift_factor", "must be 0.5")
 
 
 @dataclass(frozen=True)
@@ -273,12 +253,22 @@ class CalibrationParams:
         _check(eta >= 0.0, "eta", "must be non-negative")
         if eta == 0.0:
             return 0.0
-        return self.pa_ref * (eta / self.pa_ref_eta) ** self.gamma
+        try:
+            return self.pa_ref * (eta / self.pa_ref_eta) ** self.gamma
+        except OverflowError:
+            raise ParameterError(
+                f"calibration.gamma overflows the afterpulse coupling at eta = {eta}"
+            ) from None
 
     def dark_at(self, eta: float) -> float:
         """Dark-count probability per gate at bias ``eta``."""
         _check(eta >= 0.0, "eta", "must be non-negative")
-        return self.dark_floor * math.exp(self.dark_slope * (eta - self.dark_floor_eta))
+        try:
+            return self.dark_floor * math.exp(self.dark_slope * (eta - self.dark_floor_eta))
+        except OverflowError:
+            raise ParameterError(
+                f"calibration.dark_slope overflows the dark-count coupling at eta = {eta}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -292,11 +282,11 @@ class SystemConfig:
     calibration: CalibrationParams
 
     def __post_init__(self) -> None:
-        period = self.source.gate_period
+        # The detector gates run on the source clock.
         _check(
-            abs(self.receiver.detector_a.gate_period - period) <= 1e-9 * period,
-            "receiver.detector_a.gate_period",
-            "must equal the source clock period",
+            self.receiver.detector.gate_window < self.source.gate_period,
+            "receiver.detector.gate_window",
+            "must be shorter than the source clock period",
         )
 
     def at_length(self, length: float, compensated: bool | None = None) -> "SystemConfig":
@@ -315,7 +305,6 @@ class SystemConfig:
         """
         dark = self.calibration.dark_at(eta)
         pa = self.calibration.afterpulse_at(eta)
-        det = replace(self.receiver.detector_a, efficiency=eta,
+        det = replace(self.receiver.detector, efficiency=eta,
                       dark_prob=dark, afterpulse_total=pa)
-        receiver = replace(self.receiver, eta_bob=eta, detector_a=det, detector_b=det)
-        return replace(self, receiver=receiver)
+        return replace(self, receiver=replace(self.receiver, detector=det))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .keyrate import binary_entropy
+from .keyrate import key_yield
 from .params import ParameterError, ProtocolConstants
 
 __all__ = [
@@ -128,10 +128,7 @@ def secure_key_length(n_sifted: int, qber: float, consts: ProtocolConstants) -> 
     """
     if n_sifted < 0:
         raise ParameterError("n_sifted must be non-negative")
-    if not 0.0 <= qber <= 0.5:
-        raise ParameterError(f"qber must lie in [0, 0.5], got {qber}")
-    yield_fraction = 1.0 - (1.0 + consts.f_ec) * binary_entropy(qber)
-    return max(0, math.floor(n_sifted * yield_fraction))
+    return max(0, math.floor(n_sifted * key_yield(qber, consts)))
 
 
 def write_sifted_key(key: SiftedKey, path, consts: ProtocolConstants) -> None:

@@ -100,7 +100,7 @@ def _measured_point(config: SystemConfig, n_pulses: int, seed: int):
         raw_rate=raw,
         qber=qber,
         secure_rate=secure,
-        eta_bob=config.receiver.eta_bob,
+        eta_bob=config.receiver.detector.efficiency,
         length=config.channel.length,
     )
     breakdown = linkbudget.qber_breakdown(config.source, config.channel, config.receiver)

@@ -19,7 +19,7 @@ def _scan_stream_invariants(result, config):
     """
     tags = result.tags
     period = config.source.gate_period
-    det = config.receiver.detector_a
+    det = config.receiver.detector
     half_window = 0.5 * det.gate_window
     center = 0.5 * period
 
@@ -34,14 +34,11 @@ def _scan_stream_invariants(result, config):
     assert np.all(np.diff(clocks) > 0), "more than one tag per clock cycle"
 
     times = tags.absolute_times()
-    for det_id, det_params in (
-        (0, config.receiver.detector_a),
-        (1, config.receiver.detector_b),
-    ):
+    for det_id in (0, 1):
         mine = times[tags.detector_id == det_id]
         if mine.size > 1:
             gaps = np.diff(np.sort(mine))
-            assert gaps.min() >= det_params.dead_time_ps - 1e-6, (
+            assert gaps.min() >= det.dead_time_ps - 1e-6, (
                 f"detector {det_id} violated its hold-off: {gaps.min()} ps"
             )
 

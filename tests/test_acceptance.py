@@ -27,17 +27,16 @@ def _run(config, n_pulses, seed, **kwargs):
     return result
 
 
-def _with_detectors(config, **changes):
-    det_a = dataclasses.replace(config.receiver.detector_a, **changes)
-    det_b = dataclasses.replace(config.receiver.detector_b, **changes)
-    receiver = dataclasses.replace(config.receiver, detector_a=det_a, detector_b=det_b)
+def _with_detector(config, **changes):
+    det = dataclasses.replace(config.receiver.detector, **changes)
+    receiver = dataclasses.replace(config.receiver, detector=det)
     return dataclasses.replace(config, receiver=receiver)
 
 
 def test_criterion_1_entropy_and_threshold():
     assert keyrate.binary_entropy(0.5) == 1.0
     assert keyrate.binary_entropy(0.0) == 0.0
-    consts = ProtocolConstants(f_ec=1.10, sift_factor=0.5)
+    consts = ProtocolConstants(f_ec=1.10)
     threshold = keyrate.qber_threshold(consts)
     assert threshold == pytest.approx(0.1024, abs=0.001)
     print(f"criterion 1 PASS: H endpoints exact, threshold {threshold:.6f}")
@@ -160,7 +159,7 @@ def _analytic_tag_expectation(config, n_pulses):
     clicks = linkbudget.click_probabilities(source, channel, receiver)
     blocked = linkbudget.effective_blocked_gates(source, channel, receiver)
     breakdown = linkbudget.qber_breakdown(source, channel, receiver)
-    pa = receiver.detector_a.afterpulse_total
+    pa = receiver.detector.afterpulse_total
 
     q = 1.0 - math.sqrt(1.0 - clicks.p_total)
     a = q / (1.0 + q * blocked)
@@ -183,7 +182,7 @@ def test_criterion_6_event_engine_matches_model(cfg, length):
     for pa_on, n_sigma in ((False, 3.0), (True, 4.0)):
         config = cfg.at_length(length, compensated=False)
         if not pa_on:
-            config = _with_detectors(config, afterpulse_total=0.0)
+            config = _with_detector(config, afterpulse_total=0.0)
         expected_tags, p_tag, e_expected = _analytic_tag_expectation(config, n)
 
         result = _run(config, n, seed)
@@ -245,7 +244,7 @@ def test_criterion_8_protocol_properties(cfg, scan_stream_invariants):
     assert abs(frac - 0.5) < 3.0 * sigma
 
     # A noiseless pipeline never produces a single wrong sifted bit.
-    clean = _with_detectors(cfg.at_length(0.0), dark_prob=0.0, afterpulse_total=0.0)
+    clean = _with_detector(cfg.at_length(0.0), dark_prob=0.0, afterpulse_total=0.0)
     clean = dataclasses.replace(
         clean,
         receiver=dataclasses.replace(

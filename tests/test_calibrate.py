@@ -44,7 +44,7 @@ class TestIdempotency:
     def test_operating_point_preserved(self, cfg, fitted):
         config, _ = fitted
         assert config.channel == cfg.channel
-        assert config.receiver.eta_bob == cfg.receiver.eta_bob
+        assert config.receiver.detector.efficiency == cfg.receiver.detector.efficiency
         assert config.protocol == cfg.protocol
 
 

@@ -1,5 +1,8 @@
 """Tests for config parsing, validation and round-tripping."""
 
+import re
+from importlib import resources
+
 import pytest
 
 from qkdlink.config import (
@@ -10,6 +13,9 @@ from qkdlink.config import (
     parse_config,
     save_config,
 )
+
+
+SHIPPED = resources.files("qkdlink.data").joinpath("default.cfg").read_text("utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -23,20 +29,29 @@ class TestDefaultConfig:
         assert cfg.source.mu == 0.2
         assert cfg.channel.attenuation == 0.195
         assert cfg.channel.compensated is False
-        assert cfg.receiver.eta_bob == 0.06
-        assert cfg.receiver.detector_a.gate_window == 265.0
+        assert cfg.receiver.detector.efficiency == 0.06
+        assert cfg.receiver.detector.gate_window == 265.0
         assert cfg.protocol.f_ec == 1.10
 
     def test_gate_period_from_clock(self, cfg):
         assert cfg.source.gate_period == pytest.approx(965.2509653, abs=1e-6)
 
-    def test_detectors_match(self, cfg):
-        assert cfg.receiver.detector_a == cfg.receiver.detector_b
+    def test_detectors_match(self):
+        # The file stores the matched pair's one response under both prefixes.
+        def block(prefix):
+            return [line.removeprefix(prefix) for line in SHIPPED.splitlines()
+                    if line.startswith(prefix)]
+
+        assert len(block("detector_a.")) == 7
+        assert block("detector_a.") == block("detector_b.")
 
 
 class TestParsing:
     def test_round_trip_is_exact(self, cfg, text):
         assert parse_config(text) == cfg
+
+    def test_dumps_reproduces_the_shipped_file(self, text):
+        assert text == SHIPPED
 
     def test_dumps_is_deterministic(self, cfg, text):
         assert dumps_config(cfg) == text
@@ -94,8 +109,28 @@ class TestSemanticValidation:
         with pytest.raises(ConfigError, match="gate_window"):
             parse_config(bad)
 
+    # Keys whose value can only copy another one, and the name the error gives.
+    COPIES = [
+        *((f"detector_b.{key}", f"receiver.detector_b.{field}") for field, key in (
+            ("efficiency", "efficiency"), ("dark_prob", "dark_prob"),
+            ("afterpulse_total", "afterpulse_total"),
+            ("afterpulse_decay", "afterpulse_decay_ns"), ("gate_window", "gate_window_ps"),
+            ("dead_time", "dead_time_ns"), ("jitter_fwhm", "jitter_fwhm_ps"),
+        )),
+        ("receiver.eta_bob", "receiver.eta_bob"),
+    ]
+
+    @pytest.mark.parametrize("key,name", COPIES, ids=[key for key, _ in COPIES])
+    def test_copy_key_is_pinned(self, text, key, name):
+        lines = text.splitlines()
+        edited = [f"{key} = 0.7" if line.startswith(f"{key} = ") else line for line in lines]
+        assert edited != lines
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            parse_config("\n".join(edited))
+
     def test_sift_factor_is_pinned(self, text):
         bad = text.replace("protocol.sift_factor = 0.5", "protocol.sift_factor = 0.7")
+        assert bad != text
         with pytest.raises(ConfigError, match="sift_factor"):
             parse_config(bad)
 

@@ -16,7 +16,7 @@ from qkdlink.keyrate import (
 )
 from qkdlink.params import ParameterError, ProtocolConstants
 
-CONSTS = ProtocolConstants(f_ec=1.10, sift_factor=0.5)
+CONSTS = ProtocolConstants(f_ec=1.10)
 
 
 def entropy2(p: float) -> float:
@@ -93,7 +93,7 @@ class TestQberThreshold:
 
     def test_value_for_shannon_limit_correction(self):
         # With ideal error correction the cutoff sits at the familiar 11.0%.
-        ideal = ProtocolConstants(f_ec=1.0, sift_factor=0.5)
+        ideal = ProtocolConstants(f_ec=1.0)
         assert qber_threshold(ideal) == pytest.approx(0.110028, abs=1e-5)
 
     def test_threshold_saturates_the_rate_formula(self):
@@ -104,8 +104,8 @@ class TestQberThreshold:
         assert secure_rate(1e9, e_star - 1e-9, CONSTS) > 0.0
 
     def test_higher_overhead_lowers_threshold(self):
-        loose = qber_threshold(ProtocolConstants(f_ec=1.0, sift_factor=0.5))
-        tight = qber_threshold(ProtocolConstants(f_ec=1.3, sift_factor=0.5))
+        loose = qber_threshold(ProtocolConstants(f_ec=1.0))
+        tight = qber_threshold(ProtocolConstants(f_ec=1.3))
         assert tight < qber_threshold(CONSTS) < loose
 
 
@@ -122,15 +122,12 @@ class TestRateResult:
                 raw_rate=100.0, qber=0.03, secure_rate=-1.0, eta_bob=0.06, length=5.6
             )
 
-    def test_is_secure_flag(self):
+    def test_zero_secure_rate_accepted(self):
+        # A link past the error threshold yields no key rather than failing.
         dead = RateResult(
             raw_rate=100.0, qber=0.2, secure_rate=0.0, eta_bob=0.06, length=5.6
         )
-        live = RateResult(
-            raw_rate=100.0, qber=0.03, secure_rate=10.0, eta_bob=0.06, length=5.6
-        )
-        assert not dead.is_secure
-        assert live.is_secure
+        assert dead.secure_rate == 0.0
 
 
 class TestEvaluatePoint:
@@ -149,13 +146,12 @@ class TestEvaluatePoint:
         assert result.secure_rate == pytest.approx(
             secure_rate(raw, breakdown.total, config.protocol), rel=1e-12
         )
-        assert result.eta_bob == config.receiver.eta_bob
+        assert result.eta_bob == config.receiver.detector.efficiency
         assert result.length == 5.6
 
     def test_long_span_yields_no_key(self, cfg):
         result, _ = evaluate_point(cfg.at_length(110.0))
         assert result.secure_rate == 0.0
-        assert not result.is_secure
 
 
 class TestBiasOptimization:

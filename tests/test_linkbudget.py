@@ -94,15 +94,13 @@ class TestGateAcceptance:
         return link_timing(source, channel, receiver or cfg.receiver)
 
     def test_narrow_pulse_fully_accepted(self, cfg):
-        det_a = replace(cfg.receiver.detector_a, jitter_fwhm=0.0)
-        det_b = replace(cfg.receiver.detector_b, jitter_fwhm=0.0)
-        receiver = replace(cfg.receiver, detector_a=det_a, detector_b=det_b)
+        det = replace(cfg.receiver.detector, jitter_fwhm=0.0)
+        receiver = replace(cfg.receiver, detector=det)
         acceptance, _ = self.timing(cfg, 1e-6, receiver)
         assert acceptance == pytest.approx(1.0, abs=1e-12)
 
     def test_very_broad_pulse_approaches_window_duty_cycle(self, cfg):
-        det = cfg.receiver.detector_a
-        duty = det.gate_window / det.gate_period
+        duty = cfg.receiver.detector.gate_window / cfg.source.gate_period
         acceptance, _ = self.timing(cfg, 5e5)
         assert acceptance == pytest.approx(duty, rel=1e-3)
 
@@ -136,7 +134,7 @@ class TestLinkTiming:
 class TestClickProbabilities:
     def test_composition(self, cfg):
         clicks = click_probabilities(cfg.source, cfg.channel, cfg.receiver)
-        dark = cfg.receiver.detector_a.dark_prob
+        dark = cfg.receiver.detector.dark_prob
         p_dark = 1.0 - (1.0 - dark) ** 2
         assert clicks.p_dark == pytest.approx(p_dark, rel=1e-12)
         combined = 1.0 - (1.0 - clicks.p_signal) * (1.0 - clicks.p_dark)
@@ -159,7 +157,7 @@ class TestDeadTimeBlocking:
     def test_nominal_count_from_geometry(self, cfg):
         # 7.7 ns hold-off spans 7 full gates beyond the window plus one
         # partially covered boundary gate.
-        split = linkbudget._blocked_gate_split(cfg.receiver.detector_a)
+        split = linkbudget._blocked_gate_split(cfg.receiver.detector, cfg.source.gate_period)
         assert split == (7, [8])
 
     def test_effective_count_brackets(self, cfg):
@@ -167,8 +165,8 @@ class TestDeadTimeBlocking:
         assert 7.0 <= blocked <= 8.0
 
     def test_zero_dead_time_blocks_nothing(self, cfg):
-        det = replace(cfg.receiver.detector_a, dead_time=0.0)
-        receiver = replace(cfg.receiver, detector_a=det, detector_b=det)
+        det = replace(cfg.receiver.detector, dead_time=0.0)
+        receiver = replace(cfg.receiver, detector=det)
         assert effective_blocked_gates(cfg.source, cfg.channel, receiver) == 0.0
 
 
@@ -239,18 +237,9 @@ def _kernel_caches():
     }
 
 
-def _with_detectors(cfg, **changes):
-    det_a = replace(cfg.receiver.detector_a, **changes)
-    det_b = replace(cfg.receiver.detector_b, **changes)
-    return replace(cfg, receiver=replace(cfg.receiver, detector_a=det_a, detector_b=det_b))
-
-
-def _at_efficiency(cfg, eta):
-    """``cfg`` with ``eta_bob`` and both detectors' efficiency moved to ``eta``
-    together, as a valid receiver requires; nothing else moves."""
-    det = replace(cfg.receiver.detector_a, efficiency=eta)
-    receiver = replace(cfg.receiver, eta_bob=eta, detector_a=det, detector_b=det)
-    return replace(cfg, receiver=receiver)
+def _with_detector(cfg, **changes):
+    det = replace(cfg.receiver.detector, **changes)
+    return replace(cfg, receiver=replace(cfg.receiver, detector=det))
 
 
 def _at_equal_signal(cfg, changed):
@@ -263,10 +252,11 @@ def _at_equal_signal(cfg, changed):
         return click_probabilities(c.source, c.channel, c.receiver).p_signal
 
     target = p_signal_of(cfg)
-    # The mean detected photon number is proportional to eta_bob.
-    eta = changed.receiver.eta_bob * math.log1p(-target) / math.log1p(-p_signal_of(changed))
+    # The mean detected photon number is proportional to the efficiency.
+    eta = (changed.receiver.detector.efficiency
+           * math.log1p(-target) / math.log1p(-p_signal_of(changed)))
     for _ in range(64):
-        candidate = _at_efficiency(changed, eta)
+        candidate = _with_detector(changed, efficiency=eta)
         p_signal = p_signal_of(candidate)
         if p_signal == target:
             return candidate
@@ -278,7 +268,7 @@ class TestCacheKeys:
     """A memoized kernel whose key misses an input would hand one config's
     value to another; evaluating in both orders exposes that."""
 
-    ALL = {"dark_prob", "jitter_fwhm", "side_mode_weight", "dead_time", "eta_bob", "length"}
+    ALL = {"dark_prob", "jitter_fwhm", "side_mode_weight", "dead_time", "efficiency", "length"}
     # Inputs each public function depends on, of those perturbed below.
     DEPENDS = {
         "link_timing": {"jitter_fwhm", "side_mode_weight", "length"},
@@ -289,11 +279,11 @@ class TestCacheKeys:
     @staticmethod
     def variants(cfg):
         one_input = {
-            "dark_prob": _with_detectors(cfg, dark_prob=3.0 * cfg.receiver.detector_a.dark_prob),
-            "jitter_fwhm": _with_detectors(cfg, jitter_fwhm=45.0),
+            "dark_prob": _with_detector(cfg, dark_prob=3.0 * cfg.receiver.detector.dark_prob),
+            "jitter_fwhm": _with_detector(cfg, jitter_fwhm=45.0),
             "side_mode_weight": replace(cfg, source=replace(cfg.source, side_mode_weight=0.2)),
-            "dead_time": _with_detectors(cfg, dead_time=7.5),
-            "eta_bob": _at_efficiency(cfg, 0.08),
+            "dead_time": _with_detector(cfg, dead_time=7.5),
+            "efficiency": _with_detector(cfg, efficiency=0.08),
             "length": cfg.at_length(25.3),
         }
         equal_signal = [

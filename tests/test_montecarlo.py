@@ -33,11 +33,10 @@ from qkdlink.params import ParameterError
 PERIOD = 1e12 / 1.036e9
 
 
-def with_detectors(config, **changes):
-    """Copy of ``config`` with both detectors modified identically."""
-    det_a = dataclasses.replace(config.receiver.detector_a, **changes)
-    det_b = dataclasses.replace(config.receiver.detector_b, **changes)
-    receiver = dataclasses.replace(config.receiver, detector_a=det_a, detector_b=det_b)
+def with_detector(config, **changes):
+    """Copy of ``config`` with the detector pair's response modified."""
+    det = dataclasses.replace(config.receiver.detector, **changes)
+    receiver = dataclasses.replace(config.receiver, detector=det)
     return dataclasses.replace(config, receiver=receiver)
 
 
@@ -101,7 +100,7 @@ class TestSimulate:
     )
     def test_random_matched_pair_configs(self, cfg, scan_stream_invariants, length,
                                          compensated, mu, seed, **detector):
-        config = with_detectors(cfg.at_length(length, compensated), **detector)
+        config = with_detector(cfg.at_length(length, compensated), **detector)
         config = dataclasses.replace(config, source=dataclasses.replace(config.source, mu=mu))
         scan_stream_invariants(simulate(config, 20_000, seed=seed), config)
         rate, qber = keyrate.evaluate_point(config)
@@ -126,7 +125,7 @@ class TestSimulate:
         assert 0 < len(result.tags) < 50
 
     def test_silent_when_source_and_darks_off(self, cfg):
-        dead = with_detectors(
+        dead = with_detector(
             dataclasses.replace(cfg, source=dataclasses.replace(cfg.source, mu=0.0)),
             dark_prob=0.0,
         )
@@ -135,7 +134,7 @@ class TestSimulate:
 
     def test_afterpulsing_inflates_tag_count(self, cfg):
         config = cfg.at_length(5.6)
-        quiet = with_detectors(config, afterpulse_total=0.0)
+        quiet = with_detector(config, afterpulse_total=0.0)
         n = 2_000_000
         with_ap = len(simulate(config, n, seed=3).tags)
         without = len(simulate(quiet, n, seed=3).tags)
@@ -164,9 +163,9 @@ class TestSimulate:
         bright = dataclasses.replace(cfg.at_length(0.0), source=dataclasses.replace(cfg.source, mu=5.0))
         n = 100_000
         candidates = simulate(
-            with_detectors(bright, afterpulse_total=0.0), n, seed=0
+            with_detector(bright, afterpulse_total=0.0), n, seed=0
         ).meta["events_generated"]
-        cascade = with_detectors(bright, afterpulse_total=0.95)
+        cascade = with_detector(bright, afterpulse_total=0.95)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError):
@@ -213,8 +212,8 @@ class TestCandidateLaw:
     N = 50_000
 
     def test_photon_count_is_poisson(self, cfg):
-        config = with_detectors(cfg.at_length(5.6), dark_prob=0.0, afterpulse_total=0.0)
-        det = config.receiver.detector_a
+        config = with_detector(cfg.at_length(5.6), dark_prob=0.0, afterpulse_total=0.0)
+        det = config.receiver.detector
         m = (
             config.source.mu
             * linkbudget.transmittance(config.channel.length, config.channel.attenuation)
@@ -226,7 +225,7 @@ class TestCandidateLaw:
 
     def test_dark_count_is_binomial(self, cfg):
         p = 1e-3
-        config = with_detectors(
+        config = with_detector(
             dataclasses.replace(cfg, source=dataclasses.replace(cfg.source, mu=0.0)),
             dark_prob=p,
             afterpulse_total=0.0,
@@ -272,7 +271,7 @@ class TestGateResponse:
     """The engine's hold-off / afterpulse sweep for one detector."""
 
     def sweep(self, cfg, gates, rng, n_gates, **changes):
-        det = dataclasses.replace(cfg.receiver.detector_a, **changes)
+        det = dataclasses.replace(cfg.receiver.detector, **changes)
         clicks, _ = _sweep(det, gates, np.full(len(gates), 0.5 * PERIOD), rng, n_gates)
         return clicks
 
@@ -285,7 +284,7 @@ class TestGateResponse:
     def test_afterpulse_yield_per_click(self, cfg):
         """A lone detection drags a cascade of afterpulses behind it; each
         click spawns Poisson(p) more, so the mean cascade size is p/(1-p)."""
-        pa = cfg.receiver.detector_a.afterpulse_total
+        pa = cfg.receiver.detector.afterpulse_total
         rng = np.random.default_rng(2024)
         trials, horizon = 4000, 350
         extra = 0
@@ -302,7 +301,7 @@ class TestSweepBoundaries:
 
     def det(self, cfg, **changes):
         changes.setdefault("afterpulse_total", 0.0)
-        return dataclasses.replace(cfg.receiver.detector_a, **changes)
+        return dataclasses.replace(cfg.receiver.detector, **changes)
 
     def test_empty_input(self, cfg):
         gates, offsets = _sweep(self.det(cfg, afterpulse_total=0.5), [], [],
@@ -394,7 +393,7 @@ class TestSweepOracle:
     )
     def test_matches_brute_force(self, cfg, pa, dead_ns, decay_ns):
         det = dataclasses.replace(
-            cfg.receiver.detector_a, afterpulse_total=pa, dead_time=dead_ns, afterpulse_decay=decay_ns
+            cfg.receiver.detector, afterpulse_total=pa, dead_time=dead_ns, afterpulse_decay=decay_ns
         )
         layout = np.random.default_rng(7)
         gates = np.sort(layout.integers(0, 300, 60))  # clusters and shared gates
@@ -445,7 +444,7 @@ def test_vectorized_resolution_is_exact(cfg):
     layout = np.random.default_rng(99)
     for trial in range(30):
         det = dataclasses.replace(
-            cfg.receiver.detector_a,
+            cfg.receiver.detector,
             afterpulse_total=float(layout.uniform(0.0, 0.9)),
             dead_time=float(layout.choice([0.0, 0.3, 1.0, 2.0, 7.7, 20.0])),
         )

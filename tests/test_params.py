@@ -1,11 +1,11 @@
 import math
-import re
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qkdlink.params import (
+    SIFT_FACTOR,
     CalibrationParams,
     ChannelParams,
     DetectorParams,
@@ -21,7 +21,7 @@ PERIOD = 1e12 / 1.036e9
 def make_detector(**overrides):
     base = dict(
         efficiency=0.06, dark_prob=6.6e-6, afterpulse_total=0.06,
-        afterpulse_decay=30.0, gate_period=PERIOD, gate_window=265.0,
+        afterpulse_decay=30.0, gate_window=265.0,
         dead_time=7.7, jitter_fwhm=60.0,
     )
     base.update(overrides)
@@ -70,14 +70,17 @@ class TestDetectorParams:
         assert det.jitter_sigma == pytest.approx(60.0 / (2.0 * math.sqrt(2.0 * math.log(2.0))))
         assert det.jitter_sigma == pytest.approx(25.4796, abs=1e-3)
 
-    def test_window_cannot_exceed_period(self):
-        with pytest.raises(ParameterError):
-            make_detector(gate_window=PERIOD + 1.0)
+    def test_window_cannot_exceed_period(self, cfg):
+        # The gates run on the source clock, so the system config checks this.
+        wide = replace(cfg.receiver, detector=make_detector(gate_window=PERIOD + 1.0))
+        with pytest.raises(ParameterError, match="gate_window"):
+            replace(cfg, receiver=wide)
 
     @pytest.mark.parametrize(
         "field,value",
         [("efficiency", -0.01), ("efficiency", 1.5), ("dark_prob", -1e-9),
-         ("afterpulse_total", 1.0), ("dead_time", -1.0), ("jitter_fwhm", -1.0)],
+         ("afterpulse_total", 1.0), ("gate_window", 0.0), ("dead_time", -1.0),
+         ("jitter_fwhm", -1.0)],
     )
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ParameterError):
@@ -86,45 +89,25 @@ class TestDetectorParams:
 
 class TestReceiverParams:
     def test_optical_error_combines_visibility_and_modulator(self):
-        det = make_detector()
-        rec = ReceiverParams(eta_bob=0.06, visibility=0.994,
-                             mismodulation_error=0.006,
-                             detector_a=det, detector_b=det)
+        rec = ReceiverParams(visibility=0.994, mismodulation_error=0.006,
+                             detector=make_detector())
         assert rec.optical_error == pytest.approx((1 - 0.994) / 2 + 0.006)
         assert rec.optical_error == pytest.approx(0.009)
-
-    # A value that differs from make_detector()'s, for every detector field.
-    OTHER = dict(efficiency=0.05, dark_prob=1e-5, afterpulse_total=0.05,
-                 afterpulse_decay=20.0, gate_period=900.0, gate_window=200.0,
-                 dead_time=5.0, jitter_fwhm=30.0)
-
-    @pytest.mark.parametrize("field", [f.name for f in fields(DetectorParams)] + ["eta_bob"])
-    def test_mismatched_pair_rejected(self, field):
-        # Both engines model one detector response for the pair.
-        det = make_detector()
-        if field == "eta_bob":
-            eta_bob, other, name = 0.08, det, "receiver.eta_bob"
-        else:
-            eta_bob, name = 0.06, f"receiver.detector_b.{field}"
-            other = make_detector(**{field: self.OTHER[field]})
-        with pytest.raises(ParameterError, match=re.escape(name)):
-            ReceiverParams(eta_bob=eta_bob, visibility=0.994,
-                           mismodulation_error=0.006,
-                           detector_a=det, detector_b=other)
 
 
 class TestProtocolConstants:
     def test_defaults(self):
-        consts = ProtocolConstants(f_ec=1.10)
-        assert consts.sift_factor == 0.5
+        assert ProtocolConstants(f_ec=1.10).f_ec == 1.10
 
     def test_f_ec_below_shannon_limit_rejected(self):
         with pytest.raises(ParameterError):
             ProtocolConstants(f_ec=0.99)
 
     def test_sift_factor_is_pinned_to_half(self):
-        # Basis choices are uniform on both sides; anything else is a bug.
-        with pytest.raises(ParameterError):
+        # Basis choices are uniform on both sides; the factor is a constant,
+        # not a field that a caller could set to anything else.
+        assert SIFT_FACTOR == 0.5
+        with pytest.raises(TypeError):
             ProtocolConstants(f_ec=1.10, sift_factor=0.4)
 
 
@@ -165,11 +148,10 @@ class TestCalibrationParams:
 
 
 class TestSystemConfig:
-    def test_gate_period_must_match_clock(self, cfg):
-        bad_det = replace(cfg.receiver.detector_a, gate_period=900.0)
-        receiver = replace(cfg.receiver, detector_a=bad_det, detector_b=bad_det)
-        with pytest.raises(ParameterError, match="gate_period"):
-            replace(cfg, receiver=receiver)
+    def test_clock_period_must_exceed_window(self, cfg):
+        # At 5 GHz the 200 ps clock period is shorter than the 265 ps window.
+        with pytest.raises(ParameterError, match="gate_window"):
+            replace(cfg, source=replace(cfg.source, clock_rate=5e9))
 
     def test_at_length_keeps_compensation_by_default(self, cfg):
         moved = cfg.at_length(40.0)
@@ -183,16 +165,15 @@ class TestSystemConfig:
     def test_at_bias_rebuilds_both_detectors(self, cfg):
         rebiased = cfg.at_bias(0.10)
         cal = cfg.calibration
-        for det in (rebiased.receiver.detector_a, rebiased.receiver.detector_b):
-            assert det.efficiency == 0.10
-            assert det.dark_prob == pytest.approx(cal.dark_at(0.10))
-            assert det.afterpulse_total == pytest.approx(cal.afterpulse_at(0.10))
-        assert rebiased.receiver.eta_bob == 0.10
+        det = rebiased.receiver.detector
+        assert det.efficiency == 0.10
+        assert det.dark_prob == pytest.approx(cal.dark_at(0.10))
+        assert det.afterpulse_total == pytest.approx(cal.afterpulse_at(0.10))
 
     def test_at_bias_identity_at_operating_point(self, cfg):
-        same = cfg.at_bias(cfg.receiver.eta_bob)
-        assert same.receiver.detector_a.dark_prob == pytest.approx(
-            cfg.receiver.detector_a.dark_prob, rel=1e-12
+        same = cfg.at_bias(cfg.receiver.detector.efficiency)
+        assert same.receiver.detector.dark_prob == pytest.approx(
+            cfg.receiver.detector.dark_prob, rel=1e-12
         )
 
     def test_channel_validation(self):

@@ -17,7 +17,7 @@ from qkdlink.protocol import (
     write_sifted_key,
 )
 
-CONSTS = ProtocolConstants(f_ec=1.10, sift_factor=0.5)
+CONSTS = ProtocolConstants(f_ec=1.10)
 
 
 def route(bit, basis, bob_basis, visibility=1.0, flip=0):

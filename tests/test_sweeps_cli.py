@@ -13,23 +13,24 @@ from qkdlink.linkbudget import QberBreakdown
 from qkdlink.montecarlo import read_binary_dump
 from qkdlink.params import ParameterError
 
-# Stands in for a config file, written per test, whose detector_b.dark_prob
-# differs from detector_a's.
-MISMATCHED_CFG = "<mismatched.cfg>"
+# Stand-ins for config files, written per test: the shipped config with the
+# value of one key replaced.
+EDITED_CFGS = {
+    "<dark-prob-mismatch.cfg>": ("detector_b.dark_prob", "1e-5"),
+    "<dark-slope.cfg>": ("calibration.dark_slope", "1000.0"),
+    "<gamma.cfg>": ("calibration.gamma", "1000.0"),
+}
 
 HEADER = "length_km,raw_hz,qber,e_opt,e_afterpulse,e_dark,e_interclock,secure_hz,compensated"
 
 
 def quiet_copy(config):
     """Source and dark counts off: the channel produces no events at all."""
-    det_a = dataclasses.replace(config.receiver.detector_a, dark_prob=0.0)
-    det_b = dataclasses.replace(config.receiver.detector_b, dark_prob=0.0)
+    det = dataclasses.replace(config.receiver.detector, dark_prob=0.0)
     return dataclasses.replace(
         config,
         source=dataclasses.replace(config.source, mu=0.0),
-        receiver=dataclasses.replace(
-            config.receiver, detector_a=det_a, detector_b=det_b
-        ),
+        receiver=dataclasses.replace(config.receiver, detector=det),
     )
 
 
@@ -317,22 +318,41 @@ class TestCli:
                 id="histogram-mu-inf",
             ),
             pytest.param(
-                ["simulate", "--config", MISMATCHED_CFG, "--pulses", "1000"],
+                ["simulate", "--config", "<dark-prob-mismatch.cfg>", "--pulses", "1000"],
                 "receiver.detector_b.dark_prob", id="config-dark-prob-mismatch",
+            ),
+            pytest.param(
+                ["histogram", "--mu", "1000", "--length", "0", "--pulses", "1000000"],
+                "event budget", id="histogram-over-event-budget",
+            ),
+            pytest.param(
+                ["histogram", "--mu", "1e30", "--pulses", "1000"], "event budget",
+                id="histogram-mean-too-large-to-draw",
+            ),
+            pytest.param(
+                ["sweep-bias", "--config", "<dark-slope.cfg>", "--etas", "1.0"],
+                "calibration.dark_slope", id="sweep-bias-dark-coupling-overflow",
+            ),
+            pytest.param(
+                ["sweep-bias", "--config", "<gamma.cfg>", "--etas", "1.0"],
+                "calibration.gamma", id="sweep-bias-afterpulse-coupling-overflow",
             ),
         ],
     )
     def test_invalid_input_exits_2_without_traceback(self, argv, message, cfg, tmp_path,
                                                      capsys):
-        if MISMATCHED_CFG in argv:
-            from qkdlink.config import dumps_config
+        for i, arg in enumerate(argv):
+            if arg in EDITED_CFGS:
+                from qkdlink.config import dumps_config
 
-            text = dumps_config(cfg)
-            dark = f"detector_b.dark_prob = {cfg.receiver.detector_b.dark_prob!r}"
-            assert dark in text
-            path = tmp_path / "mismatched.cfg"
-            path.write_text(text.replace(dark, "detector_b.dark_prob = 1e-5"))
-            argv = [str(path) if arg == MISMATCHED_CFG else arg for arg in argv]
+                key, value = EDITED_CFGS[arg]
+                lines = dumps_config(cfg).splitlines()
+                edited = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
+                          for line in lines]
+                assert edited != lines
+                path = tmp_path / "edited.cfg"
+                path.write_text("\n".join(edited) + "\n")
+                argv = [*argv[:i], str(path), *argv[i + 1:]]
         rc = main(argv)
         captured = capsys.readouterr()
         assert rc == 2
