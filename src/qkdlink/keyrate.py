@@ -75,17 +75,12 @@ def secure_rate(raw: float, qber: float, consts: ProtocolConstants) -> float:
 def qber_threshold(consts: ProtocolConstants) -> float:
     """Error rate at which the distillable key vanishes.
 
-    Root of ``(1 + f_ec) * H(e) = 1`` on (0, 0.5), located by bracketed
-    bisection refinement well past 1e-9 accuracy.
+    Root of :func:`key_yield` on (0, 0.5), located by bracketed bisection
+    refinement well past 1e-9 accuracy.
     """
     from scipy.optimize import brentq  # deferred: only this solve needs SciPy
 
-    target = 1.0 / (1.0 + consts.f_ec)
-
-    def residual(e: float) -> float:
-        return binary_entropy(e) - target
-
-    return float(brentq(residual, 1e-15, 0.5, xtol=1e-13, rtol=8.9e-16))
+    return float(brentq(key_yield, 1e-15, 0.5, args=(consts,), xtol=1e-13, rtol=8.9e-16))
 
 
 def evaluate_point(config: SystemConfig):

@@ -1,8 +1,10 @@
 """Stochastic event engine for the gated QKD link.
 
-Alice's bit/basis pair and Bob's basis are drawn for every clock cycle,
-as packed random bytes.  Everything else is drawn per event, so its cost
-scales with the events rather than the clock cycles: the engine draws how
+Alice's bit/basis pair and Bob's basis are pure functions of the run's
+seed and the global clock index (a counter-based SplitMix64 mix), evaluated
+only at the clocks that are read: emitting clocks, detection gates and
+tagged clocks.  Everything else is drawn per event, so the cost of a run
+scales with its events rather than its clock cycles: the engine draws how
 many photons survive the fiber and how many dark counts each detector
 sees, then places them on uniform clocks (Poisson superposition and
 uniform subsets, exact in law for per-gate Poisson photons and Bernoulli
@@ -34,6 +36,7 @@ from .params import ParameterError, SystemConfig
 
 __all__ = [
     "ResourceLimitError",
+    "ClockBits",
     "AliceLog",
     "TimeTagStream",
     "SimulationResult",
@@ -61,17 +64,82 @@ _RECORD = np.dtype([("clock", "<u8"), ("detector", "u1"), ("ps", "<u4")])
 # Largest Poisson mean NumPy's generators can draw (their POISSON_LAM_MAX).
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl increment and the
+# two multipliers of the output finalizer.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+
+# Bit of the clock mix that carries each per-clock column.
+ALICE_BIT, ALICE_BASIS, BOB_BASIS = 63, 62, 61
+
 
 class ResourceLimitError(RuntimeError):
     """Raised when a run would generate more events than allowed."""
 
 
+def _clock_mix(key: int, clocks) -> np.ndarray:
+    """SplitMix64 output number ``clock`` of the stream seeded with ``key``.
+
+    ``z = (clock + 1) * golden + key``, then the standard finalizer.  Each
+    clock's value depends on nothing else, so any set of clocks costs
+    O(its size) (a counter-based generator: Salmon et al., SC'11).
+    Clocks are taken modulo 2**64.
+    """
+    z = (np.asarray(clocks).astype(np.uint64) + np.uint64(1)) * _GOLDEN + np.uint64(key)
+    z ^= z >> np.uint64(30)
+    z *= _MIX_1
+    z ^= z >> np.uint64(27)
+    z *= _MIX_2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _mix_bit(z: np.ndarray, bit: int) -> np.ndarray:
+    """Bit ``bit`` of each mixed value, as uint8 0/1."""
+    return ((z >> np.uint64(bit)) & np.uint64(1)).astype(np.uint8)
+
+
+@dataclass(frozen=True)
+class ClockBits:
+    """One per-clock 0/1 column, evaluated only at the clocks it is read at.
+
+    Entry ``i`` is bit ``bit`` of the run's clock mix at clock ``i``; the
+    column is ``n_clocks`` long but stores nothing per clock.  Index it
+    with a 1-D integer clock array.  A clock outside ``[0, n_clocks)``
+    raises :class:`IndexError`, and converting the whole column to an
+    array raises :class:`TypeError`.
+    """
+
+    key: int
+    bit: int
+    n_clocks: int
+
+    def __len__(self) -> int:
+        return self.n_clocks
+
+    def __getitem__(self, clocks) -> np.ndarray:
+        clocks = np.asarray(clocks)
+        if clocks.ndim != 1 or clocks.dtype.kind not in "iu":
+            raise TypeError("a clock column is indexed by a 1-D integer clock array")
+        if clocks.size and (clocks.min() < 0 or clocks.max() >= self.n_clocks):
+            raise IndexError(f"clock index outside the {self.n_clocks}-clock run")
+        return _mix_bit(_clock_mix(self.key, clocks), self.bit)
+
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError("a clock column is evaluated at clocks; index it with a clock array")
+
+
 @dataclass(frozen=True)
 class AliceLog:
-    """Alice's per-clock preparation record; entry ``i`` is clock ``i``."""
+    """Alice's per-clock preparation record; entry ``i`` is clock ``i``.
 
-    bit: np.ndarray
-    basis: np.ndarray
+    The engine fills both fields with :class:`ClockBits`, read at clock
+    arrays; any equal-length arrays work too.
+    """
+
+    bit: ClockBits | np.ndarray
+    basis: ClockBits | np.ndarray
 
     def __post_init__(self) -> None:
         if len(self.bit) != len(self.basis):
@@ -112,7 +180,7 @@ class SimulationResult:
 
     alice: AliceLog
     tags: TimeTagStream
-    bob_bases: np.ndarray
+    bob_bases: ClockBits
 
     @property
     def meta(self) -> dict:
@@ -209,12 +277,6 @@ def _sweep_detector(gates, offsets, det, ap_rng, period, n_gates, budget):
     return gate[fired], off[fired]
 
 
-def _random_bits(rng, n):
-    """``n`` fair 0/1 draws as uint8, unpacked from ``ceil(n / 8)`` random bytes."""
-    packed = rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8)
-    return np.unpackbits(packed, count=n)
-
-
 def _candidate_counts(config, n_gates, rng, budget):
     """Draw and charge one segment's photon count and per-detector dark counts.
 
@@ -244,12 +306,12 @@ def _candidate_counts(config, n_gates, rng, budget):
     return n_photons, n_darks
 
 
-def _run_segment(config, n_gates, counts, rng, ap_rng, budget):
+def _run_segment(config, n_gates, rng, ap_rng, budget, key, base_clock):
     """Simulate ``n_gates`` consecutive clock cycles with fresh detectors.
 
-    ``counts`` comes from :func:`_candidate_counts` on the same ``rng``.
-    Returns Alice's arrays, Bob's bases, and the squashed tag columns with
-    gate indices local to the segment.
+    Local gate ``g`` is global clock ``base_clock + g``, where the clock
+    mix keyed by ``key`` gives Alice's and Bob's bits.  Returns the
+    squashed tag columns with gate indices local to the segment.
     """
     source = config.source
     channel = config.channel
@@ -259,11 +321,7 @@ def _run_segment(config, n_gates, counts, rng, ap_rng, budget):
     window = det.gate_window
     center = 0.5 * period
     half_window = 0.5 * window
-    n_photons, n_darks = counts
-
-    bits = _random_bits(rng, n_gates)
-    bases = _random_bits(rng, n_gates)
-    bob_bases = _random_bits(rng, n_gates)
+    n_photons, n_darks = _candidate_counts(config, n_gates, rng, budget)
 
     cand_gates = {DETECTOR_A: [], DETECTOR_B: []}
     cand_offsets = {DETECTOR_A: [], DETECTOR_B: []}
@@ -294,8 +352,11 @@ def _run_segment(config, n_gates, counts, rng, ap_rng, budget):
 
         # Interferometer routing against Bob's phase in the gate where the
         # photon is actually detected.
+        mix_emit = _clock_mix(key, emit + base_clock)
+        mix_gate = _clock_mix(key, gate + base_clock)
         p_detector_a = protocol.detector_a_probability(
-            bits[emit], bases[emit], flip, bob_bases[gate], receiver.visibility
+            _mix_bit(mix_emit, ALICE_BIT), _mix_bit(mix_emit, ALICE_BASIS), flip,
+            _mix_bit(mix_gate, BOB_BASIS), receiver.visibility,
         )
         to_a = rng.random(gate.size) < p_detector_a
         ts = center + offset
@@ -344,7 +405,7 @@ def _run_segment(config, n_gates, counts, rng, ap_rng, budget):
         ]
     )
     order = np.argsort(gate_col, kind="stable")
-    return bits, bases, bob_bases, gate_col[order], ts_col[order], det_col[order]
+    return gate_col[order], ts_col[order], det_col[order]
 
 
 def simulate(
@@ -357,13 +418,15 @@ def simulate(
 ) -> SimulationResult:
     """Run the event engine over ``n_pulses`` clock cycles.
 
-    Photon and dark-count candidates are drawn by count and position, so
-    the run costs O(events) plus the per-clock bit and basis columns.
-    Every segment's photon and dark counts are charged against
-    ``max_events`` before any per-clock or per-event array is allocated,
-    and each afterpulse generation's spawn total before its delays and
-    offsets.  ``meta["events_generated"]`` counts photons, darks and every
-    drawn potential afterpulse, including those of blocked candidates.
+    Photon and dark-count candidates are drawn by count and position, and
+    the per-clock bit and basis columns are evaluated only at emitting
+    clocks, detection gates and, later, tagged clocks, so the run costs
+    O(events) in time and memory, whatever ``n_pulses`` is.  Each
+    segment's photon and dark counts are charged against ``max_events``
+    before its per-event arrays are allocated, and each afterpulse
+    generation's spawn total before its delays and offsets.
+    ``meta["events_generated"]`` counts photons, darks and every drawn
+    potential afterpulse, including those of blocked candidates.
 
     Parameters
     ----------
@@ -386,8 +449,10 @@ def simulate(
     Returns
     -------
     SimulationResult
-        Alice's log, Bob's basis record, and the squashed time-tag stream.
-        ``result.meta`` records the seed and stream layout.
+        Alice's log and Bob's basis record (lazy :class:`ClockBits`
+        columns, ``n_pulses`` long, read at clock arrays) and the squashed
+        time-tag stream.  ``result.meta`` records the seed and stream
+        layout.
     """
     if n_pulses < 1:
         raise ParameterError("n_pulses must be at least 1")
@@ -398,39 +463,23 @@ def simulate(
     budget = _EventBudget(max_events)
 
     root = np.random.SeedSequence(seed)
-    children = root.spawn(segments)
+    key = int(root.generate_state(1, np.uint64)[0])
     bounds = np.linspace(0, n_pulses, segments + 1).astype(np.int64)
-
-    # Every segment's event counts are charged before any per-clock column
-    # exists; the columns are then filled segment by segment, so only one
-    # segment's own columns are alive next to the run's.
-    segment_streams = []
-    for s, child in enumerate(children):
-        warm = WARMUP_GATES if s > 0 else 0
-        n_local = int(bounds[s + 1] - bounds[s]) + warm
-        cand_ss, ap_ss = child.spawn(2)
-        rng = np.random.Generator(np.random.Philox(cand_ss))
-        counts = _candidate_counts(config, n_local, rng, budget)
-        segment_streams.append((warm, n_local, counts, rng, ap_ss))
-
-    alice_bit = np.empty(n_pulses, dtype=np.uint8)
-    alice_basis = np.empty(n_pulses, dtype=np.uint8)
-    bob_bases = np.empty(n_pulses, dtype=np.uint8)
     tag_clock_parts = []
     tag_ts_parts = []
     tag_det_parts = []
-    for s, (warm, n_local, counts, rng, ap_ss) in enumerate(segment_streams):
-        own_start = int(bounds[s])
-        own_end = int(bounds[s + 1])
+    for s, child in enumerate(root.spawn(segments)):
+        warm = WARMUP_GATES if s > 0 else 0
+        # Warm-up gates read the bits of the clocks they overlap; before
+        # clock 0 the counter wraps modulo 2**64.
+        base_clock = int(bounds[s]) - warm
+        cand_ss, ap_ss = child.spawn(2)
+        rng = np.random.Generator(np.random.Philox(cand_ss))
         ap_rng = np.random.Generator(np.random.Philox(ap_ss))
-        bits, bases, bob, gates, ts, dets = _run_segment(
-            config, n_local, counts, rng, ap_rng, budget
+        gates, ts, dets = _run_segment(
+            config, int(bounds[s + 1]) - base_clock, rng, ap_rng, budget, key, base_clock
         )
-        base_clock = own_start - warm
         keep = gates >= warm
-        alice_bit[own_start:own_end] = bits[warm:]
-        alice_basis[own_start:own_end] = bases[warm:]
-        bob_bases[own_start:own_end] = bob[warm:]
         tag_clock_parts.append((gates[keep] + base_clock).astype(np.uint64))
         tag_ts_parts.append(ts[keep])
         tag_det_parts.append(dets[keep])
@@ -444,21 +493,25 @@ def simulate(
         "gate_period_ps": source.gate_period,
         "gate_window_ps": config.receiver.detector.gate_window,
         "rng": (
-            "Philox, two spawned streams per segment: sparse candidates "
-            "(photon and dark counts, then packed bit/basis columns, then "
-            "positions), afterpulses (per detector and generation: spawn "
-            "counts per node, then delays, then offsets)"
+            "per-clock columns: SplitMix64 of (clock + 1) * golden + key, key "
+            "= SeedSequence(seed).generate_state(1, uint64), Alice's bit, "
+            "Alice's basis and Bob's basis at bits 63, 62, 61; Philox, two "
+            "spawned streams per segment: sparse candidates (photon and dark "
+            "counts, then positions), afterpulses (per detector and "
+            "generation: spawn counts per node, then delays, then offsets)"
         ),
         "events_generated": budget.used,
     }
-    alice = AliceLog(bit=alice_bit, basis=alice_basis)
+    alice = AliceLog(
+        bit=ClockBits(key, ALICE_BIT, n_pulses), basis=ClockBits(key, ALICE_BASIS, n_pulses)
+    )
     tags = TimeTagStream(
         detector_id=np.concatenate(tag_det_parts),
         clock_index=np.concatenate(tag_clock_parts),
         timestamp=np.concatenate(tag_ts_parts),
         meta=meta,
     )
-    return SimulationResult(alice=alice, tags=tags, bob_bases=bob_bases)
+    return SimulationResult(alice=alice, tags=tags, bob_bases=ClockBits(key, BOB_BASIS, n_pulses))
 
 
 # ---------------------------------------------------------------------------

@@ -98,11 +98,16 @@ def sift(alice, tags, bob_bases) -> SiftedKey:
     bob_bases:
         Bob's per-clock basis choices, aligned with ``alice``.
 
-    Bob's bit is the identity of the detector that fired.  Bit values are
-    never inspected here; only bases and detector identities decide what
+    The three per-clock columns are only read at the tagged clocks, by
+    indexing with a clock array, so the event engine's lazy
+    ``montecarlo.ClockBits`` columns are evaluated there and nowhere else;
+    plain arrays work too, and a list of Bob's bases is converted.  Bob's
+    bit is the identity of the detector that fired.  Bit values are never
+    inspected here; only bases and detector identities decide what
     survives.
     """
-    bob_bases = np.asarray(bob_bases)
+    if isinstance(bob_bases, (list, tuple)):
+        bob_bases = np.asarray(bob_bases)
     n_clocks = len(alice)
     if len(bob_bases) != n_clocks:
         raise ProtocolError("bob_bases must align with Alice's clock record")
@@ -115,7 +120,7 @@ def sift(alice, tags, bob_bases) -> SiftedKey:
     keep = np.flatnonzero(matched)
     return SiftedKey(
         clock_index=tag_clocks[keep],
-        alice_bits=np.asarray(alice.bit)[positions[keep]].astype(np.uint8),
+        alice_bits=alice.bit[positions[keep]].astype(np.uint8),
         bob_bits=np.asarray(tags.detector_id)[keep].astype(np.uint8),
     )
 

@@ -17,6 +17,7 @@ from qkdlink import keyrate, linkbudget, montecarlo
 from qkdlink.cli import main
 from qkdlink.montecarlo import (
     AliceLog,
+    ClockBits,
     ResourceLimitError,
     TimeTagStream,
     fwhm_from_counts,
@@ -28,6 +29,7 @@ from qkdlink.montecarlo import (
     write_binary_dump,
     write_csv_dump,
 )
+from qkdlink import protocol
 from qkdlink.params import ParameterError
 
 PERIOD = 1e12 / 1.036e9
@@ -54,6 +56,23 @@ class TestRecords:
         with pytest.raises(ParameterError):
             AliceLog(bit=np.zeros(1, dtype=np.uint8), basis=np.zeros(2, dtype=np.uint8))
 
+    def test_clock_column_rejects_clocks_outside_the_run(self):
+        column = ClockBits(key=7, bit=63, n_clocks=10)
+        assert len(column) == 10
+        assert column[np.array([0, 9])].dtype == np.uint8
+        for clocks in ([10], [0, 11], [-1], np.array([2**63], dtype=np.uint64)):
+            with pytest.raises(IndexError):
+                column[np.asarray(clocks)]
+
+    def test_clock_column_takes_only_integer_clock_arrays(self):
+        column = ClockBits(key=7, bit=63, n_clocks=10)
+        for index in (3, np.array(3), np.array([1.0]), np.zeros((2, 2), dtype=np.int64)):
+            with pytest.raises(TypeError):
+                column[index]
+        # Never materialized: a whole-column conversion raises at once.
+        with pytest.raises(TypeError):
+            np.asarray(column)
+
     def test_stream_column_mismatch(self):
         with pytest.raises(ParameterError):
             TimeTagStream([0], [1, 2], [3.0, 4.0])
@@ -70,9 +89,38 @@ class TestSimulate:
         assert np.array_equal(a.tags.clock_index, b.tags.clock_index)
         assert np.array_equal(a.tags.detector_id, b.tags.detector_id)
         assert np.array_equal(a.tags.timestamp, b.tags.timestamp)
-        assert np.array_equal(a.alice.bit, b.alice.bit)
-        assert np.array_equal(a.alice.basis, b.alice.basis)
-        assert np.array_equal(a.bob_bases, b.bob_bases)
+        # The per-clock columns are read at clocks, never whole.
+        clocks = np.union1d(a.tags.clock_index.astype(np.int64), _clock_sample(100_000, 1))
+        assert len(a.tags) > 100
+        for column_a, column_b in _columns(a, b):
+            assert np.array_equal(column_a[clocks], column_b[clocks])
+
+    def test_columns_follow_the_global_clock_across_segments(self, cfg):
+        """One seed gives the same per-clock bits at any segment count,
+        on both sides of every segment boundary."""
+        n = 200_000
+        whole = simulate(cfg.at_length(5.6), n, seed=4)
+        split = simulate(cfg.at_length(5.6), n, seed=4, segments=4)
+        clocks = _clock_sample(n, 4)
+        for column_whole, column_split in _columns(whole, split):
+            assert np.array_equal(column_whole[clocks], column_split[clocks])
+        # A different seed moves them.
+        other = simulate(cfg.at_length(5.6), n, seed=5)
+        assert not np.array_equal(whole.alice.bit[clocks], other.alice.bit[clocks])
+
+    def test_billion_clocks_cost_memory_per_event(self, cfg):
+        """A 1e9-clock run and its sifting allocate per event, not per
+        clock: the old per-clock columns alone were 3 GB here."""
+        tracemalloc.start()
+        try:
+            result = simulate(cfg.at_length(101.0), 1_000_000_000, seed=12)
+            key = protocol.sift(result.alice, result.tags, result.bob_bases)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.alice) == len(result.bob_bases) == 1_000_000_000
+        assert key.n_sifted > 10_000
+        assert peak < 64 * 2**20
 
     def test_different_seeds_differ(self, cfg):
         a = simulate(cfg.at_length(5.6), 100_000, seed=5)
@@ -188,6 +236,56 @@ class TestSimulate:
         )
 
 
+def _clock_sample(n_pulses, segments):
+    """Both ends of the run, both sides of each segment boundary, and
+    random clocks between them."""
+    bounds = np.linspace(0, n_pulses, segments + 1).astype(np.int64)
+    edges = np.concatenate([bounds[:-1], bounds[1:] - 1])
+    spread = np.random.default_rng(0).integers(0, n_pulses, 1000)
+    return np.union1d(edges, spread)
+
+
+def _columns(a, b):
+    """Pairs of the matching per-clock columns of two runs."""
+    return (
+        (a.alice.bit, b.alice.bit),
+        (a.alice.basis, b.alice.basis),
+        (a.bob_bases, b.bob_bases),
+    )
+
+
+class TestClockMix:
+    """The counter-based mix behind Alice's and Bob's per-clock columns."""
+
+    def test_known_answer(self):
+        # Reference SplitMix64 seeded with 0: its first three outputs.
+        z = montecarlo._clock_mix(0, np.arange(3))
+        assert z.dtype == np.uint64
+        assert z.tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    def test_columns_are_balanced_and_independent(self, cfg):
+        """Over 2**20 clocks of one run, each column, each pairwise XOR of
+        columns and each column's lag-1 XOR is balanced within 5 sigma."""
+        n = 2**20
+        result = simulate(cfg.at_length(65.5), n, seed=3)
+        clocks = np.arange(n)
+        columns = {
+            "alice bit": result.alice.bit[clocks],
+            "alice basis": result.alice.basis[clocks],
+            "bob basis": result.bob_bases[clocks],
+        }
+        sequences = dict(columns)
+        names = list(columns)
+        for i, first in enumerate(names):
+            for second in names[i + 1:]:
+                sequences[f"{first} ^ {second}"] = columns[first] ^ columns[second]
+        for name, column in columns.items():
+            sequences[f"{name} lag-1"] = column[:-1] ^ column[1:]
+        for name, bits in sequences.items():
+            z = (int(bits.sum()) - 0.5 * bits.size) / math.sqrt(0.25 * bits.size)
+            assert abs(z) < 5.0, f"{name}: {z:+.2f} sigma"
+
+
 def _assert_count_law(counts, mean, var, mu4):
     """Sample mean and variance of ``counts`` within 5 sigma of the law.
 
@@ -243,8 +341,8 @@ class TestStreamLayout:
     recorded.  The digests also move if NumPy changes one of the Generator
     distributions the engine draws from."""
 
-    DUMP_SHA256 = "11e9344af81fdf0a2342459c1f5b9af7a6f3a580fc222da880527ad319fbea18"
-    KEY_SHA256 = "3d2fe0270a3f59d43b3bed21c6c8afa9ab04af415950ed3b38f410ba1719cc06"
+    DUMP_SHA256 = "02593f52ccb2c0c4fc132303048917e542700406ea96eb83a45f82c1c091e440"
+    KEY_SHA256 = "c0cfa52796d9f54fe5a26b070c2c511296b0b75e9a08376503e6240d3824c664"
 
     def test_fixed_seed_output_digests(self, tmp_path):
         dump, key = tmp_path / "tags.bin", tmp_path / "key.txt"
