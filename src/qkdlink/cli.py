@@ -75,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_overrides(p_sim)
     p_sim.add_argument("--segments", type=int, default=1, metavar="N",
-                       help="independently seeded stretches")
+                       help="stretches whose candidates are drawn from independent "
+                            "streams (same law for any N)")
     p_sim.add_argument("--dump-format", choices=("binary", "csv"), default="binary",
                        help="event dump layout for --out")
     p_sim.add_argument("--sifted-key", metavar="PATH",

@@ -14,15 +14,14 @@ afterpulse release, hold-off (dead time) and double-click squashing.  The
 output is Alice's preparation log plus Bob's time-tagged detection stream,
 bit-reproducible for a fixed (config, n_pulses, seed).
 
-The stateful part (hold-off and afterpulse feedback) runs per detector:
-every candidate's potential afterpulse tree is drawn up front, a
-generation at a time, and a chronological sweep over the tree decides
-which nodes fire, in numpy wherever no earlier click can interfere and in
-a short loop over the clustered rest.  Long runs may be split
-into contiguous segments with independent random streams; each later
-segment re-establishes detector equilibrium on a discarded warm-up prefix,
-so segments can be produced independently (and in principle concurrently)
-without sharing state.
+The stateful part (hold-off and afterpulse feedback) runs once per
+detector over the whole run: every candidate's potential afterpulse tree
+is drawn up front, a generation at a time, and a chronological sweep over
+the tree decides which nodes fire, in numpy wherever no earlier click can
+interfere and in a short loop over the clustered rest.  A run may split
+its clocks into contiguous segments whose candidates are drawn from
+independent random streams; the sweep then sees every segment's
+candidates at once, so the output is exact in law for any segment count.
 """
 
 from __future__ import annotations
@@ -53,10 +52,6 @@ __all__ = [
 DETECTOR_A = 0
 DETECTOR_B = 1
 
-# Gates discarded at the start of every segment after the first, long enough
-# for afterpulse memory (tens of ns) to forget the missing history.
-WARMUP_GATES = 10_000
-
 # Binary dump record, packed little-endian (13 bytes, the struct layout
 # ``<QBI``): clock index, detector id, timestamp rounded to ps.
 _RECORD = np.dtype([("clock", "<u8"), ("detector", "u1"), ("ps", "<u4")])
@@ -84,7 +79,6 @@ def _clock_mix(key: int, clocks) -> np.ndarray:
     ``z = (clock + 1) * golden + key``, then the standard finalizer.  Each
     clock's value depends on nothing else, so any set of clocks costs
     O(its size) (a counter-based generator: Salmon et al., SC'11).
-    Clocks are taken modulo 2**64.
     """
     z = (np.asarray(clocks).astype(np.uint64) + np.uint64(1)) * _GOLDEN + np.uint64(key)
     z ^= z >> np.uint64(30)
@@ -306,12 +300,14 @@ def _candidate_counts(config, n_gates, rng, budget):
     return n_photons, n_darks
 
 
-def _run_segment(config, n_gates, rng, ap_rng, budget, key, base_clock):
-    """Simulate ``n_gates`` consecutive clock cycles with fresh detectors.
+def _candidates(config, lo, hi, n_pulses, rng, budget, key):
+    """Photon and dark candidates emitted at clocks ``[lo, hi)``.
 
-    Local gate ``g`` is global clock ``base_clock + g``, where the clock
-    mix keyed by ``key`` gives Alice's and Bob's bits.  Returns the
-    squashed tag columns with gate indices local to the segment.
+    Gates are global clock indices, at which the clock mix keyed by ``key``
+    gives Alice's and Bob's bits.  A photon detected in a gate outside
+    ``[lo, hi)`` is kept as long as that gate lies inside the
+    ``n_pulses``-clock run.  Returns ``(detector, gates, offsets)`` pieces,
+    each detector's photons before its darks.
     """
     source = config.source
     channel = config.channel
@@ -321,14 +317,12 @@ def _run_segment(config, n_gates, rng, ap_rng, budget, key, base_clock):
     window = det.gate_window
     center = 0.5 * period
     half_window = 0.5 * window
-    n_photons, n_darks = _candidate_counts(config, n_gates, rng, budget)
-
-    cand_gates = {DETECTOR_A: [], DETECTOR_B: []}
-    cand_offsets = {DETECTOR_A: [], DETECTOR_B: []}
+    n_photons, n_darks = _candidate_counts(config, hi - lo, rng, budget)
+    pieces = []
 
     # --- photons that reach a detector -------------------------------------
     if n_photons:
-        emit = np.sort(rng.integers(0, n_gates, n_photons))
+        emit = np.sort(rng.integers(lo, hi, n_photons))
         # One mis-modulation draw per emitting clock, shared by its photons.
         clocks, clock_of = np.unique(emit, return_inverse=True)
         flip = (rng.random(clocks.size) < receiver.mismodulation_error)[clock_of]
@@ -347,65 +341,27 @@ def _run_segment(config, n_gates, rng, ap_rng, budget, key, base_clock):
         shift = np.rint(arrival / period).astype(np.int64)
         offset = arrival - shift * period
         gate = emit + shift
-        keep = (np.abs(offset) <= half_window) & (gate >= 0) & (gate < n_gates)
+        keep = (np.abs(offset) <= half_window) & (gate >= 0) & (gate < n_pulses)
         emit, gate, offset, flip = emit[keep], gate[keep], offset[keep], flip[keep]
 
         # Interferometer routing against Bob's phase in the gate where the
         # photon is actually detected.
-        mix_emit = _clock_mix(key, emit + base_clock)
-        mix_gate = _clock_mix(key, gate + base_clock)
+        mix_emit = _clock_mix(key, emit)
+        mix_gate = _clock_mix(key, gate)
         p_detector_a = protocol.detector_a_probability(
             _mix_bit(mix_emit, ALICE_BIT), _mix_bit(mix_emit, ALICE_BASIS), flip,
             _mix_bit(mix_gate, BOB_BASIS), receiver.visibility,
         )
         to_a = rng.random(gate.size) < p_detector_a
         ts = center + offset
-        for det_id, mask in ((DETECTOR_A, to_a), (DETECTOR_B, ~to_a)):
-            cand_gates[det_id].append(gate[mask])
-            cand_offsets[det_id].append(ts[mask])
+        pieces += [(DETECTOR_A, gate[to_a], ts[to_a]), (DETECTOR_B, gate[~to_a], ts[~to_a])]
 
     # --- dark counts: distinct uniform gates per detector ------------------
     for det_id, k in zip((DETECTOR_A, DETECTOR_B), n_darks):
         if k:
-            fired = rng.choice(n_gates, k, replace=False, shuffle=False)
-            cand_gates[det_id].append(np.sort(fired))
-            cand_offsets[det_id].append(center + (rng.random(k) - 0.5) * window)
-
-    # --- hold-off and afterpulses, detector A first -----------------------
-    (gates_a, ts_a), (gates_b, ts_b) = (
-        _sweep_detector(
-            np.concatenate(cand_gates[det_id] or [np.empty(0, dtype=np.int64)]),
-            np.concatenate(cand_offsets[det_id] or [np.empty(0)]),
-            det, ap_rng, period, n_gates, budget,
-        )
-        for det_id in (DETECTOR_A, DETECTOR_B)
-    )
-
-    # --- squash simultaneous clicks into a single recorded event -----------
-    common, idx_a, idx_b = np.intersect1d(
-        gates_a, gates_b, assume_unique=True, return_indices=True
-    )
-    if common.size:
-        keep_a_side = rng.random(common.size) < 0.5
-        drop_a = idx_a[~keep_a_side]
-        drop_b = idx_b[keep_a_side]
-        mask_a = np.ones(gates_a.size, dtype=bool)
-        mask_a[drop_a] = False
-        mask_b = np.ones(gates_b.size, dtype=bool)
-        mask_b[drop_b] = False
-        gates_a, ts_a = gates_a[mask_a], ts_a[mask_a]
-        gates_b, ts_b = gates_b[mask_b], ts_b[mask_b]
-
-    gate_col = np.concatenate([gates_a, gates_b])
-    ts_col = np.concatenate([ts_a, ts_b])
-    det_col = np.concatenate(
-        [
-            np.full(gates_a.size, DETECTOR_A, dtype=np.uint8),
-            np.full(gates_b.size, DETECTOR_B, dtype=np.uint8),
-        ]
-    )
-    order = np.argsort(gate_col, kind="stable")
-    return gate_col[order], ts_col[order], det_col[order]
+            fired = lo + rng.choice(hi - lo, k, replace=False, shuffle=False)
+            pieces.append((det_id, np.sort(fired), center + (rng.random(k) - 0.5) * window))
+    return pieces
 
 
 def simulate(
@@ -438,10 +394,10 @@ def simulate(
         Non-negative root seed; every run with the same (config, n_pulses,
         seed, segments) is bit-identical.
     segments:
-        Number of independently seeded contiguous stretches.  Segments
-        after the first prepend a discarded 10^4-gate warm-up to restore
-        detector equilibrium, trading a negligible boundary approximation
-        for embarrassingly parallel structure.
+        Number of contiguous stretches whose candidates are drawn from
+        independent random streams.  One hold-off/afterpulse sweep per
+        detector then covers the whole run, so the output is exact in law
+        for every segment count; only the draws differ.
     max_events:
         Upper bound on generated candidate events (photons, dark counts,
         afterpulses) before the run aborts with :class:`ResourceLimitError`.
@@ -461,44 +417,64 @@ def simulate(
     if segments < 1 or segments > n_pulses:
         raise ParameterError("segments must lie in [1, n_pulses]")
     budget = _EventBudget(max_events)
+    period = config.source.gate_period
+    det = config.receiver.detector
 
     root = np.random.SeedSequence(seed)
     key = int(root.generate_state(1, np.uint64)[0])
-    bounds = np.linspace(0, n_pulses, segments + 1).astype(np.int64)
-    tag_clock_parts = []
-    tag_ts_parts = []
-    tag_det_parts = []
-    for s, child in enumerate(root.spawn(segments)):
-        warm = WARMUP_GATES if s > 0 else 0
-        # Warm-up gates read the bits of the clocks they overlap; before
-        # clock 0 the counter wraps modulo 2**64.
-        base_clock = int(bounds[s]) - warm
-        cand_ss, ap_ss = child.spawn(2)
-        rng = np.random.Generator(np.random.Philox(cand_ss))
-        ap_rng = np.random.Generator(np.random.Philox(ap_ss))
-        gates, ts, dets = _run_segment(
-            config, int(bounds[s + 1]) - base_clock, rng, ap_rng, budget, key, base_clock
-        )
-        keep = gates >= warm
-        tag_clock_parts.append((gates[keep] + base_clock).astype(np.uint64))
-        tag_ts_parts.append(ts[keep])
-        tag_det_parts.append(dets[keep])
+    # (candidates, afterpulses) streams per segment; the run's afterpulse
+    # sweep and double-click squash read only the first segment's.
+    streams = [child.spawn(2) for child in root.spawn(segments)]
+    rngs = [np.random.Generator(np.random.Philox(cand_ss)) for cand_ss, _ in streams]
+    ap_rng = np.random.Generator(np.random.Philox(streams[0][1]))
+    bounds = np.linspace(0, n_pulses, segments + 1).astype(np.int64).tolist()
+    cand_gates = {DETECTOR_A: [], DETECTOR_B: []}
+    cand_offsets = {DETECTOR_A: [], DETECTOR_B: []}
+    for lo, hi, rng in zip(bounds[:-1], bounds[1:], rngs):
+        for det_id, gates, offsets in _candidates(config, lo, hi, n_pulses, rng, budget, key):
+            cand_gates[det_id].append(gates)
+            cand_offsets[det_id].append(offsets)
 
-    source = config.source
+    # --- hold-off and afterpulses over the whole run, detector A first -----
+    (gates_a, ts_a), (gates_b, ts_b) = (
+        _sweep_detector(
+            np.concatenate(cand_gates[det_id] or [np.empty(0, dtype=np.int64)]),
+            np.concatenate(cand_offsets[det_id] or [np.empty(0)]),
+            det, ap_rng, period, n_pulses, budget,
+        )
+        for det_id in (DETECTOR_A, DETECTOR_B)
+    )
+
+    # --- squash simultaneous clicks into a single recorded event -----------
+    _, idx_a, idx_b = np.intersect1d(gates_a, gates_b, assume_unique=True, return_indices=True)
+    keep_a_side = rngs[0].random(idx_a.size) < 0.5
+    mask_a = np.ones(gates_a.size, dtype=bool)
+    mask_a[idx_a[~keep_a_side]] = False
+    mask_b = np.ones(gates_b.size, dtype=bool)
+    mask_b[idx_b[keep_a_side]] = False
+    gate_col = np.concatenate([gates_a[mask_a], gates_b[mask_b]])
+    ts_col = np.concatenate([ts_a[mask_a], ts_b[mask_b]])
+    det_col = np.repeat(
+        np.array([DETECTOR_A, DETECTOR_B], dtype=np.uint8), [mask_a.sum(), mask_b.sum()]
+    )
+    order = np.argsort(gate_col, kind="stable")
+
     meta = {
         "seed": int(seed),
         "segments": int(segments),
         "n_pulses": int(n_pulses),
-        "warmup_gates": WARMUP_GATES,
-        "gate_period_ps": source.gate_period,
-        "gate_window_ps": config.receiver.detector.gate_window,
+        "gate_period_ps": period,
+        "gate_window_ps": det.gate_window,
         "rng": (
             "per-clock columns: SplitMix64 of (clock + 1) * golden + key, key "
             "= SeedSequence(seed).generate_state(1, uint64), Alice's bit, "
             "Alice's basis and Bob's basis at bits 63, 62, 61; Philox, two "
-            "spawned streams per segment: sparse candidates (photon and dark "
-            "counts, then positions), afterpulses (per detector and "
-            "generation: spawn counts per node, then delays, then offsets)"
+            "spawned streams per segment: sparse candidates for the "
+            "segment's clocks (photon and dark counts, then positions) and "
+            "afterpulses; one sweep over the whole run reads the first "
+            "segment's afterpulse stream (per detector and generation: spawn "
+            "counts per node, then delays, then offsets), then the first "
+            "segment's candidate stream draws the double-click squash"
         ),
         "events_generated": budget.used,
     }
@@ -506,9 +482,9 @@ def simulate(
         bit=ClockBits(key, ALICE_BIT, n_pulses), basis=ClockBits(key, ALICE_BASIS, n_pulses)
     )
     tags = TimeTagStream(
-        detector_id=np.concatenate(tag_det_parts),
-        clock_index=np.concatenate(tag_clock_parts),
-        timestamp=np.concatenate(tag_ts_parts),
+        detector_id=det_col[order],
+        clock_index=gate_col[order],
+        timestamp=ts_col[order],
         meta=meta,
     )
     return SimulationResult(alice=alice, tags=tags, bob_bases=ClockBits(key, BOB_BASIS, n_pulses))

@@ -145,24 +145,28 @@ class TestSimulate:
         dead_time=st.floats(0.0, 20.0),
         jitter_fwhm=st.floats(0.0, 150.0),
         seed=st.integers(0, 2**32 - 1),
+        segments=st.integers(1, 64),
     )
     def test_random_matched_pair_configs(self, cfg, scan_stream_invariants, length,
-                                         compensated, mu, seed, **detector):
+                                         compensated, mu, seed, segments, **detector):
         config = with_detector(cfg.at_length(length, compensated), **detector)
         config = dataclasses.replace(config, source=dataclasses.replace(config.source, mu=mu))
-        scan_stream_invariants(simulate(config, 20_000, seed=seed), config)
+        scan_stream_invariants(simulate(config, 20_000, seed=seed, segments=segments), config)
         rate, qber = keyrate.evaluate_point(config)
         values = (rate.raw_rate, rate.qber, rate.secure_rate, *dataclasses.astuple(qber))
         assert all(math.isfinite(value) for value in values), values
 
     def test_segmented_run_reproducible_and_valid(self, cfg, scan_stream_invariants):
-        config = cfg.at_length(5.6)
-        a = simulate(config, 200_000, seed=2, segments=4)
-        b = simulate(config, 200_000, seed=2, segments=4)
-        assert np.array_equal(a.tags.clock_index, b.tags.clock_index)
-        assert np.array_equal(a.tags.timestamp, b.tags.timestamp)
-        scan_stream_invariants(a, config)
-        assert a.meta["segments"] == 4
+        # The 512 short segments at 0 km put clicks next to many segment
+        # boundaries, where each must still hold off the next candidates.
+        for length, n_pulses, seed, segments in ((5.6, 200_000, 2, 4), (0.0, 2_000_000, 0, 512)):
+            config = cfg.at_length(length)
+            a = simulate(config, n_pulses, seed=seed, segments=segments)
+            b = simulate(config, n_pulses, seed=seed, segments=segments)
+            assert np.array_equal(a.tags.clock_index, b.tags.clock_index)
+            assert np.array_equal(a.tags.timestamp, b.tags.timestamp)
+            scan_stream_invariants(a, config)
+            assert a.meta["segments"] == segments
 
     def test_dark_counts_only_when_source_off(self, cfg):
         dim = dataclasses.replace(
@@ -193,8 +197,8 @@ class TestSimulate:
             simulate(cfg.at_length(0.0), 1_000_000, seed=0, max_events=100)
 
     def test_event_budget_charged_before_allocation(self, cfg):
-        """A run far over budget fails on its counts, before the per-clock
-        columns (3 bytes per pulse, 900 MB here) are allocated."""
+        """A run far over budget (3.6e6 expected photons against 100) fails
+        on its photon count, before any per-event array is allocated."""
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError):
@@ -310,6 +314,7 @@ class TestCandidateLaw:
     N = 50_000
 
     def test_photon_count_is_poisson(self, cfg):
+        """Also over segments: every counted photon belongs to the run."""
         config = with_detector(cfg.at_length(5.6), dark_prob=0.0, afterpulse_total=0.0)
         det = config.receiver.detector
         m = (
@@ -318,8 +323,12 @@ class TestCandidateLaw:
             * det.efficiency
         )
         lam = m * self.N
-        counts = [simulate(config, self.N, seed=s).meta["events_generated"] for s in self.SEEDS]
-        _assert_count_law(counts, lam, lam, lam * (1.0 + 3.0 * lam))
+        for segments in (1, 4):
+            counts = [
+                simulate(config, self.N, seed=s, segments=segments).meta["events_generated"]
+                for s in self.SEEDS
+            ]
+            _assert_count_law(counts, lam, lam, lam * (1.0 + 3.0 * lam))
 
     def test_dark_count_is_binomial(self, cfg):
         p = 1e-3
@@ -341,16 +350,22 @@ class TestStreamLayout:
     recorded.  The digests also move if NumPy changes one of the Generator
     distributions the engine draws from."""
 
-    DUMP_SHA256 = "02593f52ccb2c0c4fc132303048917e542700406ea96eb83a45f82c1c091e440"
-    KEY_SHA256 = "c0cfa52796d9f54fe5a26b070c2c511296b0b75e9a08376503e6240d3824c664"
+    # (dump, sifted key) SHA-256 per ``--segments`` value.
+    DIGESTS = {
+        1: ("02593f52ccb2c0c4fc132303048917e542700406ea96eb83a45f82c1c091e440",
+            "c0cfa52796d9f54fe5a26b070c2c511296b0b75e9a08376503e6240d3824c664"),
+        4: ("2f1fd81ea22f2b0ed92e002e961b37d3ea786ea1420f8937c22843df8c39fc60",
+            "64f3b6d634a6c99bf30f90c5ef6b87af41e5587aeb32d7577a6429e93c1b7ad0"),
+    }
 
     def test_fixed_seed_output_digests(self, tmp_path):
         dump, key = tmp_path / "tags.bin", tmp_path / "key.txt"
-        argv = ["simulate", "--pulses", "300000", "--seed", "8",
-                "--out", str(dump), "--sifted-key", str(key)]
-        assert main(argv) == 0
-        assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.DUMP_SHA256
-        assert hashlib.sha256(key.read_bytes()).hexdigest() == self.KEY_SHA256
+        for segments, digests in self.DIGESTS.items():
+            argv = ["simulate", "--pulses", "300000", "--seed", "8", "--segments", str(segments),
+                    "--out", str(dump), "--sifted-key", str(key)]
+            assert main(argv) == 0
+            assert hashlib.sha256(dump.read_bytes()).hexdigest() == digests[0], segments
+            assert hashlib.sha256(key.read_bytes()).hexdigest() == digests[1], segments
 
 
 def _sweep(det, gates, offsets, rng, n_gates, period=PERIOD, budget=None):
