@@ -7,70 +7,87 @@ errors, so a config file is always a complete, unambiguous snapshot of the
 system.  Units are part of the key name (``_ps``, ``_ns``, ``_km``, ...);
 detector gate periods are derived from the source clock rather than stored.
 
-The file keeps nine keys whose values can only be copies: the seven
-``detector_b.*`` keys copy ``detector_a.*`` (the receiver has one matched
-detector pair), ``receiver.eta_bob`` copies the detector efficiency and
-``protocol.sift_factor`` is always :data:`~qkdlink.params.SIFT_FACTOR`.
-Parsing rejects any copy that differs, and :func:`dumps_config` writes each
-one from the value it copies, so the parameter objects hold every value once.
+One table, :data:`_TABLE`, declares the format: a row per file line holding
+the key and the ``object.field`` it stores, where ``detector`` is the
+receiver's one matched :class:`~qkdlink.params.DetectorParams` and ``params``
+is the :mod:`qkdlink.params` module.  Parsing, building, the copy checks and
+:func:`dumps_config` all walk it, so they cannot disagree.
+
+The keys in :data:`_COPIES` can only copy a value another row already holds:
+the seven ``detector_b.*`` keys copy ``detector_a.*`` (the receiver has one
+matched detector pair), ``receiver.eta_bob`` copies the detector efficiency
+and ``protocol.sift_factor`` is always :data:`~qkdlink.params.SIFT_FACTOR`.
+Building ignores them, parsing rejects any that differs from the value read
+back from the built config, and :func:`dumps_config` writes that value, so
+the parameter objects hold every value once.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-from .params import (
-    SIFT_FACTOR,
-    CalibrationParams,
-    ChannelParams,
-    DetectorParams,
-    ProtocolConstants,
-    ReceiverParams,
-    SourceParams,
-    SystemConfig,
-)
+from . import params
+from .params import SystemConfig
 
 __all__ = ["ConfigError", "load_config", "parse_config", "save_config", "default_config"]
 
-# The key, under a ``detector_a.`` or ``detector_b.`` prefix, of each
-# DetectorParams field, in file order.
-_DETECTOR_KEYS = {
-    "efficiency": "efficiency",
-    "dark_prob": "dark_prob",
-    "afterpulse_total": "afterpulse_total",
-    "afterpulse_decay": "afterpulse_decay_ns",
-    "gate_window": "gate_window_ps",
-    "dead_time": "dead_time_ns",
-    "jitter_fwhm": "jitter_fwhm_ps",
-}
-
-_FLOAT_KEYS = (
-    "source.clock_rate_hz",
-    "source.mu",
-    "source.wavelength_nm",
-    "source.pulse_sigma0_ps",
-    "source.spectral_width_nm",
-    "source.side_mode_weight",
-    "source.side_mode_offset_nm",
-    "channel.length_km",
-    "channel.attenuation_db_per_km",
-    "channel.dispersion_ps_per_nm_km",
-    "receiver.eta_bob",
-    "receiver.visibility",
-    "receiver.mismodulation_error",
-    *(f"{prefix}.{key}" for prefix in ("detector_a", "detector_b")
-      for key in _DETECTOR_KEYS.values()),
-    "protocol.f_ec",
-    "protocol.sift_factor",
-    "calibration.pa_ref",
-    "calibration.pa_ref_eta",
-    "calibration.gamma",
-    "calibration.dark_floor",
-    "calibration.dark_floor_eta",
-    "calibration.dark_slope",
+# One row per file line, in file order: (key, "object.field"); None is a blank line.
+_TABLE = (
+    ("source.clock_rate_hz", "source.clock_rate"),
+    ("source.mu", "source.mu"),
+    ("source.wavelength_nm", "source.wavelength"),
+    ("source.pulse_sigma0_ps", "source.pulse_sigma0"),
+    ("source.spectral_width_nm", "source.spectral_width"),
+    ("source.side_mode_weight", "source.side_mode_weight"),
+    ("source.side_mode_offset_nm", "source.side_mode_offset"),
+    None,
+    ("channel.length_km", "channel.length"),
+    ("channel.attenuation_db_per_km", "channel.attenuation"),
+    ("channel.dispersion_ps_per_nm_km", "channel.dispersion"),
+    ("channel.compensated", "channel.compensated"),
+    None,
+    ("receiver.eta_bob", "detector.efficiency"),
+    ("receiver.visibility", "receiver.visibility"),
+    ("receiver.mismodulation_error", "receiver.mismodulation_error"),
+    *(row for prefix in ("detector_a", "detector_b") for row in (
+        None,
+        (f"{prefix}.efficiency", "detector.efficiency"),
+        (f"{prefix}.dark_prob", "detector.dark_prob"),
+        (f"{prefix}.afterpulse_total", "detector.afterpulse_total"),
+        (f"{prefix}.afterpulse_decay_ns", "detector.afterpulse_decay"),
+        (f"{prefix}.gate_window_ps", "detector.gate_window"),
+        (f"{prefix}.dead_time_ns", "detector.dead_time"),
+        (f"{prefix}.jitter_fwhm_ps", "detector.jitter_fwhm"),
+    )),
+    None,
+    ("protocol.f_ec", "protocol.f_ec"),
+    ("protocol.sift_factor", "params.SIFT_FACTOR"),
+    None,
+    ("calibration.pa_ref", "calibration.pa_ref"),
+    ("calibration.pa_ref_eta", "calibration.pa_ref_eta"),
+    ("calibration.gamma", "calibration.gamma"),
+    ("calibration.dark_floor", "calibration.dark_floor"),
+    ("calibration.dark_floor_eta", "calibration.dark_floor_eta"),
+    ("calibration.dark_slope", "calibration.dark_slope"),
 )
-_BOOL_KEYS = ("channel.compensated",)
-_ALL_KEYS = frozenset(_FLOAT_KEYS) | frozenset(_BOOL_KEYS)
+_KEYS = dict(row for row in _TABLE if row is not None)
+_BOOL_KEYS = frozenset({"channel.compensated"})
+_COPIES = frozenset({
+    *(key for key in _KEYS if key.startswith("detector_b.")),
+    "receiver.eta_bob",
+    "protocol.sift_factor",
+})
+# The key each held field is read from; a copy names it in its error.
+_HOLDERS = {target: key for key, target in _KEYS.items() if key not in _COPIES}
+# Each object's constructor, in build order: the receiver holds the detector.
+_CONSTRUCTORS = {
+    "source": params.SourceParams,
+    "channel": params.ChannelParams,
+    "detector": params.DetectorParams,
+    "receiver": params.ReceiverParams,
+    "protocol": params.ProtocolConstants,
+    "calibration": params.CalibrationParams,
+}
 
 
 class ConfigError(ValueError):
@@ -89,7 +106,7 @@ def parse_config(text: str, origin: str = "<config>") -> SystemConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
@@ -107,150 +124,74 @@ def parse_config(text: str, origin: str = "<config>") -> SystemConfig:
                 raise ConfigError(
                     f"{origin}:{lineno}: {key} is not a number: {value!r}"
                 ) from None
-    missing = sorted(_ALL_KEYS - values.keys())
+    missing = sorted(_KEYS.keys() - values.keys())
     if missing:
         raise ConfigError(f"{origin}: missing keys: {', '.join(missing)}")
     return _build(values)
 
 
-def _check_copies(values: dict, detector: DetectorParams) -> None:
-    """Reject a copy key whose value differs from the value it copies."""
-    copies = [
-        (f"detector_b.{key}", getattr(detector, name), f"receiver.detector_b.{name} must "
-         "match detector_a (the link model has one detector response)")
-        for name, key in _DETECTOR_KEYS.items()
-    ]
-    copies += [
-        ("receiver.eta_bob", detector.efficiency,
-         "receiver.eta_bob must equal the detector efficiency"),
-        ("protocol.sift_factor", SIFT_FACTOR, f"protocol.sift_factor must be {SIFT_FACTOR}"),
-    ]
-    for key, expected, message in copies:
-        if values[key] != expected:
-            raise ConfigError(f"{message}, got {values[key]!r}")
-
-
-def _section(name: str, builder):
-    """Run one section constructor, prefixing validation errors with the key path."""
+def _section(name: str, constructor, **kwargs):
+    """Run one constructor, prefixing validation errors with the section name."""
     try:
-        return builder()
+        return constructor(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        # The section the object's keys were read from: detector_a for the detector.
+        section = next((key for target, key in _HOLDERS.items()
+                        if target.startswith(f"{name}.")), name).split(".")[0]
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _build(values: dict) -> SystemConfig:
-    source = _section(
-        "source",
-        lambda: SourceParams(
-            clock_rate=values["source.clock_rate_hz"],
-            mu=values["source.mu"],
-            pulse_sigma0=values["source.pulse_sigma0_ps"],
-            spectral_width=values["source.spectral_width_nm"],
-            side_mode_weight=values["source.side_mode_weight"],
-            side_mode_offset=values["source.side_mode_offset_nm"],
-            wavelength=values["source.wavelength_nm"],
-        ),
-    )
-    channel = _section(
-        "channel",
-        lambda: ChannelParams(
-            length=values["channel.length_km"],
-            attenuation=values["channel.attenuation_db_per_km"],
-            dispersion=values["channel.dispersion_ps_per_nm_km"],
-            compensated=values["channel.compensated"],
-        ),
-    )
-    detector = _section(
-        "detector_a",
-        lambda: DetectorParams(**{
-            name: values[f"detector_a.{key}"] for name, key in _DETECTOR_KEYS.items()
-        }),
-    )
-    _check_copies(values, detector)
-    receiver = _section(
-        "receiver",
-        lambda: ReceiverParams(
-            visibility=values["receiver.visibility"],
-            mismodulation_error=values["receiver.mismodulation_error"],
-            detector=detector,
-        ),
-    )
-    protocol = _section("protocol", lambda: ProtocolConstants(f_ec=values["protocol.f_ec"]))
-    calibration = _section(
-        "calibration",
-        lambda: CalibrationParams(
-            pa_ref=values["calibration.pa_ref"],
-            pa_ref_eta=values["calibration.pa_ref_eta"],
-            gamma=values["calibration.gamma"],
-            dark_floor=values["calibration.dark_floor"],
-            dark_floor_eta=values["calibration.dark_floor_eta"],
-            dark_slope=values["calibration.dark_slope"],
-        ),
-    )
-    return _section(
-        "config",
-        lambda: SystemConfig(
-            source=source,
-            channel=channel,
-            receiver=receiver,
-            protocol=protocol,
-            calibration=calibration,
-        ),
-    )
+    kwargs = {name: {} for name in _CONSTRUCTORS}
+    for target, key in _HOLDERS.items():
+        name, _, field = target.partition(".")
+        kwargs[name][field] = values[key]
+    built = {}
+    for name, constructor in _CONSTRUCTORS.items():
+        if name == "receiver":
+            kwargs[name]["detector"] = built.pop("detector")
+        built[name] = _section(name, constructor, **kwargs[name])
+    config = _section("config", SystemConfig, **built)
+    objects = _objects(config)
+    for key, target in _KEYS.items():
+        if key in _COPIES and values[key] != (expected := _read(objects, target)):
+            raise ConfigError(f"{key} must equal {_HOLDERS.get(target, target)} "
+                              f"({expected!r}), got {values[key]!r}")
+    return config
+
+
+def _objects(config: SystemConfig) -> dict:
+    """The objects the table's ``object.field`` targets name."""
+    return {**vars(config), "detector": config.receiver.detector, "params": params}
+
+
+def _read(objects: dict, target: str):
+    name, field = target.split(".")
+    return getattr(objects[name], field)
 
 
 def load_config(path) -> SystemConfig:
     """Read and parse a config file."""
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     return parse_config(text, origin=str(path))
-
-
-def _dump_detector(det: DetectorParams, prefix: str) -> list[str]:
-    return [f"{prefix}.{key} = {getattr(det, name)!r}" for name, key in _DETECTOR_KEYS.items()]
 
 
 def dumps_config(config: SystemConfig) -> str:
     """Render a config as text that :func:`parse_config` reads back exactly."""
-    s, c, r, p, k = (
-        config.source,
-        config.channel,
-        config.receiver,
-        config.protocol,
-        config.calibration,
-    )
-    lines = [
-        f"source.clock_rate_hz = {s.clock_rate!r}",
-        f"source.mu = {s.mu!r}",
-        f"source.wavelength_nm = {s.wavelength!r}",
-        f"source.pulse_sigma0_ps = {s.pulse_sigma0!r}",
-        f"source.spectral_width_nm = {s.spectral_width!r}",
-        f"source.side_mode_weight = {s.side_mode_weight!r}",
-        f"source.side_mode_offset_nm = {s.side_mode_offset!r}",
-        "",
-        f"channel.length_km = {c.length!r}",
-        f"channel.attenuation_db_per_km = {c.attenuation!r}",
-        f"channel.dispersion_ps_per_nm_km = {c.dispersion!r}",
-        f"channel.compensated = {'true' if c.compensated else 'false'}",
-        "",
-        f"receiver.eta_bob = {r.detector.efficiency!r}",
-        f"receiver.visibility = {r.visibility!r}",
-        f"receiver.mismodulation_error = {r.mismodulation_error!r}",
-        "",
-        *_dump_detector(r.detector, "detector_a"),
-        "",
-        *_dump_detector(r.detector, "detector_b"),
-        "",
-        f"protocol.f_ec = {p.f_ec!r}",
-        f"protocol.sift_factor = {SIFT_FACTOR!r}",
-        "",
-        f"calibration.pa_ref = {k.pa_ref!r}",
-        f"calibration.pa_ref_eta = {k.pa_ref_eta!r}",
-        f"calibration.gamma = {k.gamma!r}",
-        f"calibration.dark_floor = {k.dark_floor!r}",
-        f"calibration.dark_floor_eta = {k.dark_floor_eta!r}",
-        f"calibration.dark_slope = {k.dark_slope!r}",
-    ]
+    objects = _objects(config)
+    lines = []
+    for row in _TABLE:
+        if row is None:
+            lines.append("")
+            continue
+        key, target = row
+        value = _read(objects, target)
+        text = ("true" if value else "false") if key in _BOOL_KEYS else repr(value)
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 

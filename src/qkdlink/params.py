@@ -11,7 +11,8 @@ form a matched pair, so :class:`ReceiverParams` holds the one
 :class:`DetectorParams` they share, whose efficiency is also Bob's
 detection efficiency; the detector gates run on the source clock period;
 and the sift factor is the constant :data:`SIFT_FACTOR`.  The config file
-still stores these copies, and :mod:`qkdlink.config` checks them.
+still stores these copies; :mod:`qkdlink.config` reads them back from these
+objects to check and write them.
 
 Units follow the conventions used throughout the package: rates in Hz,
 times in ps unless a field name says otherwise (``dead_time`` and
@@ -84,17 +85,22 @@ class SourceParams:
     wavelength: float = 1550.0
 
     def __post_init__(self) -> None:
-        _check(self.clock_rate > 0.0, "source.clock_rate", "must be positive")
+        _check(0.0 < self.clock_rate < math.inf, "source.clock_rate",
+               "must be finite and positive")
         _check(0.0 <= self.mu < math.inf, "source.mu", "must be finite and non-negative")
-        _check(self.pulse_sigma0 > 0.0, "source.pulse_sigma0", "must be positive")
-        _check(self.spectral_width >= 0.0, "source.spectral_width", "must be non-negative")
+        _check(0.0 < self.pulse_sigma0 < math.inf, "source.pulse_sigma0",
+               "must be finite and positive")
+        _check(0.0 <= self.spectral_width < math.inf, "source.spectral_width",
+               "must be finite and non-negative")
         _check(
             0.0 <= self.side_mode_weight < 1.0,
             "source.side_mode_weight",
             "must lie in [0, 1)",
         )
-        _check(self.side_mode_offset >= 0.0, "source.side_mode_offset", "must be non-negative")
-        _check(self.wavelength > 0.0, "source.wavelength", "must be positive")
+        _check(0.0 <= self.side_mode_offset < math.inf, "source.side_mode_offset",
+               "must be finite and non-negative")
+        _check(0.0 < self.wavelength < math.inf, "source.wavelength",
+               "must be finite and positive")
 
     @property
     def gate_period(self) -> float:
@@ -161,10 +167,13 @@ class DetectorParams:
             "detector.afterpulse_total",
             "must lie in [0, 1)",
         )
-        _check(self.afterpulse_decay > 0.0, "detector.afterpulse_decay", "must be positive")
+        _check(0.0 < self.afterpulse_decay < math.inf, "detector.afterpulse_decay",
+               "must be finite and positive")
         _check(self.gate_window > 0.0, "detector.gate_window", "must be positive")
-        _check(self.dead_time >= 0.0, "detector.dead_time", "must be non-negative")
-        _check(self.jitter_fwhm >= 0.0, "detector.jitter_fwhm", "must be non-negative")
+        _check(0.0 <= self.dead_time < math.inf, "detector.dead_time",
+               "must be finite and non-negative")
+        _check(0.0 <= self.jitter_fwhm < math.inf, "detector.jitter_fwhm",
+               "must be finite and non-negative")
 
     @property
     def jitter_sigma(self) -> float:
@@ -214,7 +223,7 @@ class ProtocolConstants:
     f_ec: float
 
     def __post_init__(self) -> None:
-        _check(self.f_ec >= 1.0, "protocol.f_ec", "must be >= 1")
+        _check(1.0 <= self.f_ec < math.inf, "protocol.f_ec", "must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -239,14 +248,15 @@ class CalibrationParams:
     def __post_init__(self) -> None:
         _check(0.0 <= self.pa_ref < 1.0, "calibration.pa_ref", "must lie in [0, 1)")
         _check(0.0 < self.pa_ref_eta <= 1.0, "calibration.pa_ref_eta", "must lie in (0, 1]")
-        _check(self.gamma > 0.0, "calibration.gamma", "must be positive")
+        _check(0.0 < self.gamma < math.inf, "calibration.gamma", "must be finite and positive")
         _check(0.0 <= self.dark_floor < 1.0, "calibration.dark_floor", "must lie in [0, 1)")
         _check(
             0.0 < self.dark_floor_eta <= 1.0,
             "calibration.dark_floor_eta",
             "must lie in (0, 1]",
         )
-        _check(self.dark_slope >= 0.0, "calibration.dark_slope", "must be non-negative")
+        _check(0.0 <= self.dark_slope < math.inf, "calibration.dark_slope",
+               "must be finite and non-negative")
 
     def afterpulse_at(self, eta: float) -> float:
         """Afterpulse probability at bias ``eta``."""

@@ -37,6 +37,17 @@ __all__ = [
 DEFAULT_LENGTHS = (5.6, 25.3, 65.5, 75.8, 101.1)
 DEFAULT_ETA_GRID = tuple(np.round(np.arange(0.02, 0.1201, 0.01), 4))
 
+# The numeric CSV columns between the sweep variable and ``compensated``.
+_COLUMNS = (
+    ("raw_hz", lambda r: r.rate.raw_rate),
+    ("qber", lambda r: r.rate.qber),
+    ("e_opt", lambda r: r.qber.e_opt),
+    ("e_afterpulse", lambda r: r.qber.e_afterpulse),
+    ("e_dark", lambda r: r.qber.e_dark),
+    ("e_interclock", lambda r: r.qber.e_interclock),
+    ("secure_hz", lambda r: r.rate.secure_rate),
+)
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -70,18 +81,10 @@ class SweepTable:
 
     def column(self, name: str) -> np.ndarray:
         """Numeric column by CSV name, for analysis convenience."""
-        getters = {
-            "raw_hz": lambda r: r.rate.raw_rate,
-            "qber": lambda r: r.rate.qber,
-            "e_opt": lambda r: r.qber.e_opt,
-            "e_afterpulse": lambda r: r.qber.e_afterpulse,
-            "e_dark": lambda r: r.qber.e_dark,
-            "e_interclock": lambda r: r.qber.e_interclock,
-            "secure_hz": lambda r: r.rate.secure_rate,
-        }
         if name == self.key_name:
             return np.array([r.x for r in self.rows])
-        return np.array([getters[name](r) for r in self.rows])
+        getter = dict(_COLUMNS)[name]
+        return np.array([getter(r) for r in self.rows])
 
 
 def _measured_point(config: SystemConfig, n_pulses: int, seed: int):
@@ -239,27 +242,10 @@ def emit_csv(table: SweepTable, path) -> None:
     Header names every column; rows keep table order; floats use
     shortest-unique scientific notation, so equal tables give equal bytes.
     """
-    header = (
-        f"{table.key_name},raw_hz,qber,e_opt,e_afterpulse,e_dark,"
-        "e_interclock,secure_hz,compensated"
-    )
-    lines = [header]
+    lines = [",".join([table.key_name, *(name for name, _ in _COLUMNS), "compensated"])]
     for row in table:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.x),
-                    _fmt(row.rate.raw_rate),
-                    _fmt(row.rate.qber),
-                    _fmt(row.qber.e_opt),
-                    _fmt(row.qber.e_afterpulse),
-                    _fmt(row.qber.e_dark),
-                    _fmt(row.qber.e_interclock),
-                    _fmt(row.rate.secure_rate),
-                    _fmt(row.compensated),
-                ]
-            )
-        )
+        values = [row.x, *(getter(row) for _, getter in _COLUMNS), row.compensated]
+        lines.append(",".join(_fmt(value) for value in values))
     _write_text("\n".join(lines) + "\n", path)
 
 

@@ -1,5 +1,6 @@
 """Tests for config parsing, validation and round-tripping."""
 
+import dataclasses
 import re
 from importlib import resources
 
@@ -16,6 +17,36 @@ from qkdlink.config import (
 
 
 SHIPPED = resources.files("qkdlink.data").joinpath("default.cfg").read_text("utf-8")
+KEYS = [line.split(" = ")[0] for line in SHIPPED.splitlines() if line]
+
+# Each copy key and the key whose value it must repeat.
+COPY_OF = {
+    **{key.replace("detector_a.", "detector_b."): key
+       for key in KEYS if key.startswith("detector_a.")},
+    "receiver.eta_bob": "detector_a.efficiency",
+}
+# The keys that hold a value of their own: all but the copies.
+HELD = [key for key in KEYS if key not in COPY_OF and key != "protocol.sift_factor"]
+
+
+def edit(text, key, value):
+    """Set ``key``, and every copy of it, to ``value``."""
+    keys = {key, *(copy for copy, original in COPY_OF.items() if original == key)}
+    lines = text.splitlines()
+    edited = [f"{line.split(' = ')[0]} = {value}" if line.split(" = ")[0] in keys else line
+              for line in lines]
+    assert sum(a != b for a, b in zip(edited, lines)) == len(keys)
+    return "\n".join(edited) + "\n"
+
+
+def leaves(obj, path=()):
+    """Every leaf field of a nested dataclass, keyed by its path of field names."""
+    if not dataclasses.is_dataclass(obj):
+        return {path: obj}
+    found = {}
+    for field in dataclasses.fields(obj):
+        found.update(leaves(getattr(obj, field.name), path + (field.name,)))
+    return found
 
 
 @pytest.fixture(scope="module")
@@ -109,30 +140,48 @@ class TestSemanticValidation:
         with pytest.raises(ConfigError, match="gate_window"):
             parse_config(bad)
 
-    # Keys whose value can only copy another one, and the name the error gives.
-    COPIES = [
-        *((f"detector_b.{key}", f"receiver.detector_b.{field}") for field, key in (
-            ("efficiency", "efficiency"), ("dark_prob", "dark_prob"),
-            ("afterpulse_total", "afterpulse_total"),
-            ("afterpulse_decay", "afterpulse_decay_ns"), ("gate_window", "gate_window_ps"),
-            ("dead_time", "dead_time_ns"), ("jitter_fwhm", "jitter_fwhm_ps"),
-        )),
-        ("receiver.eta_bob", "receiver.eta_bob"),
-    ]
-
-    @pytest.mark.parametrize("key,name", COPIES, ids=[key for key, _ in COPIES])
-    def test_copy_key_is_pinned(self, text, key, name):
-        lines = text.splitlines()
-        edited = [f"{key} = 0.7" if line.startswith(f"{key} = ") else line for line in lines]
-        assert edited != lines
-        with pytest.raises(ConfigError, match=re.escape(name)):
-            parse_config("\n".join(edited))
+    @pytest.mark.parametrize("key,original", COPY_OF.items(), ids=list(COPY_OF))
+    def test_copy_key_is_pinned(self, text, key, original):
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must equal {original}")):
+            parse_config(edit(text, key, "0.7"))
 
     def test_sift_factor_is_pinned(self, text):
         bad = text.replace("protocol.sift_factor = 0.5", "protocol.sift_factor = 0.7")
         assert bad != text
         with pytest.raises(ConfigError, match="sift_factor"):
             parse_config(bad)
+
+    @pytest.mark.parametrize("key", [k for k in HELD if k != "channel.compensated"])
+    def test_infinite_value_rejected(self, text, leaf_of, key):
+        field = ".".join(leaf_of[key][-2:])
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            parse_config(edit(text, key, "inf"))
+
+
+@pytest.fixture(scope="module")
+def leaf_of(cfg, text):
+    """The leaf field of the parsed config that each held key sets."""
+    before = leaves(cfg)
+    values = dict(line.split(" = ") for line in text.splitlines() if line)
+    found = {}
+    for key in HELD:
+        value = values[key]
+        other = "true" if value == "false" else repr(0.99 * float(value))
+        after = leaves(parse_config(edit(text, key, other)))
+        changed = [path for path, leaf in after.items() if leaf != before[path]]
+        assert len(changed) == 1, (key, changed)
+        found[key] = changed[0]
+    return found
+
+
+def test_each_held_key_sets_its_own_field(leaf_of):
+    # Two rows swapping or sharing a field can still round-trip the shipped
+    # file; only a one-to-one match between keys and fields shows them.
+    assert sorted(leaf_of.values()) == sorted(leaves(default_config()))
+    for key, path in leaf_of.items():
+        # A key is its object's section and field name, plus a unit suffix.
+        section, name = key.split(".")
+        assert path[-2] in section and name.startswith(path[-1]), (key, path)
 
 
 class TestFiles:

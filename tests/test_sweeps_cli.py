@@ -14,11 +14,13 @@ from qkdlink.montecarlo import read_binary_dump
 from qkdlink.params import ParameterError
 
 # Stand-ins for config files, written per test: the shipped config with the
-# value of one key replaced.
+# values of some keys replaced, or raw bytes.
 EDITED_CFGS = {
-    "<dark-prob-mismatch.cfg>": ("detector_b.dark_prob", "1e-5"),
-    "<dark-slope.cfg>": ("calibration.dark_slope", "1000.0"),
-    "<gamma.cfg>": ("calibration.gamma", "1000.0"),
+    "<dark-prob-mismatch.cfg>": {"detector_b.dark_prob": "1e-5"},
+    "<dark-slope.cfg>": {"calibration.dark_slope": "1000.0"},
+    "<gamma.cfg>": {"calibration.gamma": "1000.0"},
+    "<dead-time-inf.cfg>": {"detector_a.dead_time_ns": "inf", "detector_b.dead_time_ns": "inf"},
+    "<not-utf8.cfg>": b"\xff\xfesource.mu = 0.2\n",
 }
 
 HEADER = "length_km,raw_hz,qber,e_opt,e_afterpulse,e_dark,e_interclock,secure_hz,compensated"
@@ -319,7 +321,16 @@ class TestCli:
             ),
             pytest.param(
                 ["simulate", "--config", "<dark-prob-mismatch.cfg>", "--pulses", "1000"],
-                "receiver.detector_b.dark_prob", id="config-dark-prob-mismatch",
+                "detector_b.dark_prob must equal detector_a.dark_prob",
+                id="config-dark-prob-mismatch",
+            ),
+            pytest.param(
+                ["sweep-distance", "--config", "<dead-time-inf.cfg>"], "detector.dead_time",
+                id="config-dead-time-inf",
+            ),
+            pytest.param(
+                ["simulate", "--config", "<not-utf8.cfg>", "--pulses", "1000"],
+                "edited.cfg: not UTF-8", id="config-not-utf8",
             ),
             pytest.param(
                 ["histogram", "--mu", "1000", "--length", "0", "--pulses", "1000000"],
@@ -345,13 +356,17 @@ class TestCli:
             if arg in EDITED_CFGS:
                 from qkdlink.config import dumps_config
 
-                key, value = EDITED_CFGS[arg]
-                lines = dumps_config(cfg).splitlines()
-                edited = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
-                          for line in lines]
-                assert edited != lines
+                edits = EDITED_CFGS[arg]
                 path = tmp_path / "edited.cfg"
-                path.write_text("\n".join(edited) + "\n")
+                if isinstance(edits, bytes):
+                    path.write_bytes(edits)
+                else:
+                    lines = dumps_config(cfg).splitlines()
+                    keys = [line.split(" = ")[0] for line in lines]
+                    assert edits.keys() <= set(keys)
+                    edited = [f"{key} = {edits[key]}" if key in edits else line
+                              for key, line in zip(keys, lines)]
+                    path.write_text("\n".join(edited) + "\n")
                 argv = [*argv[:i], str(path), *argv[i + 1:]]
         rc = main(argv)
         captured = capsys.readouterr()
