@@ -17,6 +17,12 @@ points, and one low-bias QBER), so the fit runs as staged one-dimensional
 solves iterated to a joint fixed point.  Stages use bracketing root
 finders; a missing bracket means the requested anchors are unreachable
 and raises :class:`ConvergenceError` with the residuals gathered so far.
+
+Trials run on plain floats through the :mod:`linkbudget` kernels: a stage
+reads once per sweep what its trial value cannot move and recomputes per
+trial only what it moves, range-checking each moved value like the field
+that holds it.  Validated objects appear only in the start config, the
+residual report (through :func:`keyrate.evaluate_point`) and the result.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import keyrate, linkbudget
-from .params import ParameterError, SystemConfig
+from .params import ParameterError, SystemConfig, _afterpulse_at, _check_range, _dark_at
 
 __all__ = ["CalibrationAnchors", "ConvergenceError", "FitReport", "calibrate"]
 
@@ -109,6 +115,8 @@ _STATE_FIELDS = (
     "pa_ref",
     "gamma",
 )
+# The parameter object that holds each coupling.
+_OWNER = {name: "source" if i < 3 else "calibration" for i, name in enumerate(_STATE_FIELDS)}
 
 # Side-mode offset grid scanned to bracket the outer root of stage 2.  The
 # lower part of the range is infeasible (the side mode falls in the dead
@@ -130,64 +138,122 @@ def _optimize():
 
 
 class _Fitter:
+    """The staged fit; ``state`` holds the six couplings as plain floats."""
+
     def __init__(self, config: SystemConfig, anchors: CalibrationAnchors):
         self.base = config
         self.anchors = anchors
-        self.state = {
-            "spectral_width": config.source.spectral_width,
-            "side_mode_weight": config.source.side_mode_weight,
-            "side_mode_offset": config.source.side_mode_offset,
-            "dark_slope": config.calibration.dark_slope,
-            "pa_ref": config.calibration.pa_ref,
-            "gamma": config.calibration.gamma,
-        }
-        # Most trial values move one coupling, so the validated objects that
-        # the other couplings determine are kept and reused.
-        self._source = self._calibration = (None, None)
-        self._biased: dict = {}  # eta -> receiver under the current calibration
-        self._channels: dict = {}  # (length, compensated) -> channel
+        self.state = {name: getattr(getattr(config, _OWNER[name]), name)
+                      for name in _STATE_FIELDS}
+        source, det = config.source, config.receiver.detector
+        self.timing = (det.jitter_sigma, source.gate_period, det.gate_window)
+        self.geometry = linkbudget._gate_geometry(det, source.gate_period)
 
-    # -- model evaluation under the current state ---------------------------
+    def fitted(self) -> SystemConfig:
+        """The start config with the couplings of the current state."""
+        s, base = self.state, self.base
+        return replace(
+            base,
+            source=replace(base.source, **{name: s[name] for name in _STATE_FIELDS[:3]}),
+            calibration=replace(base.calibration, pa_ref_eta=self.anchors.operating_eta,
+                                **{name: s[name] for name in _STATE_FIELDS[3:]}),
+        )
 
-    def fitted(self):
-        """The source and calibration that the current state determines, each
-        rebuilt only when its own couplings move."""
-        s = self.state
-        key = {name: s[name] for name in _STATE_FIELDS[:3]}  # source couplings
-        if key != self._source[0]:
-            self._source = key, replace(self.base.source, **key)
-        key = {name: s[name] for name in _STATE_FIELDS[3:]}  # detector couplings
-        if key != self._calibration[0]:
-            cal = replace(self.base.calibration, pa_ref_eta=self.anchors.operating_eta, **key)
-            self._calibration, self._biased = (key, cal), {}
-        return self._source[1], self._calibration[1]
+    # -- the model on plain floats under the current state ------------------
 
-    def _config(self, length: float, compensated: bool, eta: float) -> SystemConfig:
-        source, cal = self.fitted()
-        if eta not in self._biased:
-            self._biased[eta] = replace(self.base, calibration=cal).at_bias(eta).receiver
-        channel = self._channels.get((length, compensated))
-        if channel is None:
-            channel = replace(self.base.channel, length=length, compensated=compensated)
-            self._channels[length, compensated] = channel
-        return SystemConfig(source=source, channel=channel,
-                            receiver=self._biased[eta], protocol=self.base.protocol,
-                            calibration=cal)
+    def _move(self, name: str, value: float) -> None:
+        """Set one coupling to a trial value, range-checked like its field."""
+        _check_range(f"{_OWNER[name]}.{name}", value)
+        self.state[name] = value
 
-    def _point(self, length: float, compensated: bool = False, eta: float | None = None):
-        eta = self.anchors.operating_eta if eta is None else eta
-        return keyrate.evaluate_point(self._config(length, compensated, eta))
+    def _noise(self, eta: float) -> tuple[float, float]:
+        """Dark-count and afterpulse probability at bias ``eta``, after the
+        range checks that building the fitted config biased to ``eta`` makes."""
+        s, cal, pa_ref_eta = self.state, self.base.calibration, self.anchors.operating_eta
+        for name in _STATE_FIELDS:
+            _check_range(f"{_OWNER[name]}.{name}", s[name])
+        _check_range("calibration.pa_ref_eta", pa_ref_eta)
+        dark = _dark_at(cal.dark_floor, cal.dark_floor_eta, s["dark_slope"], eta)
+        afterpulse = _afterpulse_at(s["pa_ref"], pa_ref_eta, s["gamma"], eta)
+        for name, value in zip(("efficiency", "dark_prob", "afterpulse_total"),
+                               (eta, dark, afterpulse)):
+            _check_range(f"detector.{name}", value)
+        return dark, afterpulse
+
+    def _arrival(self, length: float, compensated: bool = False):
+        """``(components, acceptance, e_interclock, transmittance)`` at one length."""
+        s, source, channel = self.state, self.base.source, self.base.channel
+        components = linkbudget._components(
+            source.pulse_sigma0, s["spectral_width"], s["side_mode_weight"],
+            s["side_mode_offset"], channel.dispersion, length, compensated,
+        )
+        acceptance, e_interclock = linkbudget._profile_timing(components, *self.timing,
+                                                               compensated)
+        return (components, acceptance, e_interclock,
+                linkbudget.transmittance(length, channel.attenuation))
+
+    def _clicks(self, arrival, eta: float, dark: float):
+        return linkbudget._clicks(self.base.source.mu, arrival[3], eta, arrival[1], dark)
+
+    def _raw_rate(self, arrival, clicks) -> float:
+        blocked = linkbudget._blocked_gates(arrival[0], self.timing[0], self.geometry,
+                                            clicks[0], clicks[1])
+        return linkbudget._renewal_rate(self.base.source.clock_rate, clicks[2], blocked)
+
+    def _errors(self, arrival, clicks, afterpulse: float):
+        """``(e_opt, e_afterpulse, e_dark, e_interclock, total)``."""
+        return linkbudget._error_budget(self.base.receiver.optical_error, afterpulse,
+                                        clicks[1], clicks[2], arrival[2])
+
+    def _slope_rates(self, dark: float) -> list[float]:
+        """Raw rates at the two slope lengths at the operating bias."""
+        arrivals = [self._arrival(length) for length in self.anchors.slope_lengths]
+        eta = self.anchors.operating_eta
+        return [self._raw_rate(a, self._clicks(a, eta, dark)) for a in arrivals]
 
     def _interclock(self, length: float) -> float:
-        cfg = self._config(length, False, self.anchors.operating_eta)
-        _, errors = linkbudget.link_timing(cfg.source, cfg.channel, cfg.receiver)
-        return errors
+        return self._arrival(length)[2]
+
+    def _compensated_qber(self):
+        """QBER totals at the compensated anchors as a function of the dark
+        and afterpulse probabilities, which move no timing."""
+        eta = self.anchors.operating_eta
+        arrivals = [self._arrival(length, True) for length, _ in self.anchors.compensated_qber]
+        return lambda dark, afterpulse: [
+            self._errors(a, self._clicks(a, eta, dark), afterpulse)[4] for a in arrivals
+        ]
+
+    def _secure_rates(self):
+        """Secure rates at the secure anchors as a function of the afterpulse
+        probability, which moves neither the raw rates nor the other errors."""
+        eta = self.anchors.operating_eta
+        dark, _ = self._noise(eta)
+        points = []
+        for length, _ in self.anchors.secure:
+            arrival = self._arrival(length)
+            clicks = self._clicks(arrival, eta, dark)
+            points.append((arrival, clicks, self._raw_rate(arrival, clicks)))
+        return lambda afterpulse: [
+            keyrate.secure_rate(raw, min(self._errors(a, c, afterpulse)[4], 0.5),
+                                self.base.protocol)
+            for a, c, raw in points
+        ]
+
+    def _low_bias_errors(self):
+        """The error budget at the low-bias QBER anchor."""
+        a = self.anchors
+        dark, afterpulse = self._noise(a.qber_low_eta)
+        arrival = self._arrival(a.qber_low_length)
+        return self._errors(arrival, self._clicks(arrival, a.qber_low_eta, dark), afterpulse)
 
     # -- stages --------------------------------------------------------------
 
-    def _solve(self, func, lo, hi, label):
+    def _solve(self, residual, fixed, lo, hi, label):
+        """Root in [lo, hi] of ``residual(x, *fixed())``.  ``fixed`` reads the
+        stage's fixed parts, so a range check failing there is reported like
+        one failing in a trial."""
         try:
-            return _optimize().brentq(func, lo, hi, xtol=1e-13, maxiter=200)
+            return _optimize().brentq(residual, lo, hi, args=fixed(), xtol=1e-13, maxiter=200)
         except ValueError as exc:
             raise ConvergenceError(
                 f"{label}: no solution in [{lo}, {hi}] ({exc}); "
@@ -198,23 +264,22 @@ class _Fitter:
         l1, l2 = self.anchors.slope_lengths
         target = self.anchors.slope_db_per_km
 
-        def residual(width):
-            self.state["spectral_width"] = width
-            r1, _ = self._point(l1)
-            r2, _ = self._point(l2)
-            slope = 10.0 * math.log10(r1.raw_rate / r2.raw_rate) / (l2 - l1)
-            return slope - target
+        def residual(width, dark):
+            self._move("spectral_width", width)
+            r1, r2 = self._slope_rates(dark)
+            return 10.0 * math.log10(r1 / r2) / (l2 - l1) - target
 
         self.state["spectral_width"] = self._solve(
-            residual, 1e-3, 1.0, "spectral width vs raw-rate slope"
+            residual, lambda: self._noise(self.anchors.operating_eta)[:1], 1e-3, 1.0,
+            "spectral width vs raw-rate slope",
         )
 
     def _side_weight_for(self, offset: float, length: float, target: float):
         """Side-mode weight matching the wrong-clock error at one length."""
-        self.state["side_mode_offset"] = offset
+        self._move("side_mode_offset", offset)
 
         def residual(weight):
-            self.state["side_mode_weight"] = weight
+            self._move("side_mode_weight", weight)
             return self._interclock(length) - target
 
         if residual(_SIDE_WEIGHT_MAX) < 0.0:
@@ -225,6 +290,7 @@ class _Fitter:
 
     def stage_side_mode(self) -> None:
         (l_near, t_near), (l_far, t_far) = self.anchors.interclock
+        self._noise(self.anchors.operating_eta)  # only for its range checks
 
         def far_residual(offset):
             weight = self._side_weight_for(offset, l_near, t_near)
@@ -263,29 +329,30 @@ class _Fitter:
         self.state["side_mode_weight"] = weight
 
     def stage_dark_slope(self) -> None:
-        pairs = self.anchors.compensated_qber
+        eta = self.anchors.operating_eta
 
-        def residual(slope):
-            self.state["dark_slope"] = slope
+        def residual(slope, totals):
+            self._move("dark_slope", slope)
             total = 0.0
-            for length, target in pairs:
-                _, qber = self._point(length, compensated=True)
-                total += qber.total - target
+            for qber, (_, target) in zip(totals(*self._noise(eta)),
+                                         self.anchors.compensated_qber):
+                total += qber - target
             return total
 
         self.state["dark_slope"] = self._solve(
-            residual, 0.0, 80.0, "dark-count bias coupling vs compensated QBER"
+            residual, lambda: (self._compensated_qber(),), 0.0, 80.0,
+            "dark-count bias coupling vs compensated QBER",
         )
 
     def stage_afterpulse_ref(self) -> None:
-        anchors = self.anchors.secure
+        rates = self._secure_rates()
 
         def objective(pa_ref):
-            self.state["pa_ref"] = pa_ref
+            self._move("pa_ref", pa_ref)
             total = 0.0
-            for length, target in anchors:
-                rate, _ = self._point(length)
-                total += ((rate.secure_rate - target) / target) ** 2
+            for rate, (_, target) in zip(rates(self._noise(self.anchors.operating_eta)[1]),
+                                         self.anchors.secure):
+                total += ((rate - target) / target) ** 2
             return total
 
         result = _optimize().minimize_scalar(
@@ -298,10 +365,10 @@ class _Fitter:
 
     def stage_gamma(self) -> None:
         a = self.anchors
-        _, qber = self._point(a.qber_low_length, eta=a.qber_low_eta)
+        e_opt, _, e_dark, e_interclock, _ = self._low_bias_errors()
         # Everything in the low-bias QBER except the afterpulse share is
         # already fixed, so the afterpulse probability there is direct.
-        pa_low = 2.0 * (a.qber_low - qber.e_opt - qber.e_dark - qber.e_interclock)
+        pa_low = 2.0 * (a.qber_low - e_opt - e_dark - e_interclock)
         if pa_low <= 0.0 or pa_low >= self.state["pa_ref"]:
             raise ConvergenceError(
                 f"bias exponent: low-bias QBER anchor implies afterpulse "
@@ -317,26 +384,31 @@ class _Fitter:
         a = self.anchors
         out: dict[str, float] = {}
         try:
+            fitted = self.fitted()
+
+            def point(length, compensated=False, eta=a.operating_eta):
+                return keyrate.evaluate_point(fitted.at_bias(eta).at_length(length, compensated))
+
             l1, l2 = a.slope_lengths
-            r1, _ = self._point(l1)
-            r2, _ = self._point(l2)
+            r1, _ = point(l1)
+            r2, _ = point(l2)
             out["slope_db_per_km"] = (
                 10.0 * math.log10(r1.raw_rate / r2.raw_rate) / (l2 - l1)
                 - a.slope_db_per_km
             )
             lengths = [length for length, _ in a.secure]
-            rates = [self._point(length)[0].raw_rate for length in lengths]
+            rates = [point(length)[0].raw_rate for length in lengths]
             fit = np.polyfit(lengths, [-10.0 * math.log10(r) for r in rates], 1)
             out["slope_regression_db_per_km"] = float(fit[0]) - a.slope_db_per_km
             for length, target in a.interclock:
-                out[f"interclock_{length}km"] = self._interclock(length) - target
+                out[f"interclock_{length}km"] = point(length)[1].e_interclock - target
             for length, target in a.compensated_qber:
-                _, qber = self._point(length, compensated=True)
+                _, qber = point(length, compensated=True)
                 out[f"qber_compensated_{length}km"] = qber.total - target
             for length, target in a.secure:
-                rate, _ = self._point(length)
+                rate, _ = point(length)
                 out[f"secure_rel_{length}km"] = (rate.secure_rate - target) / target
-            _, qber_low = self._point(a.qber_low_length, eta=a.qber_low_eta)
+            _, qber_low = point(a.qber_low_length, eta=a.qber_low_eta)
             out["qber_low_bias"] = qber_low.total - a.qber_low
         except Exception:  # partial state mid-fit; report what we can
             out["evaluation_error"] = float("nan")
@@ -344,7 +416,7 @@ class _Fitter:
 
     def diagnostics(self) -> tuple[tuple, dict]:
         a = self.anchors
-        _, cal = self.fitted()
+        cal = self.fitted().calibration
         pa_high = cal.afterpulse_at(a.pa_ceiling_eta)
         dark_high = cal.dark_at(a.pa_ceiling_eta)
         warnings = []
@@ -414,12 +486,9 @@ def calibrate(
             f"residuals: {fitter.residuals()}"
         )
 
-    source, calibration = fitter.fitted()
     # Refresh detector-level dark/afterpulse values from the new couplings
     # at the config's own bias point.
-    fitted_config = replace(config, source=source, calibration=calibration).at_bias(
-        config.receiver.detector.efficiency
-    )
+    fitted_config = fitter.fitted().at_bias(config.receiver.detector.efficiency)
 
     warnings, extras = fitter.diagnostics()
     residuals = fitter.residuals()

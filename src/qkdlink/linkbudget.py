@@ -14,11 +14,13 @@ convolved with the detector jitter.  Gate acceptance and inter-clock
 leakage both follow from integrating that profile over the periodic gate
 windows.
 
-Calibration evaluates thousands of points that share most inputs, so three
-kernels are memoized (128 entries each) on the plain values they read:
-``_profile_timing`` on (components, jitter, period, window), ``_offset_grid``
-on (window, period, dead time, partial gates) and ``_blocked_gates`` on
-(components, jitter, that geometry, ``p_signal``, ``p_dark``).
+Each law is one plain-float kernel that the public functions wrap and the
+calibration fitter calls directly, so a fit trial builds no validated
+object.  Three kernels are memoized (128 entries each) on the plain values
+they read: ``_profile_timing`` on (components, jitter, period, window,
+compensated), ``_offset_grid`` on (window, period, dead time, partial
+gates) and ``_blocked_gates`` on (components, jitter, that geometry,
+``p_signal``, ``p_dark``).
 """
 
 from __future__ import annotations
@@ -112,16 +114,21 @@ def temporal_components(
     dispersion for all wavelengths, collapsing the profile back to a single
     centered component.
     """
-    if channel.compensated:
-        return ((1.0, 0.0, source.pulse_sigma0),)
-    walkoff = channel.dispersion * channel.length  # ps per nm of detuning
-    main_sigma = math.hypot(source.pulse_sigma0, walkoff * source.spectral_width)
-    weight = source.side_mode_weight
-    if weight == 0.0:
+    return _components(source.pulse_sigma0, source.spectral_width, source.side_mode_weight,
+                       source.side_mode_offset, channel.dispersion, channel.length,
+                       channel.compensated)
+
+
+def _components(sigma0, width, side_weight, side_offset, dispersion, length, compensated):
+    if compensated:
+        return ((1.0, 0.0, sigma0),)
+    walkoff = dispersion * length  # ps per nm of detuning
+    main_sigma = math.hypot(sigma0, walkoff * width)
+    if side_weight == 0.0:
         return ((1.0, 0.0, main_sigma),)
     return (
-        (1.0 - weight, 0.0, main_sigma),
-        (weight, walkoff * source.side_mode_offset, source.pulse_sigma0),
+        (1.0 - side_weight, 0.0, main_sigma),
+        (side_weight, walkoff * side_offset, sigma0),
     )
 
 
@@ -149,8 +156,9 @@ def _window_masses(
 
 
 @functools.lru_cache(maxsize=128)
-def _profile_timing(components, jitter: float, period: float, window: float):
-    """Accepted fraction and neighbor-window fraction of a mixture profile."""
+def _profile_timing(components, jitter: float, period: float, window: float,
+                    compensated: bool):
+    """``(acceptance, e_interclock)`` of a mixture profile."""
     accepted = 0.0
     neighbors = 0.0
     for weight, mean, sigma in components:
@@ -159,7 +167,10 @@ def _profile_timing(components, jitter: float, period: float, window: float):
             accepted += weight * mass
             if k != 0:
                 neighbors += weight * mass
-    return accepted, neighbors
+    if compensated or accepted <= 0.0:
+        return accepted, 0.0
+    # A photon detected in a neighboring clock errs half the time.
+    return accepted, 0.5 * neighbors / accepted
 
 
 def link_timing(
@@ -172,12 +183,8 @@ def link_timing(
     leakage by construction.
     """
     det = receiver.detector
-    accepted, neighbors = _profile_timing(temporal_components(source, channel),
-                                          det.jitter_sigma, source.gate_period, det.gate_window)
-    if channel.compensated or accepted <= 0.0:
-        return accepted, 0.0
-    # A photon detected in a neighboring clock errs half the time.
-    return accepted, 0.5 * neighbors / accepted
+    return _profile_timing(temporal_components(source, channel), det.jitter_sigma,
+                           source.gate_period, det.gate_window, channel.compensated)
 
 
 def click_probabilities(
@@ -185,17 +192,22 @@ def click_probabilities(
 ) -> ClickProbabilities:
     """Per-gate click probabilities for signal, dark counts, and either."""
     acceptance, _ = link_timing(source, channel, receiver)
-    mean_detected = (
-        source.mu
-        * transmittance(channel.length, channel.attenuation)
-        * receiver.detector.efficiency
-        * acceptance
+    det = receiver.detector
+    p_signal, p_dark, p_total = _clicks(
+        source.mu, transmittance(channel.length, channel.attenuation), det.efficiency,
+        acceptance, det.dark_prob,
     )
-    p_signal = -math.expm1(-mean_detected)
-    d = receiver.detector.dark_prob
-    p_dark = 1.0 - (1.0 - d) * (1.0 - d)
-    p_total = 1.0 - (1.0 - p_signal) * (1.0 - p_dark)
     return ClickProbabilities(p_signal=p_signal, p_dark=p_dark, p_total=p_total)
+
+
+def _clicks(mu, transmitted, efficiency, acceptance, dark_prob):
+    """``(p_signal, p_dark, p_total)`` per gate; ``transmitted`` is the fiber's
+    :func:`transmittance`."""
+    mean_detected = mu * transmitted * efficiency * acceptance
+    p_signal = -math.expm1(-mean_detected)
+    p_dark = 1.0 - (1.0 - dark_prob) * (1.0 - dark_prob)
+    p_total = 1.0 - (1.0 - p_signal) * (1.0 - p_dark)
+    return p_signal, p_dark, p_total
 
 
 def _blocked_gate_split(det: DetectorParams, period: float) -> tuple[int, list[int]]:
@@ -231,14 +243,16 @@ def effective_blocked_gates(
     dark-count background, weighted by their click shares.
     """
     det = receiver.detector
-    period = source.gate_period
-    k_always, partial = _blocked_gate_split(det, period)
-    if not partial:
-        return float(k_always)
     clicks = click_probabilities(source, channel, receiver)
-    geometry = (det.gate_window, period, det.dead_time_ps, k_always, tuple(partial))
     return _blocked_gates(temporal_components(source, channel), det.jitter_sigma,
-                          geometry, clicks.p_signal, clicks.p_dark)
+                          _gate_geometry(det, source.gate_period),
+                          clicks.p_signal, clicks.p_dark)
+
+
+def _gate_geometry(det: DetectorParams, period: float) -> tuple:
+    """The hold-off geometry ``_blocked_gates`` reads."""
+    k_always, partial = _blocked_gate_split(det, period)
+    return det.gate_window, period, det.dead_time_ps, k_always, tuple(partial)
 
 
 @functools.lru_cache(maxsize=128)
@@ -309,14 +323,17 @@ def raw_rate(
     Bernoulli gates).  Simultaneous clicks on both detectors are recorded as
     a single event.
     """
-    p = clicks.p_total
-    if p <= 0.0:
+    return _renewal_rate(source.clock_rate, clicks.p_total, blocked_gates)
+
+
+def _renewal_rate(clock_rate, p_total, blocked_gates):
+    if p_total <= 0.0:
         return 0.0
     # Symmetric split of the combined no-click probability between the two
     # detectors; exact, since the pair is matched and routing is balanced.
-    q = 1.0 - math.sqrt(1.0 - p)
+    q = 1.0 - math.sqrt(1.0 - p_total)
     a = q / (1.0 + q * blocked_gates)
-    return source.clock_rate * (a + a - a * a)
+    return clock_rate * (a + a - a * a)
 
 
 def qber_breakdown(
@@ -332,16 +349,16 @@ def qber_breakdown(
     * ``e_interclock``: photons detected in a neighboring clock period are
       compared against an unrelated bit.
     """
-    e_opt = receiver.optical_error
-    e_afterpulse = 0.5 * receiver.detector.afterpulse_total
     clicks = click_probabilities(source, channel, receiver)
-    e_dark = 0.5 * clicks.p_dark / clicks.p_total if clicks.p_total > 0.0 else 0.0
     _, e_interclock = link_timing(source, channel, receiver)
-    total = e_opt + e_afterpulse + e_dark + e_interclock
-    return QberBreakdown(
-        e_opt=e_opt,
-        e_afterpulse=e_afterpulse,
-        e_dark=e_dark,
-        e_interclock=e_interclock,
-        total=total,
-    )
+    return QberBreakdown(*_error_budget(receiver.optical_error,
+                                        receiver.detector.afterpulse_total,
+                                        clicks.p_dark, clicks.p_total, e_interclock))
+
+
+def _error_budget(e_opt, afterpulse_total, p_dark, p_total, e_interclock):
+    """``(e_opt, e_afterpulse, e_dark, e_interclock, total)``."""
+    e_afterpulse = 0.5 * afterpulse_total
+    e_dark = 0.5 * p_dark / p_total if p_total > 0.0 else 0.0
+    return (e_opt, e_afterpulse, e_dark, e_interclock,
+            e_opt + e_afterpulse + e_dark + e_interclock)

@@ -3,8 +3,8 @@
 Every container validates its physical ranges on construction, so the
 model code downstream can assume well-formed inputs.  All containers are
 frozen; derived operating points are produced with :func:`dataclasses.replace`
-via the helpers on :class:`SystemConfig`.  A frozen object can be shared, so
-the calibration fitter reuses the validated objects a trial value leaves unchanged.
+via the helpers on :class:`SystemConfig`.  The calibration fitter works on
+plain floats instead and checks each value it moves against the same range.
 
 Each object holds only independent values.  The receiver's two detectors
 form a matched pair, so :class:`ReceiverParams` holds the one
@@ -23,7 +23,7 @@ dispersion in ps/(nm km), spectral widths in nm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 __all__ = [
     "FWHM_PER_SIGMA",
@@ -50,6 +50,43 @@ class ParameterError(ValueError):
 def _check(condition: bool, name: str, message: str) -> None:
     if not condition:
         raise ParameterError(f"{name} {message}")
+
+
+# The valid range of every checked field, keyed "object.field" as in the
+# config table.  Construction checks each object's fields here; the
+# calibration fitter checks the values it moves on plain floats.  Chained
+# comparisons reject NaN, and inf where the range is finite.
+_RANGES = {name: (valid, message) for valid, message, names in (
+    (lambda v: 0.0 < v < math.inf, "must be finite and positive",
+     "source.clock_rate source.pulse_sigma0 source.wavelength detector.afterpulse_decay "
+     "calibration.gamma"),
+    (lambda v: 0.0 <= v < math.inf, "must be finite and non-negative",
+     "source.mu source.spectral_width source.side_mode_offset channel.length "
+     "channel.attenuation channel.dispersion detector.dead_time detector.jitter_fwhm "
+     "calibration.dark_slope"),
+    (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]",
+     "detector.efficiency detector.dark_prob receiver.visibility receiver.mismodulation_error"),
+    (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)",
+     "source.side_mode_weight detector.afterpulse_total calibration.pa_ref "
+     "calibration.dark_floor"),
+    (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]",
+     "calibration.pa_ref_eta calibration.dark_floor_eta"),
+    (lambda v: v > 0.0, "must be positive", "detector.gate_window"),
+    (lambda v: 1.0 <= v < math.inf, "must be finite and >= 1", "protocol.f_ec"),
+) for name in names.split()}
+
+
+def _check_range(name: str, value: float) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is valid for field ``name``."""
+    valid, message = _RANGES[name]
+    _check(valid(value), name, message)
+
+
+def _check_fields(obj, prefix: str) -> None:
+    for field in fields(obj):
+        name = f"{prefix}.{field.name}"
+        if name in _RANGES:
+            _check_range(name, getattr(obj, field.name))
 
 
 @dataclass(frozen=True)
@@ -85,22 +122,7 @@ class SourceParams:
     wavelength: float = 1550.0
 
     def __post_init__(self) -> None:
-        _check(0.0 < self.clock_rate < math.inf, "source.clock_rate",
-               "must be finite and positive")
-        _check(0.0 <= self.mu < math.inf, "source.mu", "must be finite and non-negative")
-        _check(0.0 < self.pulse_sigma0 < math.inf, "source.pulse_sigma0",
-               "must be finite and positive")
-        _check(0.0 <= self.spectral_width < math.inf, "source.spectral_width",
-               "must be finite and non-negative")
-        _check(
-            0.0 <= self.side_mode_weight < 1.0,
-            "source.side_mode_weight",
-            "must lie in [0, 1)",
-        )
-        _check(0.0 <= self.side_mode_offset < math.inf, "source.side_mode_offset",
-               "must be finite and non-negative")
-        _check(0.0 < self.wavelength < math.inf, "source.wavelength",
-               "must be finite and positive")
+        _check_fields(self, "source")
 
     @property
     def gate_period(self) -> float:
@@ -118,14 +140,7 @@ class ChannelParams:
     compensated: bool = False
 
     def __post_init__(self) -> None:
-        # Chained comparisons reject NaN and inf at plain-float cost:
-        # calibration builds thousands of channels per fit.
-        _check(0.0 <= self.length < math.inf, "channel.length",
-               "must be finite and non-negative")
-        _check(0.0 <= self.attenuation < math.inf, "channel.attenuation",
-               "must be finite and non-negative")
-        _check(0.0 <= self.dispersion < math.inf, "channel.dispersion",
-               "must be finite and non-negative")
+        _check_fields(self, "channel")
 
 
 @dataclass(frozen=True)
@@ -160,20 +175,7 @@ class DetectorParams:
     jitter_fwhm: float
 
     def __post_init__(self) -> None:
-        _check(0.0 <= self.efficiency <= 1.0, "detector.efficiency", "must lie in [0, 1]")
-        _check(0.0 <= self.dark_prob <= 1.0, "detector.dark_prob", "must lie in [0, 1]")
-        _check(
-            0.0 <= self.afterpulse_total < 1.0,
-            "detector.afterpulse_total",
-            "must lie in [0, 1)",
-        )
-        _check(0.0 < self.afterpulse_decay < math.inf, "detector.afterpulse_decay",
-               "must be finite and positive")
-        _check(self.gate_window > 0.0, "detector.gate_window", "must be positive")
-        _check(0.0 <= self.dead_time < math.inf, "detector.dead_time",
-               "must be finite and non-negative")
-        _check(0.0 <= self.jitter_fwhm < math.inf, "detector.jitter_fwhm",
-               "must be finite and non-negative")
+        _check_fields(self, "detector")
 
     @property
     def jitter_sigma(self) -> float:
@@ -198,12 +200,7 @@ class ReceiverParams:
     detector: DetectorParams
 
     def __post_init__(self) -> None:
-        _check(0.0 <= self.visibility <= 1.0, "receiver.visibility", "must lie in [0, 1]")
-        _check(
-            0.0 <= self.mismodulation_error <= 1.0,
-            "receiver.mismodulation_error",
-            "must lie in [0, 1]",
-        )
+        _check_fields(self, "receiver")
 
     @property
     def optical_error(self) -> float:
@@ -223,7 +220,7 @@ class ProtocolConstants:
     f_ec: float
 
     def __post_init__(self) -> None:
-        _check(1.0 <= self.f_ec < math.inf, "protocol.f_ec", "must be finite and >= 1")
+        _check_fields(self, "protocol")
 
 
 @dataclass(frozen=True)
@@ -246,39 +243,38 @@ class CalibrationParams:
     dark_slope: float
 
     def __post_init__(self) -> None:
-        _check(0.0 <= self.pa_ref < 1.0, "calibration.pa_ref", "must lie in [0, 1)")
-        _check(0.0 < self.pa_ref_eta <= 1.0, "calibration.pa_ref_eta", "must lie in (0, 1]")
-        _check(0.0 < self.gamma < math.inf, "calibration.gamma", "must be finite and positive")
-        _check(0.0 <= self.dark_floor < 1.0, "calibration.dark_floor", "must lie in [0, 1)")
-        _check(
-            0.0 < self.dark_floor_eta <= 1.0,
-            "calibration.dark_floor_eta",
-            "must lie in (0, 1]",
-        )
-        _check(0.0 <= self.dark_slope < math.inf, "calibration.dark_slope",
-               "must be finite and non-negative")
+        _check_fields(self, "calibration")
 
     def afterpulse_at(self, eta: float) -> float:
         """Afterpulse probability at bias ``eta``."""
-        _check(eta >= 0.0, "eta", "must be non-negative")
-        if eta == 0.0:
-            return 0.0
-        try:
-            return self.pa_ref * (eta / self.pa_ref_eta) ** self.gamma
-        except OverflowError:
-            raise ParameterError(
-                f"calibration.gamma overflows the afterpulse coupling at eta = {eta}"
-            ) from None
+        return _afterpulse_at(self.pa_ref, self.pa_ref_eta, self.gamma, eta)
 
     def dark_at(self, eta: float) -> float:
         """Dark-count probability per gate at bias ``eta``."""
-        _check(eta >= 0.0, "eta", "must be non-negative")
-        try:
-            return self.dark_floor * math.exp(self.dark_slope * (eta - self.dark_floor_eta))
-        except OverflowError:
-            raise ParameterError(
-                f"calibration.dark_slope overflows the dark-count coupling at eta = {eta}"
-            ) from None
+        return _dark_at(self.dark_floor, self.dark_floor_eta, self.dark_slope, eta)
+
+
+# The two coupling laws on plain floats, for the calibration fitter.
+def _afterpulse_at(pa_ref: float, pa_ref_eta: float, gamma: float, eta: float) -> float:
+    _check(eta >= 0.0, "eta", "must be non-negative")
+    if eta == 0.0:
+        return 0.0
+    try:
+        return pa_ref * (eta / pa_ref_eta) ** gamma
+    except OverflowError:
+        raise ParameterError(
+            f"calibration.gamma overflows the afterpulse coupling at eta = {eta}"
+        ) from None
+
+
+def _dark_at(dark_floor: float, dark_floor_eta: float, dark_slope: float, eta: float) -> float:
+    _check(eta >= 0.0, "eta", "must be non-negative")
+    try:
+        return dark_floor * math.exp(dark_slope * (eta - dark_floor_eta))
+    except OverflowError:
+        raise ParameterError(
+            f"calibration.dark_slope overflows the dark-count coupling at eta = {eta}"
+        ) from None
 
 
 @dataclass(frozen=True)

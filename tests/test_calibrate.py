@@ -6,9 +6,11 @@ import math
 
 import pytest
 
+from qkdlink import keyrate, linkbudget
 from qkdlink.calibrate import (
     CalibrationAnchors,
     ConvergenceError,
+    _Fitter,
     calibrate,
 )
 from qkdlink.cli import main
@@ -180,3 +182,75 @@ class TestAnalyticOutputPin:
             for name in self.DIGESTS
         }
         assert digests == self.DIGESTS
+
+
+class TestFloatPath:
+    """The fitter evaluates its stages on plain floats; every number a stage
+    computes must equal, bit for bit, the public model on the validated
+    config with the same couplings."""
+
+    @pytest.fixture(params=["shipped", "perturbed"])
+    def start(self, request, cfg):
+        if request.param == "shipped":
+            return cfg
+        return perturbed(cfg, 1.13, 0.88, 1.05, 0.92, 1.12, 0.87)
+
+    def test_stage_numbers_match_the_public_model(self, start):
+        anchors = CalibrationAnchors()
+        fitter = _Fitter(start, anchors)
+        eta = anchors.operating_eta
+        assert start.calibration.pa_ref_eta == eta
+
+        def point(length, compensated=False, bias=eta):
+            return keyrate.evaluate_point(start.at_bias(bias).at_length(length, compensated))
+
+        dark, afterpulse = fitter._noise(eta)
+        assert fitter._slope_rates(dark) == [
+            point(length)[0].raw_rate for length in anchors.slope_lengths
+        ]
+        for length, _ in anchors.interclock:
+            config = start.at_bias(eta).at_length(length)
+            _, expected = linkbudget.link_timing(config.source, config.channel, config.receiver)
+            assert fitter._interclock(length) == expected
+        assert fitter._compensated_qber()(dark, afterpulse) == [
+            point(length, compensated=True)[1].total for length, _ in anchors.compensated_qber
+        ]
+        assert fitter._secure_rates()(afterpulse) == [
+            point(length)[0].secure_rate for length, _ in anchors.secure
+        ]
+        e_opt, _, e_dark, e_interclock, _ = fitter._low_bias_errors()
+        _, low = point(anchors.qber_low_length, bias=anchors.qber_low_eta)
+        assert (e_opt, e_dark, e_interclock) == (low.e_opt, low.e_dark, low.e_interclock)
+
+
+class TestErrorPaths:
+    """Anchors the model cannot meet fail with the error, and name the
+    field, that building the trial's config would."""
+
+    @pytest.mark.parametrize(
+        "changes,error,field",
+        [
+            ({"operating_eta": 0.9}, ConvergenceError, "detector.dark_prob"),
+            ({"operating_eta": 0.5}, ConvergenceError, "no solution"),
+            ({"qber_low_eta": 0.9}, ParameterError, "detector.dark_prob"),
+            ({"operating_eta": 0.0}, ConvergenceError, "calibration.pa_ref_eta"),
+            ({"qber_low_eta": 0.5}, ParameterError, "detector.afterpulse_total"),
+            # The first sweep's bias exponent comes out negative; the next
+            # sweep rejects it.
+            ({"qber_low_eta": 0.07}, ConvergenceError, "calibration.gamma"),
+        ],
+    )
+    def test_unreachable_anchor(self, cfg, changes, error, field):
+        anchors = dataclasses.replace(CalibrationAnchors(), **changes)
+        with pytest.raises(error, match=field):
+            calibrate(cfg, anchors)
+
+    def test_trials_do_not_build_validated_configs(self, cfg, monkeypatch):
+        # Only residuals() evaluates through validated configs (11 points);
+        # a fit that routed its trials through them would make thousands.
+        calls = []
+        evaluate = keyrate.evaluate_point
+        monkeypatch.setattr(keyrate, "evaluate_point",
+                            lambda config: calls.append(config) or evaluate(config))
+        calibrate(cfg)
+        assert 0 < len(calls) <= 30
