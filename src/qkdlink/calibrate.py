@@ -72,6 +72,12 @@ class CalibrationAnchors:
         for name, value in vars(self).items():
             if not _all_finite(value):
                 raise ParameterError(f"anchor {name} must be finite, got {value}")
+        # The bias exponent is a log-ratio over the two biases and the dark
+        # slope a difference quotient over the two lengths.
+        if self.qber_low_eta == self.operating_eta:
+            raise ParameterError("anchor qber_low_eta must differ from operating_eta")
+        if self.slope_lengths[0] == self.slope_lengths[1]:
+            raise ParameterError("anchor slope_lengths must be two different lengths")
 
 
 def _all_finite(value) -> bool:

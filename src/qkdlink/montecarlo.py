@@ -204,10 +204,8 @@ def _afterpulse_tree(gates, offsets, det, ap_rng, period, n_gates, budget):
     spawn counts are drawn in one call and charged to ``budget``, then the
     delays, then the offsets.  A child in its parent's gate would always
     merge with the parent's click, and one past the run never fires, so
-    both are dropped.  Returns ``(gate, offset, parent)`` in time order,
-    candidates first on a tie; ``parent`` indexes the node that must fire
-    for a potential afterpulse to exist (-1 for a candidate) and always
-    precedes it.
+    both are dropped.  Returns the nodes in time order (see
+    :func:`_time_order`).
     """
     pa = det.afterpulse_total
     center = 0.5 * period
@@ -229,12 +227,30 @@ def _afterpulse_tree(gates, offsets, det, ap_rng, period, n_gates, budget):
         gen_gate, gen_off = child_gate[keep], child_off[keep]
         node_gate.append(gen_gate)
         node_off.append(gen_off)
-    gate, off, parent = (np.concatenate(c) for c in (node_gate, node_off, node_parent))
-    order = np.lexsort((parent >= 0, off, gate))
+    return _time_order(*(np.concatenate(c) for c in (node_gate, node_off, node_parent)), period)
+
+
+def _time_order(gate, off, parent, period):
+    """Afterpulse-tree nodes, given candidates first and each child after
+    its parent (``parent`` = -1 for a candidate), sorted by ``(gate,
+    offset)`` with candidates first on a tie.  Returns ``(gate, offset,
+    parent, t_abs)``, ``parent`` re-indexed and ``t_abs = gate * period +
+    offset``.
+
+    Offsets lie inside the window, so different gates never tie, and float
+    addition is monotone: a stable sort on ``t_abs`` gives that order.  Two
+    distinct offsets in one gate that round to the same ``t_abs`` are left
+    to the three-key sort on ``(gate, offset, parent >= 0)``.
+    """
+    t_abs = gate * period + off
+    order = np.argsort(t_abs, kind="stable")
+    tie = np.flatnonzero(np.diff(t_abs[order]) == 0.0)
+    if tie.size and np.any(off[order[tie]] != off[order[tie + 1]]):
+        order = np.lexsort((parent >= 0, off, gate))
     rank = np.empty(order.size, dtype=np.int64)
     rank[order] = np.arange(order.size)
     parent = parent[order]
-    return gate[order], off[order], np.where(parent >= 0, rank[parent], -1)
+    return gate[order], off[order], np.where(parent >= 0, rank[parent], -1), t_abs[order]
 
 
 def _sweep_detector(gates, offsets, det, ap_rng, period, n_gates, budget):
@@ -247,27 +263,35 @@ def _sweep_detector(gates, offsets, det, ap_rng, period, n_gates, budget):
     only for nodes that fire keeps the law of drawing per click.  A node at
     least the hold-off after its predecessor, in another gate, cannot be
     blocked: such candidates fire in numpy, and a loop settles the rest.
-    Returns the clicks' gates and offsets in time order.
+    The loop reads lists of only the rest and of each one's anchor, the
+    last numpy click before it (the first node is a candidate and always
+    fires), and the fired flags through a byte buffer.  Returns the clicks'
+    gates and offsets in time order.
     """
     dead = det.dead_time_ps
-    gate, off, parent = _afterpulse_tree(gates, offsets, det, ap_rng, period, n_gates, budget)
-    t_abs = gate * period + off
+    gate, off, parent, t_abs = _afterpulse_tree(
+        gates, offsets, det, ap_rng, period, n_gates, budget
+    )
     fired = np.ones(gate.size, dtype=bool)
     fired[1:] = (np.diff(t_abs) >= dead) & (np.diff(gate) != 0)
     fired &= parent < 0
     rest = np.flatnonzero(~fired)
     anchor = np.maximum.accumulate(np.where(fired, np.arange(gate.size), -1))[rest]
-    gate_l, t_l, fired_l = gate.tolist(), t_abs.tolist(), fired.tolist()
-    last = -1
-    for j, p, a in zip(rest.tolist(), parent[rest].tolist(), anchor.tolist()):
-        if p >= 0 and not fired_l[p]:
+    flags = bytearray(fired)
+    last = last_gate = last_t = -1
+    for j, p, g, t, a, a_gate, a_t in zip(
+        rest.tolist(), parent[rest].tolist(), gate[rest].tolist(), t_abs[rest].tolist(),
+        anchor.tolist(), gate[anchor].tolist(), t_abs[anchor].tolist(),
+    ):
+        if p >= 0 and not flags[p]:
             continue
-        k = max(last, a)  # the last click before node j
-        if k >= 0 and (gate_l[k] == gate_l[j] or t_l[j] - t_l[k] < dead):
+        if a > last:  # the anchor is the last click before node j
+            last, last_gate, last_t = a, a_gate, a_t
+        if last_gate == g or t - last_t < dead:
             continue
-        fired_l[j] = True
-        last = j
-    fired = np.array(fired_l, dtype=bool)
+        flags[j] = 1
+        last, last_gate, last_t = j, g, t
+    fired = np.frombuffer(flags, dtype=bool)
     return gate[fired], off[fired]
 
 
@@ -324,7 +348,10 @@ def _candidates(config, lo, hi, n_pulses, rng, budget, key):
     if n_photons:
         emit = np.sort(rng.integers(lo, hi, n_photons))
         # One mis-modulation draw per emitting clock, shared by its photons.
-        clocks, clock_of = np.unique(emit, return_inverse=True)
+        first = np.empty(n_photons, dtype=bool)
+        first[0] = True
+        np.not_equal(emit[1:], emit[:-1], out=first[1:])
+        clocks, clock_of = emit[first], np.cumsum(first) - 1
         flip = (rng.random(clocks.size) < receiver.mismodulation_error)[clock_of]
         components = linkbudget.temporal_components(source, channel)
         if len(components) == 1:

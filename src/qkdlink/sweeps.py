@@ -263,8 +263,9 @@ def emit_histogram_csv(result: HistogramResult, path) -> None:
         f"# peak_spacing_ps = {_opt(result.peak_spacing_ps)}",
         "bin_lo_ps,bin_hi_ps,count",
     ]
-    for i in range(result.counts.size):
-        lines.append(
-            f"{_fmt(result.edges[i])},{_fmt(result.edges[i + 1])},{int(result.counts[i])}"
-        )
+    edges = [_fmt(edge) for edge in result.edges]
+    lines += [
+        f"{lo},{hi},{count}"
+        for lo, hi, count in zip(edges[:-1], edges[1:], result.counts.tolist())
+    ]
     _write_text("\n".join(lines) + "\n", path)

@@ -124,6 +124,15 @@ class TestInputValidation:
         with pytest.raises(ParameterError, match=field):
             dataclasses.replace(CalibrationAnchors(), **{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value", [("qber_low_eta", 0.06), ("slope_lengths", (5.6, 5.6))]
+    )
+    def test_degenerate_anchor_rejected(self, field, value):
+        # Equal biases or equal lengths leave the bias exponent or the dark
+        # slope undetermined; the fit would divide by zero.
+        with pytest.raises(ParameterError, match=field):
+            dataclasses.replace(CalibrationAnchors(), **{field: value})
+
 
 def perturbed(cfg, spectral_width, side_mode_weight, side_mode_offset,
               dark_slope, pa_ref, gamma):

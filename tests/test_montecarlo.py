@@ -7,10 +7,11 @@ import math
 import random
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
 from qkdlink import keyrate, linkbudget, montecarlo
@@ -568,16 +569,99 @@ def test_vectorized_resolution_is_exact(cfg):
         offsets[: k // 10] = 0.5 * PERIOD  # exact ties inside shared gates
 
         budget = montecarlo._EventBudget(10**7)
-        gate, offset, parent = montecarlo._afterpulse_tree(
+        gate, offset, parent, t_abs = montecarlo._afterpulse_tree(
             gates, offsets, det, np.random.default_rng(trial), PERIOD, n_gates, budget
         )
         assert np.all(parent < np.arange(parent.size))
-        assert np.all(np.diff(gate * PERIOD + offset) >= 0.0)
+        assert t_abs.tolist() == (gate * PERIOD + offset).tolist()
+        assert np.all(np.diff(t_abs) >= 0.0)
         fired = _walk_tree(gate, offset, parent, det.dead_time_ps, PERIOD)
 
         clicks, click_offsets = _sweep(det, gates, offsets, np.random.default_rng(trial), n_gates)
         assert clicks.tolist() == gate[fired].tolist()
         assert click_offsets.tolist() == offset[fired].tolist()
+
+
+def _lexsort_order(gate, off, parent, period):
+    """The three-key ``(gate, offset, parent >= 0)`` order, as the oracle
+    of the one-key time sort."""
+    order = np.lexsort((parent >= 0, off, gate))
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    parent = parent[order]
+    gate, off = gate[order], off[order]
+    return gate, off, np.where(parent >= 0, rank[parent], -1), gate * period + off
+
+
+CENTER = 0.5 * PERIOD
+HALF_WINDOW = 132.5
+# In-window offsets: exact repeats, offsets one ulp apart (the same time
+# once added to a gate's start) and any float in the window.
+OFFSETS = st.one_of(
+    st.sampled_from([CENTER, np.nextafter(CENTER, 0.0), np.nextafter(CENTER, PERIOD),
+                     CENTER - HALF_WINDOW, CENTER + HALF_WINDOW]),
+    st.floats(CENTER - HALF_WINDOW, CENTER + HALF_WINDOW),
+)
+
+
+@st.composite
+def _node_arrays(draw):
+    """Afterpulse-tree nodes as the draw leaves them: candidates in a few
+    shared gates, then potential afterpulses, each after its parent and in
+    a later gate."""
+    n_candidates = draw(st.integers(0, 25))
+    gate = draw(st.lists(st.integers(0, 6), min_size=n_candidates, max_size=n_candidates))
+    off = draw(st.lists(OFFSETS, min_size=n_candidates, max_size=n_candidates))
+    parent = [-1] * n_candidates
+    for _ in range(draw(st.integers(0, 40)) if n_candidates else 0):
+        p = draw(st.integers(0, len(gate) - 1))
+        gate.append(gate[p] + draw(st.integers(1, 3)))
+        off.append(draw(OFFSETS))
+        parent.append(p)
+    return (np.array(gate, dtype=np.int64), np.array(off, dtype=np.float64),
+            np.array(parent, dtype=np.int64))
+
+
+class TestTimeOrder:
+    """The one-key time sort of the afterpulse tree gives the three-key
+    order it replaced, ties and rounding ties included."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert [column.tolist() for column in got] == [column.tolist() for column in want]
+
+    # Two offsets one ulp apart, in node order against time order, that
+    # round to the same time in gate 5.
+    @example((np.array([5, 5]), np.array([np.nextafter(CENTER, PERIOD), CENTER]),
+              np.array([-1, -1])))
+    @settings(max_examples=50, deadline=None)
+    @given(_node_arrays())
+    def test_matches_the_three_key_order(self, nodes):
+        self.assert_same(montecarlo._time_order(*nodes, PERIOD), _lexsort_order(*nodes, PERIOD))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cands=st.lists(st.tuples(st.integers(0, 20), OFFSETS), max_size=40),
+        pa=st.floats(0.5, 0.95),
+        dead_ns=st.sampled_from([0.0, 0.3, 2.0, 7.7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_tree(self, cfg, cands, pa, dead_ns, seed):
+        det = dataclasses.replace(cfg.receiver.detector, afterpulse_total=pa,
+                                  dead_time=dead_ns, afterpulse_decay=3.0)
+        gates = np.array([g for g, _ in cands], dtype=np.int64)
+        offsets = np.array([o for _, o in cands], dtype=np.float64)
+        drawn = []
+        time_order = montecarlo._time_order
+        with mock.patch.object(montecarlo, "_time_order",
+                               side_effect=lambda *a: drawn.append(a) or time_order(*a)):
+            tree = montecarlo._afterpulse_tree(gates, offsets, det, np.random.default_rng(seed),
+                                               PERIOD, 60, montecarlo._EventBudget(10**6))
+        self.assert_same(tree, _lexsort_order(*drawn[0]))
+        gate, _, parent, _ = tree
+        children = np.flatnonzero(parent >= 0)
+        assert np.all(parent[children] < children)
+        assert np.all(gate[parent[children]] < gate[children])
 
 
 class TestHistogramAnalysis:

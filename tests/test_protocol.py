@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qkdlink import protocol
 from qkdlink.montecarlo import AliceLog, TimeTagStream
 from qkdlink.params import ParameterError, ProtocolConstants
 from qkdlink.protocol import (
@@ -205,3 +206,44 @@ class TestSiftedKeyFile:
             "# qber = undefined",
             "# secure_bits = 0",
         ]
+
+    @pytest.mark.parametrize(
+        "clocks,alice,bob,expected",
+        [
+            ([], [], [], b"# n_sifted = 0\n# qber = undefined\n# secure_bits = 0\n"),
+            (
+                [0, 9, 10, 2**63 + 5],
+                [0, 0, 1, 1],
+                [0, 1, 0, 1],
+                b"0,0,0\n9,0,1\n10,1,0\n9223372036854775813,1,1\n"
+                b"# n_sifted = 4\n# qber = 0.5\n# secure_bits = 0\n",
+            ),
+        ],
+    )
+    def test_golden_bytes(self, tmp_path, clocks, alice, bob, expected):
+        key = SiftedKey(
+            clock_index=np.array(clocks, dtype=np.uint64),
+            alice_bits=np.array(alice, dtype=np.uint8),
+            bob_bits=np.array(bob, dtype=np.uint8),
+        )
+        path = tmp_path / "key.txt"
+        write_sifted_key(key, path, CONSTS)
+        assert path.read_bytes() == expected
+
+    @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 1), st.integers(0, 1)),
+                    max_size=30))
+    def test_records_match_per_record_formatting(self, records):
+        columns = np.array(records, dtype=np.uint64).reshape(-1, 3)
+        text = protocol._key_records(columns[:, 0], columns[:, 1], columns[:, 2])
+        assert text == "".join(f"{c},{a},{b}\n" for c, a, b in records)
+
+    def test_non_bit_rejected_before_writing(self, tmp_path):
+        key = SiftedKey(
+            clock_index=np.array([1], dtype=np.uint64),
+            alice_bits=np.array([2], dtype=np.uint8),
+            bob_bits=np.array([0], dtype=np.uint8),
+        )
+        path = tmp_path / "key.txt"
+        with pytest.raises(ProtocolError, match="0 or 1"):
+            write_sifted_key(key, path, CONSTS)
+        assert not path.exists()

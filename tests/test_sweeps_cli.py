@@ -1,6 +1,7 @@
 """Tests for the sweep runners, CSV emitters, and the command-line tool."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -219,6 +220,15 @@ class TestCli:
         ])
         assert rc == 0
         assert out.read_text().startswith("clock_index,detector_id,timestamp_ps")
+
+    def test_histogram_csv_digest(self, tmp_path):
+        # Pins the histogram CSV bytes: 966 one-ps bins plus the header.
+        out = tmp_path / "h.csv"
+        assert main(["histogram", "--length", "0", "--pulses", "100000", "--seed", "2",
+                     "--bin-ps", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f312f3a2d613ca896d92bb1131ff464ca2ecdfaf821848643ed59b8bf6817ccf"
+        )
 
     def test_histogram_command(self, tmp_path):
         out = tmp_path / "h.csv"
