@@ -8,8 +8,9 @@ Subcommands::
     histogram       folded arrival-time histogram with timing figures (CSV)
     calibrate       fit model couplings to link anchors, save config
 
-All subcommands accept --config/--seed/--pulses/--engine/--out either
-before or after the subcommand name.  Every run is reproducible: the
+Flags follow the subcommand name, and each subcommand takes only the flags
+it reads: --config and --out on all five, --seed and --pulses on all but
+calibrate, --engine on the two sweeps.  Every run is reproducible: the
 config, seed and command line fully determine the output bytes.
 
 Exit codes: 0 success, 2 configuration or parameter problem (including a
@@ -36,44 +37,41 @@ EXIT_FIT = 3
 EXIT_IO = 4
 
 
-def _shared_flags() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", metavar="PATH", help="config file (default: packaged)")
-    shared.add_argument("--seed", type=int, default=1, metavar="N", help="RNG root seed")
-    shared.add_argument(
-        "--pulses", type=int, default=1_000_000, metavar="N",
-        help="clock cycles per event-engine run",
-    )
-    shared.add_argument(
-        "--engine", choices=("analytic", "mc"), default="analytic",
-        help="closed-form model or Monte Carlo event engine",
-    )
-    shared.add_argument("--out", metavar="PATH", help="output path ('-' for stdout)")
-    return shared
+# Flags that more than one subcommand reads; each subcommand declares only
+# those its handler reads.
+_FLAGS = {
+    "--config": dict(metavar="PATH", help="config file (default: packaged)"),
+    "--seed": dict(type=int, default=1, metavar="N", help="RNG root seed"),
+    "--pulses": dict(type=int, default=1_000_000, metavar="N",
+                     help="clock cycles per event-engine run"),
+    "--engine": dict(choices=("analytic", "mc"), default="analytic",
+                     help="closed-form model or Monte Carlo event engine"),
+    "--out": dict(metavar="PATH", help="output path ('-' for stdout)"),
+    "--length": dict(type=float, metavar="KM", help="override fiber length"),
+    "--compensated": dict(choices=("true", "false"),
+                          help="override the dispersion-compensation flag"),
+}
 
 
-def _add_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--length", type=float, metavar="KM", help="override fiber length")
-    parser.add_argument(
-        "--compensated", choices=("true", "false"),
-        help="override the dispersion-compensation flag",
-    )
+def _subcommand(sub, name: str, flags, help: str) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=help)
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = _shared_flags()
     parser = argparse.ArgumentParser(
         prog="qkdlink",
-        parents=[shared],
         description="Simulator and analysis toolkit for a GHz-gated fiber QKD link.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser(
-        "simulate", parents=[shared],
+    p_sim = _subcommand(
+        sub, "simulate",
+        ("--config", "--seed", "--pulses", "--out", "--length", "--compensated"),
         help="single event-engine run; prints measured rates",
     )
-    _add_overrides(p_sim)
     p_sim.add_argument("--segments", type=int, default=1, metavar="N",
                        help="stretches whose candidates are drawn from independent "
                             "streams (same law for any N)")
@@ -82,34 +80,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sifted-key", metavar="PATH",
                        help="also write the sifted key records here")
 
-    p_dist = sub.add_parser(
-        "sweep-distance", parents=[shared], help="rates vs fiber length",
+    p_dist = _subcommand(
+        sub, "sweep-distance",
+        ("--config", "--seed", "--pulses", "--engine", "--out", "--compensated"),
+        help="rates vs fiber length",
     )
     p_dist.add_argument(
         "--lengths", default=",".join(str(x) for x in sweeps.DEFAULT_LENGTHS),
         metavar="KM,KM,...", help="comma-separated lengths",
     )
-    p_dist.add_argument("--compensated", choices=("true", "false"),
-                        help="override the dispersion-compensation flag for all rows")
 
-    p_bias = sub.add_parser(
-        "sweep-bias", parents=[shared], help="rates vs detector efficiency",
+    p_bias = _subcommand(
+        sub, "sweep-bias",
+        ("--config", "--seed", "--pulses", "--engine", "--out", "--length"),
+        help="rates vs detector efficiency",
     )
     p_bias.add_argument(
         "--etas", default=",".join(str(x) for x in sweeps.DEFAULT_ETA_GRID),
         metavar="F,F,...", help="comma-separated efficiency grid",
     )
-    p_bias.add_argument("--length", type=float, metavar="KM", help="override fiber length")
 
-    p_hist = sub.add_parser(
-        "histogram", parents=[shared], help="folded arrival-time histogram",
+    p_hist = _subcommand(
+        sub, "histogram",
+        ("--config", "--seed", "--pulses", "--out", "--length", "--compensated"),
+        help="folded arrival-time histogram",
     )
-    _add_overrides(p_hist)
     p_hist.add_argument("--bin-ps", type=float, default=1.0, metavar="PS")
     p_hist.add_argument("--mu", type=float, metavar="F", help="override mean photon number")
 
-    p_cal = sub.add_parser(
-        "calibrate", parents=[shared],
+    p_cal = _subcommand(
+        sub, "calibrate", ("--config", "--out"),
         help="fit couplings to the link anchors and report residuals",
     )
     p_cal.add_argument("--slope-target", type=float, metavar="DB_PER_KM",
@@ -120,16 +120,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> "SystemConfig":
-    config = load_config(args.config) if args.config else default_config()
-    length = getattr(args, "length", None)
-    comp = getattr(args, "compensated", None)
-    if length is not None or comp is not None:
-        config = config.at_length(
-            config.channel.length if length is None else length,
-            compensated=None if comp is None else comp == "true",
-        )
-    mu = getattr(args, "mu", None)
+def _compensated(text: str | None) -> bool | None:
+    return None if text is None else text == "true"
+
+
+def _load(path, length=None, compensated=None, mu=None) -> "SystemConfig":
+    """The config at ``path`` (default: packaged) with the given overrides."""
+    config = load_config(path) if path else default_config()
+    if length is not None or compensated is not None:
+        config = config.at_length(config.channel.length if length is None else length,
+                                  compensated=_compensated(compensated))
     if mu is not None:
         config = replace(config, source=replace(config.source, mu=mu))
     return config
@@ -143,7 +143,7 @@ def _parse_floats(text: str, what: str) -> list:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load(args)
+    config = _load(args.config, args.length, args.compensated)
     result = montecarlo.simulate(
         config, args.pulses, args.seed, segments=args.segments
     )
@@ -171,21 +171,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep_distance(args) -> int:
-    config = _load(args)
+    config = _load(args.config)
     lengths = _parse_floats(args.lengths, "--lengths")
-    comp = None if args.compensated is None else args.compensated == "true"
     table = sweeps.run_distance_sweep(
         config, lengths, engine=args.engine,
-        compensated=comp, n_pulses=args.pulses, seed=args.seed,
+        compensated=_compensated(args.compensated), n_pulses=args.pulses, seed=args.seed,
     )
     sweeps.emit_csv(table, args.out or "-")
     return EXIT_OK
 
 
 def _cmd_sweep_bias(args) -> int:
-    config = _load(args)
-    if args.length is not None:
-        config = config.at_length(args.length)
+    config = _load(args.config, args.length)
     etas = _parse_floats(args.etas, "--etas")
     table = sweeps.run_bias_sweep(
         config, etas, engine=args.engine, n_pulses=args.pulses, seed=args.seed,
@@ -195,7 +192,7 @@ def _cmd_sweep_bias(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
-    config = _load(args)
+    config = _load(args.config, args.length, args.compensated, args.mu)
     result = sweeps.run_histogram(config, args.pulses, args.bin_ps, args.seed)
     sweeps.emit_histogram_csv(result, args.out or "-")
     return EXIT_OK
@@ -208,7 +205,7 @@ def _cmd_calibrate(args) -> int:
     # the import inside the fit, 0.51 s with it here.
     import scipy.optimize  # noqa: F401
 
-    config = _load(args)
+    config = _load(args.config)
     anchors = CalibrationAnchors()
     if args.slope_target is not None:
         anchors = replace(anchors, slope_db_per_km=args.slope_target)

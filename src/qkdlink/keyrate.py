@@ -31,13 +31,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RateResult:
-    """Raw rate, error rate and secure rate at one operating point."""
+    """Raw rate, error rate and secure rate at one operating point.
+
+    The operating point itself (length, detector efficiency) is read from
+    the config that produced the result, not stored here.
+    """
 
     raw_rate: float
     qber: float
     secure_rate: float
-    eta_bob: float
-    length: float
 
     def __post_init__(self) -> None:
         if self.secure_rate < 0.0:
@@ -97,11 +99,4 @@ def evaluate_point(config: SystemConfig):
     breakdown = linkbudget.qber_breakdown(source, channel, receiver)
     # Error rates beyond 1/2 carry no more extractable key than 1/2 itself.
     rate = secure_rate(raw, min(breakdown.total, 0.5), config.protocol)
-    result = RateResult(
-        raw_rate=raw,
-        qber=breakdown.total,
-        secure_rate=rate,
-        eta_bob=receiver.detector.efficiency,
-        length=channel.length,
-    )
-    return result, breakdown
+    return RateResult(raw_rate=raw, qber=breakdown.total, secure_rate=rate), breakdown

@@ -58,38 +58,42 @@ _TAIL_SIGMAS = 8.0
 
 @dataclass(frozen=True)
 class ClickProbabilities:
-    """Per-gate click probabilities at one operating point."""
+    """Per-gate click probabilities at one operating point; ``p_total``, the
+    probability of either click, is derived from the two as in :func:`_clicks`."""
 
     p_signal: float
     p_dark: float
-    p_total: float
 
     def __post_init__(self) -> None:
-        for name in ("p_signal", "p_dark", "p_total"):
+        for name in ("p_signal", "p_dark"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ParameterError(f"{name} must lie in [0, 1], got {value}")
-        if self.p_total + 1e-12 < max(self.p_signal, self.p_dark):
-            raise ParameterError("p_total cannot be below its components")
+
+    @property
+    def p_total(self) -> float:
+        return 1.0 - (1.0 - self.p_signal) * (1.0 - self.p_dark)
 
 
 @dataclass(frozen=True)
 class QberBreakdown:
-    """Additive error-rate contributions and their sum."""
+    """Additive error-rate contributions; ``total`` is their sum, in the
+    order :func:`_error_budget` adds them."""
 
     e_opt: float
     e_afterpulse: float
     e_dark: float
     e_interclock: float
-    total: float
 
     def __post_init__(self) -> None:
-        parts = (self.e_opt, self.e_afterpulse, self.e_dark, self.e_interclock)
-        for name, value in zip(("e_opt", "e_afterpulse", "e_dark", "e_interclock"), parts):
+        for name in ("e_opt", "e_afterpulse", "e_dark", "e_interclock"):
+            value = getattr(self, name)
             if not 0.0 <= value <= 0.5:
                 raise ParameterError(f"{name} must lie in [0, 0.5], got {value}")
-        if abs(self.total - sum(parts)) > 1e-12:
-            raise ParameterError("total must equal the sum of the components")
+
+    @property
+    def total(self) -> float:
+        return self.e_opt + self.e_afterpulse + self.e_dark + self.e_interclock
 
 
 def transmittance(length: float, attenuation: float) -> float:
@@ -193,11 +197,11 @@ def click_probabilities(
     """Per-gate click probabilities for signal, dark counts, and either."""
     acceptance, _ = link_timing(source, channel, receiver)
     det = receiver.detector
-    p_signal, p_dark, p_total = _clicks(
+    p_signal, p_dark, _ = _clicks(
         source.mu, transmittance(channel.length, channel.attenuation), det.efficiency,
         acceptance, det.dark_prob,
     )
-    return ClickProbabilities(p_signal=p_signal, p_dark=p_dark, p_total=p_total)
+    return ClickProbabilities(p_signal=p_signal, p_dark=p_dark)
 
 
 def _clicks(mu, transmitted, efficiency, acceptance, dark_prob):
@@ -353,7 +357,7 @@ def qber_breakdown(
     _, e_interclock = link_timing(source, channel, receiver)
     return QberBreakdown(*_error_budget(receiver.optical_error,
                                         receiver.detector.afterpulse_total,
-                                        clicks.p_dark, clicks.p_total, e_interclock))
+                                        clicks.p_dark, clicks.p_total, e_interclock)[:4])
 
 
 def _error_budget(e_opt, afterpulse_total, p_dark, p_total, e_interclock):

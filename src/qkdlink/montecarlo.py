@@ -59,6 +59,11 @@ _RECORD = np.dtype([("clock", "<u8"), ("detector", "u1"), ("ps", "<u4")])
 # Largest Poisson mean NumPy's generators can draw (their POISSON_LAM_MAX).
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
+# Most bins a folded histogram may have.  One-ps bins over a 1 GHz clock
+# period need about 1e3; the cap only stops a width whose edges alone would
+# exhaust memory.
+_MAX_BINS = 1_000_000
+
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl increment and the
 # two multipliers of the output finalizer.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -522,15 +527,22 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-def histogram(tags: TimeTagStream, bin_ps: float, gate_period: float | None = None):
-    """Counts of tag timestamps folded onto one clock period.
+def histogram(tags: TimeTagStream, bin_ps: float):
+    """Counts of tag timestamps folded onto the stream's clock period.
 
     Returns ``(counts, edges)`` with ``edges`` in ps.  A bin wider than the
-    period degenerates to a single all-inclusive bin.
+    period degenerates to a single all-inclusive bin; a bin so narrow that
+    the period needs more than ``_MAX_BINS`` of them raises
+    :class:`ParameterError` before anything is allocated.
     """
     if not bin_ps > 0.0:  # also rejects NaN
         raise ParameterError(f"bin_ps must be positive, got {bin_ps}")
-    period = gate_period if gate_period is not None else tags.meta["gate_period_ps"]
+    period = tags.meta["gate_period_ps"]
+    if period / bin_ps > _MAX_BINS:
+        raise ParameterError(
+            f"bin_ps = {bin_ps} splits the {period} ps period into more than "
+            f"{_MAX_BINS} bins"
+        )
     folded = np.mod(tags.timestamp, period)
     if bin_ps >= period:
         edges = np.array([0.0, period])
@@ -567,13 +579,13 @@ def fwhm_from_counts(counts: np.ndarray, edges: np.ndarray) -> float | None:
     return float(abs(fall - rise))
 
 
-def largest_empty_span(tags: TimeTagStream, gate_period: float | None = None) -> float | None:
-    """Longest circular stretch of the folded period with no tags at all, ps.
+def largest_empty_span(tags: TimeTagStream) -> float | None:
+    """Longest circular stretch of the folded clock period with no tags, ps.
 
     Measured on the raw timestamps rather than histogram bins, so it is not
     quantized by the bin width.  None when the stream is empty.
     """
-    period = gate_period if gate_period is not None else tags.meta["gate_period_ps"]
+    period = tags.meta["gate_period_ps"]
     if len(tags) == 0:
         return None
     folded = np.sort(np.mod(tags.timestamp, period))

@@ -57,7 +57,10 @@ def detector_a_probability(bit, basis, flip, bob_basis, visibility: float):
 
 @dataclass(frozen=True)
 class SiftedKey:
-    """Basis-matched bit pairs in clock order."""
+    """Basis-matched bit pairs in clock order.
+
+    The error rate is defined when the key is not empty: ``n_sifted > 0``.
+    """
 
     clock_index: np.ndarray
     alice_bits: np.ndarray
@@ -79,10 +82,6 @@ class SiftedKey:
             return math.nan
         return float(np.count_nonzero(self.alice_bits != self.bob_bits)) / self.n_sifted
 
-    @property
-    def qber_defined(self) -> bool:
-        return self.n_sifted > 0
-
 
 def sift(alice, tags, bob_bases) -> SiftedKey:
     """Keep detections whose preparation and analysis bases agree.
@@ -96,18 +95,15 @@ def sift(alice, tags, bob_bases) -> SiftedKey:
         Detection record stream carrying ``clock_index`` and ``detector_id``
         columns.
     bob_bases:
-        Bob's per-clock basis choices, aligned with ``alice``.
+        Bob's per-clock basis choices, an array aligned with ``alice``.
 
     The three per-clock columns are only read at the tagged clocks, by
     indexing with a clock array, so the event engine's lazy
     ``montecarlo.ClockBits`` columns are evaluated there and nowhere else;
-    plain arrays work too, and a list of Bob's bases is converted.  Bob's
-    bit is the identity of the detector that fired.  Bit values are never
-    inspected here; only bases and detector identities decide what
-    survives.
+    plain arrays work too.  Bob's bit is the identity of the detector that
+    fired.  Bit values are never inspected here; only bases and detector
+    identities decide what survives.
     """
-    if isinstance(bob_bases, (list, tuple)):
-        bob_bases = np.asarray(bob_bases)
     n_clocks = len(alice)
     if len(bob_bases) != n_clocks:
         raise ProtocolError("bob_bases must align with Alice's clock record")
@@ -174,7 +170,7 @@ def write_sifted_key(key: SiftedKey, path, consts: ProtocolConstants) -> None:
     bob = np.asarray(key.bob_bits, dtype=np.uint8)
     if np.any(alice > 1) or np.any(bob > 1):
         raise ProtocolError("sifted-key bits must be 0 or 1")
-    if key.qber_defined:
+    if key.n_sifted > 0:
         qber = key.qber_estimate
         secure_bits = secure_key_length(key.n_sifted, min(qber, 0.5), consts)
         qber_text = repr(qber)

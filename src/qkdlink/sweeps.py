@@ -99,13 +99,7 @@ def _measured_point(config: SystemConfig, n_pulses: int, seed: int):
     else:
         qber = float("nan")
         secure = 0.0
-    rate = RateResult(
-        raw_rate=raw,
-        qber=qber,
-        secure_rate=secure,
-        eta_bob=config.receiver.detector.efficiency,
-        length=config.channel.length,
-    )
+    rate = RateResult(raw_rate=raw, qber=qber, secure_rate=secure)
     breakdown = linkbudget.qber_breakdown(config.source, config.channel, config.receiver)
     return rate, breakdown
 
@@ -199,14 +193,13 @@ def run_histogram(
     """Simulate a run and fold all detections onto one clock period."""
     result = montecarlo.simulate(config, n_pulses, seed)
     tags = result.tags
-    period = config.source.gate_period
-    counts, edges = montecarlo.histogram(tags, bin_ps, gate_period=period)
+    counts, edges = montecarlo.histogram(tags, bin_ps)
     if counts.size < 2:
         fwhm = None
         span = None  # a single bin cannot resolve any empty span
     else:
         fwhm = montecarlo.fwhm_from_counts(counts, edges)
-        span = montecarlo.largest_empty_span(tags, gate_period=period)
+        span = montecarlo.largest_empty_span(tags)
     spacing = montecarlo.mean_peak_spacing(tags)
     return HistogramResult(
         counts=counts,
@@ -215,7 +208,7 @@ def run_histogram(
         empty_span_ps=span,
         peak_spacing_ps=spacing,
         n_tags=len(tags),
-        gate_period_ps=period,
+        gate_period_ps=config.source.gate_period,
     )
 
 

@@ -214,9 +214,9 @@ def test_criterion_7_arrival_time_histogram(cfg):
     assert len(tags) > 10_000
 
     period = config.source.gate_period
-    counts, edges = montecarlo.histogram(tags, 1.0, gate_period=period)
+    counts, edges = montecarlo.histogram(tags, 1.0)
     fwhm = montecarlo.fwhm_from_counts(counts, edges)
-    span = montecarlo.largest_empty_span(tags, gate_period=period)
+    span = montecarlo.largest_empty_span(tags)
     spacing = montecarlo.mean_peak_spacing(tags)
 
     assert fwhm == pytest.approx(60.0, abs=10.0)

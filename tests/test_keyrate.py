@@ -112,21 +112,15 @@ class TestQberThreshold:
 class TestRateResult:
     def test_secure_rate_cannot_exceed_sifted_rate(self):
         with pytest.raises(ParameterError):
-            RateResult(
-                raw_rate=100.0, qber=0.0, secure_rate=60.0, eta_bob=0.06, length=5.6
-            )
+            RateResult(raw_rate=100.0, qber=0.0, secure_rate=60.0)
 
     def test_negative_secure_rate_rejected(self):
         with pytest.raises(ParameterError):
-            RateResult(
-                raw_rate=100.0, qber=0.03, secure_rate=-1.0, eta_bob=0.06, length=5.6
-            )
+            RateResult(raw_rate=100.0, qber=0.03, secure_rate=-1.0)
 
     def test_zero_secure_rate_accepted(self):
         # A link past the error threshold yields no key rather than failing.
-        dead = RateResult(
-            raw_rate=100.0, qber=0.2, secure_rate=0.0, eta_bob=0.06, length=5.6
-        )
+        dead = RateResult(raw_rate=100.0, qber=0.2, secure_rate=0.0)
         assert dead.secure_rate == 0.0
 
 
@@ -146,8 +140,6 @@ class TestEvaluatePoint:
         assert result.secure_rate == pytest.approx(
             secure_rate(raw, breakdown.total, config.protocol), rel=1e-12
         )
-        assert result.eta_bob == config.receiver.detector.efficiency
-        assert result.length == 5.6
 
     def test_long_span_yields_no_key(self, cfg):
         result, _ = evaluate_point(cfg.at_length(110.0))
@@ -171,7 +163,7 @@ class TestBiasOptimization:
         grid = [0.10, 0.02, 0.06, 0.04]
         config = cfg.at_length(5.6)
         table = sweeps.run_bias_sweep(config, grid)
-        etas = [row.rate.eta_bob for row in table]
+        etas = [row.x for row in table]
         assert etas == sorted(grid)
         for eta, row in zip(etas, table):
             assert (row.rate, row.qber) == evaluate_point(config.at_bias(eta))

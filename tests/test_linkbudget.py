@@ -148,9 +148,7 @@ class TestClickProbabilities:
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            ClickProbabilities(p_signal=0.5, p_dark=0.0, p_total=0.4)
-        with pytest.raises(ParameterError):
-            ClickProbabilities(p_signal=-0.1, p_dark=0.0, p_total=0.0)
+            ClickProbabilities(p_signal=-0.1, p_dark=0.0)
 
 
 class TestDeadTimeBlocking:
@@ -172,7 +170,7 @@ class TestDeadTimeBlocking:
 
 class TestRawRate:
     def test_no_clicks_no_rate(self, cfg):
-        clicks = ClickProbabilities(p_signal=0.0, p_dark=0.0, p_total=0.0)
+        clicks = ClickProbabilities(p_signal=0.0, p_dark=0.0)
         assert raw_rate(clicks, cfg.source, blocked_gates=7.5) == 0.0
 
     def test_dead_time_only_reduces(self, cfg):
@@ -182,7 +180,7 @@ class TestRawRate:
         assert held < free
 
     def test_squash_keeps_rate_below_clock(self, cfg):
-        clicks = ClickProbabilities(p_signal=1.0, p_dark=0.0, p_total=1.0)
+        clicks = ClickProbabilities(p_signal=1.0, p_dark=0.0)
         rate = raw_rate(clicks, cfg.source, blocked_gates=0.0)
         assert rate <= cfg.source.clock_rate * (1.0 + 1e-12)
 
@@ -191,8 +189,8 @@ class TestRawRate:
            st.floats(min_value=1e-9, max_value=0.5))
     def test_monotone_in_click_probability(self, cfg, p1, p2):
         lo, hi = sorted((p1, p2))
-        r_lo = raw_rate(ClickProbabilities(lo, 0.0, lo), cfg.source, blocked_gates=7.5)
-        r_hi = raw_rate(ClickProbabilities(hi, 0.0, hi), cfg.source, blocked_gates=7.5)
+        r_lo = raw_rate(ClickProbabilities(lo, 0.0), cfg.source, blocked_gates=7.5)
+        r_hi = raw_rate(ClickProbabilities(hi, 0.0), cfg.source, blocked_gates=7.5)
         assert r_lo <= r_hi + 1e-9
 
 
@@ -220,10 +218,9 @@ class TestQberBreakdown:
         assert plain.e_interclock > 0.10
         assert fixed.e_interclock == 0.0
 
-    def test_validation_rejects_inconsistent_total(self):
-        with pytest.raises(ParameterError):
-            QberBreakdown(e_opt=0.01, e_afterpulse=0.0, e_dark=0.0,
-                          e_interclock=0.0, total=0.5)
+    def test_validation_rejects_out_of_range_component(self):
+        with pytest.raises(ParameterError, match="e_dark"):
+            QberBreakdown(e_opt=0.01, e_afterpulse=0.0, e_dark=0.6, e_interclock=0.0)
 
 
 def _kernel_caches():

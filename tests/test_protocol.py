@@ -90,7 +90,7 @@ def make_tags(clocks, detectors):
 class TestSift:
     def test_handcrafted_example(self):
         alice = make_alice([0, 1, 0, 1, 1], [0, 0, 1, 1, 0])
-        bob_bases = [0, 1, 1, 0, 0]
+        bob_bases = np.array([0, 1, 1, 0, 0])
         tags = make_tags([0, 1, 2, 4], [0, 1, 1, 1])
         key = sift(alice, tags, bob_bases)
         # Bases agree on clocks 0, 2 and 4; clock 1 was measured in the
@@ -103,23 +103,22 @@ class TestSift:
 
     def test_no_matches_yields_empty_key(self):
         alice = make_alice([0, 1], [0, 0])
-        key = sift(alice, make_tags([0, 1], [0, 1]), [1, 1])
+        key = sift(alice, make_tags([0, 1], [0, 1]), np.array([1, 1]))
         assert key.n_sifted == 0
         assert math.isnan(key.qber_estimate)
-        assert not key.qber_defined
 
     def test_unknown_clock_index_rejected(self):
         alice = make_alice([0, 1, 0], [0, 0, 0])
         # Clock 3 is the first one past Alice's three-clock record.
         with pytest.raises(ProtocolError, match="unknown clock index 3"):
-            sift(alice, make_tags([0, 3], [0, 0]), [0, 0, 0])
+            sift(alice, make_tags([0, 3], [0, 0]), np.zeros(3))
         with pytest.raises(ProtocolError, match="unknown clock index 9"):
-            sift(alice, make_tags([9], [0]), [0, 0, 0])
+            sift(alice, make_tags([9], [0]), np.zeros(3))
 
     def test_misaligned_bob_record_rejected(self):
         alice = make_alice([0, 1, 0], [0, 0, 1])
         with pytest.raises(ProtocolError, match="align"):
-            sift(alice, make_tags([0], [0]), [0, 0])
+            sift(alice, make_tags([0], [0]), np.zeros(2))
 
     @settings(max_examples=60)
     @given(st.data())
@@ -136,7 +135,7 @@ class TestSift:
             st.lists(st.integers(0, 1), min_size=len(clicked), max_size=len(clicked))
         )
         alice = make_alice(bits, bases)
-        key = sift(alice, make_tags(clicked, dets), bob)
+        key = sift(alice, make_tags(clicked, dets), np.array(bob))
 
         expect = [
             (c, bits[c], d)

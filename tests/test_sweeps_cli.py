@@ -9,6 +9,7 @@ import pytest
 
 from qkdlink import sweeps
 from qkdlink.cli import main
+from qkdlink.config import save_config
 from qkdlink.keyrate import RateResult
 from qkdlink.linkbudget import QberBreakdown
 from qkdlink.montecarlo import read_binary_dump
@@ -136,7 +137,7 @@ class TestBiasSweep:
             cfg, [0.06], engine="mc", n_pulses=200_000, seed=4
         )
         assert len(table) == 1
-        assert table.rows[0].rate.eta_bob == 0.06
+        assert table.rows[0].x == 0.06
         assert table.rows[0].rate.raw_rate > 0
 
 
@@ -230,6 +231,16 @@ class TestCli:
             "f312f3a2d613ca896d92bb1131ff464ca2ecdfaf821848643ed59b8bf6817ccf"
         )
 
+    def test_mc_distance_csv_digest(self, tmp_path):
+        # Pins the event-engine sweep rows: measured raw rate, QBER and secure
+        # rate next to the closed-form error-budget columns.
+        out = tmp_path / "d.csv"
+        assert main(["sweep-distance", "--engine", "mc", "--pulses", "200000", "--seed", "3",
+                     "--lengths", "5.6,65.5", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "650c54ff2760733d2eaba14db7a8f9ba945db24b06593763089b00ef605e1b7e"
+        )
+
     def test_histogram_command(self, tmp_path):
         out = tmp_path / "h.csv"
         rc = main([
@@ -266,6 +277,50 @@ class TestCli:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--config", "shipped.cfg"), ("--seed", "3"), ("--pulses", "2000"),
+        ("--engine", "mc"), ("--out", "d.csv"),
+    ])
+    def test_shared_flag_goes_after_the_subcommand(self, flag, value, cfg, tmp_path,
+                                                   capsys):
+        # Placed before the subcommand, each flag is a usage error and no
+        # file is written; after it, the same flag is read.
+        out = tmp_path / "d.csv"
+        if flag == "--config":
+            value = str(tmp_path / value)
+            save_config(cfg, value)
+        pair = [flag, str(out) if flag == "--out" else value]
+        rest = [] if flag == "--out" else ["--out", str(out)]
+        command = ["sweep-distance", "--lengths", "5.6"]
+        with pytest.raises(SystemExit) as exc:
+            main([*pair, *command, *rest])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert main([*command, *pair, *rest]) == 0
+        assert out.read_text().startswith(HEADER)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--engine", "mc"],
+        ["histogram", "--engine", "mc"],
+        ["calibrate", "--engine", "mc"],
+        ["calibrate", "--seed", "1"],
+        ["calibrate", "--pulses", "1000"],
+    ], ids=["simulate-engine", "histogram-engine", "calibrate-engine", "calibrate-seed",
+            "calibrate-pulses"])
+    def test_flag_the_command_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    # simulate's case is test_missing_config_file_exits_4.
+    @pytest.mark.parametrize("command", ["sweep-distance", "sweep-bias", "histogram",
+                                         "calibrate"])
+    def test_config_after_the_subcommand_is_read(self, command, tmp_path, capsys):
+        rc = main([command, "--config", str(tmp_path / "nope.cfg")])
+        assert rc == 4
+        assert "nope.cfg" in capsys.readouterr().err
+
     def test_missing_config_file_exits_4(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 4
@@ -282,6 +337,11 @@ class TestCli:
         assert rc == 0
         text = capsys.readouterr().out
         assert "calibration converged" in text
+        # Pins the report's bytes, residuals included, ahead of the path line.
+        report = text[:text.index("calibrated config written to")]
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "d9f3ba87cab310dc4c830188099914dbaa0a1a75d0b0dc399a332d893867539f"
+        )
         assert out.exists()
         from qkdlink.config import load_config
 
@@ -324,6 +384,10 @@ class TestCli:
             pytest.param(
                 ["sweep-distance", "--engine", "mc", "--seed", "-1", "--pulses", "1000"],
                 "seed", id="sweep-distance-mc-seed-neg",
+            ),
+            pytest.param(
+                ["histogram", "--bin-ps", "1e-12", "--pulses", "1000"], "bin_ps",
+                id="histogram-bins-over-cap",
             ),
             pytest.param(
                 ["histogram", "--mu", "inf", "--pulses", "1000"], "source.mu",
