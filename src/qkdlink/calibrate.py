@@ -153,7 +153,6 @@ class _Fitter:
                       for name in _STATE_FIELDS}
         source, det = config.source, config.receiver.detector
         self.timing = (det.jitter_sigma, source.gate_period, det.gate_window)
-        self.geometry = linkbudget._gate_geometry(det, source.gate_period)
 
     def fitted(self) -> SystemConfig:
         """The start config with the couplings of the current state."""
@@ -202,7 +201,9 @@ class _Fitter:
         return linkbudget._clicks(self.base.source.mu, arrival[3], eta, arrival[1], dark)
 
     def _raw_rate(self, arrival, clicks) -> float:
-        blocked = linkbudget._blocked_gates(arrival[0], self.timing[0], self.geometry,
+        jitter, period, window = self.timing
+        blocked = linkbudget._blocked_gates(arrival[0], jitter, window, period,
+                                            self.base.receiver.detector.dead_time_ps,
                                             clicks[0], clicks[1])
         return linkbudget._renewal_rate(self.base.source.clock_rate, clicks[2], blocked)
 
@@ -288,51 +289,54 @@ class _Fitter:
             self._move("side_mode_weight", weight)
             return self._interclock(length) - target
 
-        if residual(_SIDE_WEIGHT_MAX) < 0.0:
-            return None  # even a maximal side mode cannot reach the anchor
-        if residual(1e-6) > 0.0:
+        # Even a maximal side mode may fall short, or a minimal one overshoot.
+        high = residual(_SIDE_WEIGHT_MAX)
+        if high < 0.0 or (low := residual(1e-6)) > 0.0:
             return None
-        return _optimize().brentq(residual, 1e-6, _SIDE_WEIGHT_MAX, xtol=1e-14, maxiter=200)
+        # brentq evaluates both ends before it iterates; they are known.
+        ends = {1e-6: low, _SIDE_WEIGHT_MAX: high}
+        return _optimize().brentq(lambda w: ends[w] if w in ends else residual(w),
+                                  1e-6, _SIDE_WEIGHT_MAX, xtol=1e-14, maxiter=200)
 
     def stage_side_mode(self) -> None:
         (l_near, t_near), (l_far, t_far) = self.anchors.interclock
         self._noise(self.anchors.operating_eta)  # only for its range checks
+        # Per offset tried, (near-anchor weight, far residual), or None where
+        # no weight meets the near anchor: brentq starts from the two offsets
+        # of the scan's bracket, and its root is an offset it tried.
+        tried = {}
+
+        def attempt(offset):
+            if offset not in tried:
+                weight = self._side_weight_for(offset, l_near, t_near)
+                tried[offset] = None
+                if weight is not None:
+                    self.state["side_mode_weight"] = weight
+                    tried[offset] = (weight, self._interclock(l_far) - t_far)
+            return tried[offset]
 
         def far_residual(offset):
-            weight = self._side_weight_for(offset, l_near, t_near)
-            if weight is None:
+            if attempt(offset) is None:
                 raise ConvergenceError(
                     f"side mode: near anchor infeasible at offset {offset:.4f} nm"
                 )
-            self.state["side_mode_weight"] = weight
-            return self._interclock(l_far) - t_far
+            return tried[offset][1]
 
         bracket = None
-        previous = None
-        for offset in _OFFSET_GRID:
-            weight = self._side_weight_for(offset, l_near, t_near)
-            if weight is None:
-                previous = None
-                continue
-            self.state["side_mode_weight"] = weight
-            value = self._interclock(l_far) - t_far
-            if previous is not None and previous[1] > 0.0 >= value:
-                bracket = (previous[0], offset)
+        for pair in zip(_OFFSET_GRID, _OFFSET_GRID[1:]):
+            points = [attempt(offset) for offset in pair]
+            if None not in points and points[0][1] > 0.0 >= points[1][1]:
+                bracket = pair
                 break
-            previous = (offset, value)
         if bracket is None:
             raise ConvergenceError(
                 "side mode: wrong-clock anchors admit no (weight, offset) pair; "
                 f"residuals so far: {self.residuals()}"
             )
-        offset = _optimize().brentq(
-            far_residual, bracket[0], bracket[1], xtol=1e-12, maxiter=200
-        )
-        weight = self._side_weight_for(offset, l_near, t_near)
-        if weight is None:
-            raise ConvergenceError("side mode: root left the feasible region")
+        offset = _optimize().brentq(far_residual, *bracket, xtol=1e-12, maxiter=200)
+        far_residual(offset)  # a no-op unless brentq returned an offset it did not try
         self.state["side_mode_offset"] = offset
-        self.state["side_mode_weight"] = weight
+        self.state["side_mode_weight"] = tried[offset][0]
 
     def stage_dark_slope(self) -> None:
         eta = self.anchors.operating_eta

@@ -37,6 +37,13 @@ EXIT_FIT = 3
 EXIT_IO = 4
 
 
+def _file_path(text: str) -> str:
+    """An ``--out`` path for a command that writes a file, never stdout."""
+    if text == "-":
+        raise argparse.ArgumentTypeError("'-' (stdout) is not supported here; give a file path")
+    return text
+
+
 # Flags that more than one subcommand reads; each subcommand declares only
 # those its handler reads.
 _FLAGS = {
@@ -69,9 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = _subcommand(
         sub, "simulate",
-        ("--config", "--seed", "--pulses", "--out", "--length", "--compensated"),
+        ("--config", "--seed", "--pulses", "--length", "--compensated"),
         help="single event-engine run; prints measured rates",
     )
+    p_sim.add_argument("--out", type=_file_path, metavar="PATH", help="event dump path")
     p_sim.add_argument("--segments", type=int, default=1, metavar="N",
                        help="stretches whose candidates are drawn from independent "
                             "streams (same law for any N)")
@@ -109,9 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hist.add_argument("--mu", type=float, metavar="F", help="override mean photon number")
 
     p_cal = _subcommand(
-        sub, "calibrate", ("--config", "--out"),
+        sub, "calibrate", ("--config",),
         help="fit couplings to the link anchors and report residuals",
     )
+    p_cal.add_argument("--out", type=_file_path, metavar="PATH",
+                       help="write the calibrated config here")
     p_cal.add_argument("--slope-target", type=float, metavar="DB_PER_KM",
                        help="override the raw-rate slope anchor")
     p_cal.add_argument("--qber-low", type=float, metavar="F",

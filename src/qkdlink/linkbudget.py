@@ -16,11 +16,12 @@ windows.
 
 Each law is one plain-float kernel that the public functions wrap and the
 calibration fitter calls directly, so a fit trial builds no validated
-object.  Three kernels are memoized (128 entries each) on the plain values
-they read: ``_profile_timing`` on (components, jitter, period, window,
-compensated), ``_offset_grid`` on (window, period, dead time, partial
-gates) and ``_blocked_gates`` on (components, jitter, that geometry,
-``p_signal``, ``p_dark``).
+object.  The fitter recomputes per trial only what the trial moves, so the
+one memoized kernel is ``_holdoff`` (128 entries), keyed on what a
+detector fixes, (window, period, dead time): its 2,049-point offset grid
+takes about 100 us to build and is the same for every trial of a fit.
+Memoizing the per-trial timing and blocked-gate kernels as well cost
+about as much, in key hashing and eviction, as their hits saved.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 from .params import (
     ChannelParams,
-    DetectorParams,
     ParameterError,
     ReceiverParams,
     SourceParams,
@@ -159,7 +159,6 @@ def _window_masses(
     return out
 
 
-@functools.lru_cache(maxsize=128)
 def _profile_timing(components, jitter: float, period: float, window: float,
                     compensated: bool):
     """``(acceptance, e_interclock)`` of a mixture profile."""
@@ -214,26 +213,6 @@ def _clicks(mu, transmitted, efficiency, acceptance, dark_prob):
     return p_signal, p_dark, p_total
 
 
-def _blocked_gate_split(det: DetectorParams, period: float) -> tuple[int, list[int]]:
-    """Gates fully and partially covered by the hold-off after a click.
-
-    A candidate in gate ``k`` after a click is separated from it by
-    ``k * period + (u2 - u1)`` where the in-window offsets ``u`` differ by
-    at most the window width.  Gates with ``k * period + window <= dead``
-    are always blocked; gates with ``|dead - k * period| < window`` are
-    blocked only for part of the offset combinations.
-    """
-    dead = det.dead_time_ps
-    window = det.gate_window
-    k_always = max(0, int(math.floor((dead - window) / period)))
-    partial = []
-    k = k_always + 1
-    while k * period < dead + window:
-        partial.append(k)
-        k += 1
-    return k_always, partial
-
-
 def effective_blocked_gates(
     source: SourceParams, channel: ChannelParams, receiver: ReceiverParams
 ) -> float:
@@ -249,42 +228,45 @@ def effective_blocked_gates(
     det = receiver.detector
     clicks = click_probabilities(source, channel, receiver)
     return _blocked_gates(temporal_components(source, channel), det.jitter_sigma,
-                          _gate_geometry(det, source.gate_period),
+                          det.gate_window, source.gate_period, det.dead_time_ps,
                           clicks.p_signal, clicks.p_dark)
 
 
-def _gate_geometry(det: DetectorParams, period: float) -> tuple:
-    """The hold-off geometry ``_blocked_gates`` reads."""
-    k_always, partial = _blocked_gate_split(det, period)
-    return det.gate_window, period, det.dead_time_ps, k_always, tuple(partial)
-
-
 @functools.lru_cache(maxsize=128)
-def _offset_grid(window: float, period: float, dead: float, partial: tuple[int, ...]):
-    """In-window offset grid, its step, and per partial gate ``k`` the CDF
-    lookup of ``u2 - (dead - k*period)``: a candidate at ``u2`` is blocked
-    when the previous click sat later.  The arrays are shared, so read-only."""
+def _holdoff(window: float, period: float, dead: float):
+    """``(k_always, grid, du, lookups)`` of a hold-off of ``dead`` ps.
+
+    A candidate in gate ``k`` after a click is separated from it by
+    ``k * period + (u2 - u1)``, where the in-window offsets ``u`` differ by
+    at most the window width.  The ``k_always`` gates with
+    ``k * period + window <= dead`` are always blocked; each gate with
+    ``|dead - k * period| < window`` is blocked only for part of the offset
+    combinations, and ``lookups`` holds per such gate ``(k, on_grid,
+    index)``, the lookup into the CDF over the offset ``grid`` (step
+    ``du``) of ``u2 - (dead - k*period)``: a candidate at ``u2`` is blocked
+    when the previous click sat later.  The arrays are shared, so read-only.
+    """
+    k_always = max(0, int(math.floor((dead - window) / period)))
     half = 0.5 * window
     grid = np.linspace(-half, half, 2049)
     du = grid[1] - grid[0]
     lookups = []
-    for k in partial:
+    k = k_always + 1
+    while k * period < dead + window:
         threshold = dead - k * period
         position = np.clip(
             np.searchsorted(grid, grid - threshold, side="right") - 1, -1, len(grid) - 1
         )
-        lookups.append((position >= 0, np.maximum(position, 0)))
-    for array in (grid, *(a for pair in lookups for a in pair)):
+        lookups.append((k, position >= 0, np.maximum(position, 0)))
+        k += 1
+    for array in (grid, *(a for _, *pair in lookups for a in pair)):
         array.flags.writeable = False
-    return grid, du, tuple(lookups)
+    return k_always, grid, du, tuple(lookups)
 
 
-@functools.lru_cache(maxsize=128)
-def _blocked_gates(components, jitter, geometry, p_signal, p_dark) -> float:
-    """Blocked gates from the offset density of signal and dark clicks;
-    ``geometry`` is ``(window, period, dead, k_always, partial)``."""
-    window, period, dead, k_always, partial = geometry
-    grid, du, lookups = _offset_grid(window, period, dead, partial)
+def _blocked_gates(components, jitter, window, period, dead, p_signal, p_dark) -> float:
+    """Blocked gates from the offset density of signal and dark clicks."""
+    k_always, grid, du, lookups = _holdoff(window, period, dead)
     density = np.zeros_like(grid)
     # Signal photons: profile restricted to the windows, folded onto the
     # in-window offset coordinate.
@@ -303,13 +285,13 @@ def _blocked_gates(components, jitter, geometry, p_signal, p_dark) -> float:
 
     total = np.trapezoid(density, grid)
     if total <= 0.0:
-        return float(k_always) + 0.5 * len(partial)
+        return float(k_always) + 0.5 * len(lookups)
     density = density / total
     weights = density * du
     cdf = np.cumsum(weights)
 
     blocked = float(k_always)
-    for on_grid, index in lookups:
+    for _, on_grid, index in lookups:
         accept = np.where(on_grid, cdf[index], 0.0)
         blocked += float(np.sum(weights * (1.0 - accept)))
     return blocked

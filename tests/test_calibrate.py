@@ -87,6 +87,12 @@ class TestDiagnostics:
         _, report = fitted
         assert any("afterpulse" in w for w in report.warnings)
 
+    def test_dark_ceiling_warning(self, cfg, fitted):
+        _, report = fitted
+        assert not any("dark-count" in w for w in report.warnings)
+        _, report = calibrate(cfg, dataclasses.replace(CalibrationAnchors(), dark_ceiling=1e-9))
+        assert any("dark-count coupling extrapolates" in w for w in report.warnings)
+
     def test_summary_is_readable(self, fitted):
         _, report = fitted
         text = report.summary()
@@ -232,6 +238,19 @@ class TestFloatPath:
         assert (e_opt, e_dark, e_interclock) == (low.e_opt, low.e_dark, low.e_interclock)
 
 
+class TestNoRepeatedWork:
+    def test_side_mode_stage_evaluates_each_profile_once(self, cfg, monkeypatch):
+        # brentq re-evaluates the ends of its bracket; the stage hands it the
+        # values it already has, at both levels of its nested solve.
+        calls = []
+        timing = linkbudget._profile_timing
+        monkeypatch.setattr(linkbudget, "_profile_timing",
+                            lambda *args: calls.append(args) or timing(*args))
+        _Fitter(perturbed(cfg, 1.1, 0.9, 1.1, 0.9, 1.1, 0.9),
+                CalibrationAnchors()).stage_side_mode()
+        assert 0 < len(set(calls)) == len(calls)
+
+
 class TestErrorPaths:
     """Anchors the model cannot meet fail with the error, and name the
     field, that building the trial's config would."""
@@ -247,12 +266,19 @@ class TestErrorPaths:
             # The first sweep's bias exponent comes out negative; the next
             # sweep rejects it.
             ({"qber_low_eta": 0.07}, ConvergenceError, "calibration.gamma"),
+            ({"interclock": ((65.5, 0.4), (75.8, 0.45))}, ConvergenceError,
+             "admit no \\(weight, offset\\) pair"),
+            ({"qber_low": 0.005}, ConvergenceError, "bias exponent"),
         ],
     )
     def test_unreachable_anchor(self, cfg, changes, error, field):
         anchors = dataclasses.replace(CalibrationAnchors(), **changes)
         with pytest.raises(error, match=field):
             calibrate(cfg, anchors)
+
+    def test_unsettled_fixed_point_raises(self, cfg):
+        with pytest.raises(ConvergenceError, match="did not settle in 1 sweeps"):
+            calibrate(perturbed(cfg, 1.1, 1.0, 1.0, 1.0, 1.0, 1.0), max_iter=1)
 
     def test_trials_do_not_build_validated_configs(self, cfg, monkeypatch):
         # Only residuals() evaluates through validated configs (11 points);

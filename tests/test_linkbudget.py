@@ -155,8 +155,26 @@ class TestDeadTimeBlocking:
     def test_nominal_count_from_geometry(self, cfg):
         # 7.7 ns hold-off spans 7 full gates beyond the window plus one
         # partially covered boundary gate.
-        split = linkbudget._blocked_gate_split(cfg.receiver.detector, cfg.source.gate_period)
-        assert split == (7, [8])
+        det = cfg.receiver.detector
+        k_always, _, _, lookups = linkbudget._holdoff(det.gate_window, cfg.source.gate_period,
+                                                      det.dead_time_ps)
+        assert (k_always, [k for k, _, _ in lookups]) == (7, [8])
+
+    def test_holdoff_key_holds_each_input(self, cfg):
+        def as_lists(holdoff):
+            k_always, grid, du, lookups = holdoff
+            return [k_always, grid.tolist(), du,
+                    [(k, on_grid.tolist(), index.tolist()) for k, on_grid, index in lookups]]
+
+        det = cfg.receiver.detector
+        window, period, dead = det.gate_window, cfg.source.gate_period, det.dead_time_ps
+        keys = [(window, period, dead), (200.0, period, dead), (window, 800.0, dead),
+                (window, period, 7500.0)]
+        for order in (keys, keys[::-1]):
+            linkbudget._holdoff.cache_clear()
+            for key in order:
+                assert as_lists(linkbudget._holdoff(*key)) == as_lists(
+                    linkbudget._holdoff.__wrapped__(*key)), key
 
     def test_effective_count_brackets(self, cfg):
         blocked = effective_blocked_gates(cfg.source, cfg.channel, cfg.receiver)
@@ -242,8 +260,8 @@ def _with_detector(cfg, **changes):
 def _at_equal_signal(cfg, changed):
     """``changed`` re-biased so that its ``p_signal`` equals ``cfg``'s bit for bit.
 
-    Kernels also key on ``p_signal``, which most inputs move; holding it
-    fixed shows whether the key holds the input itself.
+    A kernel keyed on ``p_signal``, which most inputs move, would hide
+    whether its key holds the input itself; holding it fixed shows that.
     """
     def p_signal_of(c):
         return click_probabilities(c.source, c.channel, c.receiver).p_signal
@@ -312,6 +330,6 @@ class TestCacheKeys:
 
     def test_every_cache_is_bounded(self):
         caches = _kernel_caches()
-        assert len(caches) >= 3, sorted(caches)
+        assert sorted(caches) == ["qkdlink.linkbudget._holdoff"]
         for name, kernel in caches.items():
             assert kernel.cache_info().maxsize is not None, name

@@ -326,6 +326,44 @@ class TestCli:
         assert rc == 4
         assert "i/o error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--pulses", "1000", "--out", "-"],
+        ["calibrate", "--out", "-"],
+    ], ids=["simulate", "calibrate"])
+    def test_dash_out_rejected_where_a_file_is_written(self, argv, tmp_path, monkeypatch,
+                                                       capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,head", [
+        (["sweep-distance", "--lengths", "5.6"], HEADER),
+        (["sweep-bias", "--etas", "0.06"], "eta_bob,raw_hz"),
+        (["histogram", "--pulses", "2000", "--bin-ps", "5"], "# n_tags = "),
+    ], ids=["sweep-distance", "sweep-bias", "histogram"])
+    def test_dash_out_streams_to_stdout(self, argv, head, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "-"]) == 0
+        assert capsys.readouterr().out.startswith(head)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_reports_undefined_qber_without_sifted_bits(self, capsys):
+        assert main(["simulate", "--pulses", "1000", "--length", "300"]) == 0
+        assert "sifted = 0\nqber = undefined\n" in capsys.readouterr().out
+
+    def test_mc_sweep_writes_nan_qber_without_sifted_bits(self, capsys):
+        argv = ["sweep-distance", "--engine", "mc", "--pulses", "1000", "--lengths", "300"]
+        assert main(argv) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["qber"] == "nan"
+
+    def test_qber_low_override_reaches_the_fit(self, capsys):
+        assert main(["calibrate", "--qber-low", "0.005"]) == 3
+        assert "bias exponent" in capsys.readouterr().err
+
     def test_unreachable_fit_exits_3(self, capsys):
         rc = main(["calibrate", "--slope-target", "5.0"])
         assert rc == 3
