@@ -91,7 +91,6 @@ class FitReport:
     """Outcome of a calibration run: fitted values, residuals, warnings, trace."""
 
     iterations: int
-    converged: bool
     fitted: dict
     residuals: dict
     warnings: tuple
@@ -99,8 +98,7 @@ class FitReport:
 
     def summary(self) -> str:
         lines = [
-            f"calibration {'converged' if self.converged else 'DID NOT CONVERGE'}"
-            f" after {self.iterations} iteration(s)",
+            f"calibration converged after {self.iterations} iteration(s)",
             "fitted parameters:",
         ]
         for name, value in self.fitted.items():
@@ -471,8 +469,6 @@ def calibrate(
     anchors = anchors or CalibrationAnchors()
     fitter = _Fitter(config, anchors)
 
-    iterations = 0
-    converged = False
     trace = []
     for iterations in range(1, max_iter + 1):
         before = [fitter.state[name] for name in _STATE_FIELDS]
@@ -488,9 +484,8 @@ def calibrate(
         )
         trace.append(change)
         if change < tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"fixed point did not settle in {max_iter} sweeps; "
             f"residuals: {fitter.residuals()}"
@@ -505,7 +500,6 @@ def calibrate(
     residuals.update(extras)
     report = FitReport(
         iterations=iterations,
-        converged=converged,
         fitted=dict(fitter.state),
         residuals=residuals,
         warnings=warnings,

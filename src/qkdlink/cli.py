@@ -38,7 +38,7 @@ EXIT_IO = 4
 
 
 def _file_path(text: str) -> str:
-    """An ``--out`` path for a command that writes a file, never stdout."""
+    """A path for an option that writes a file, never stdout."""
     if text == "-":
         raise argparse.ArgumentTypeError("'-' (stdout) is not supported here; give a file path")
     return text
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "streams (same law for any N)")
     p_sim.add_argument("--dump-format", choices=("binary", "csv"), default="binary",
                        help="event dump layout for --out")
-    p_sim.add_argument("--sifted-key", metavar="PATH",
+    p_sim.add_argument("--sifted-key", type=_file_path, metavar="PATH",
                        help="also write the sifted key records here")
 
     p_dist = _subcommand(

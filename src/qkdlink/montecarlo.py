@@ -620,22 +620,28 @@ def mean_peak_spacing(tags: TimeTagStream) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def write_binary_dump(tags: TimeTagStream, path) -> None:
-    """Fixed-width little-endian records: u64 clock, u8 detector, u32 ps.
+def _records(tags: TimeTagStream) -> np.ndarray:
+    """The event dump's records: clock, detector and timestamp in integer ps.
 
     Timestamps round half to even, like Python's ``round``; one that rounds
-    outside the u32 range raises :class:`ParameterError` before anything is
+    outside the u32 range raises :class:`ParameterError`, so no dump is
     written.
     """
     ps = np.rint(tags.timestamp)
     if not np.all((ps >= 0.0) & (ps < 2.0**32)):
-        raise ParameterError("timestamps must round into [0, 2**32) ps for the binary dump")
+        raise ParameterError("timestamps must round into [0, 2**32) ps for the event dump")
     records = np.empty(len(tags), dtype=_RECORD)
     records["clock"] = tags.clock_index
     records["detector"] = tags.detector_id
     records["ps"] = ps
+    return records
+
+
+def write_binary_dump(tags: TimeTagStream, path) -> None:
+    """Fixed-width little-endian records (:func:`_records`): u64 clock, u8 detector, u32 ps."""
+    records = _records(tags)
     with open(path, "wb") as handle:
-        handle.write(records.tobytes())
+        handle.write(records)
 
 
 def read_binary_dump(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -653,13 +659,8 @@ def read_binary_dump(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def write_csv_dump(tags: TimeTagStream, path) -> None:
-    """Readable alternative to the binary dump for small runs."""
-    lines = ["clock_index,detector_id,timestamp_ps"]
-    lines += [
-        f"{c},{d},{t!r}"
-        for c, d, t in zip(
-            tags.clock_index.tolist(), tags.detector_id.tolist(), tags.timestamp.tolist()
-        )
-    ]
+    """The binary dump's records (:func:`_records`) as ``clock,detector,ps`` text lines."""
+    records = _records(tags)
+    text = protocol._int_rows(records["clock"], records["detector"], records["ps"])
     with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("clock_index,detector_id,timestamp_ps\n" + text)

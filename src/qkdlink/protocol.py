@@ -132,28 +132,33 @@ def secure_key_length(n_sifted: int, qber: float, consts: ProtocolConstants) -> 
     return max(0, math.floor(n_sifted * key_yield(qber, consts)))
 
 
-def _key_records(clock, alice, bob) -> str:
-    """``clock,alice,bob`` lines, formatted by a table of digit columns.
+def _int_rows(*columns) -> str:
+    """Comma-separated lines of unsigned integers, one per row of ``columns``.
 
-    Each row holds the clock's decimal digits right-aligned in the width of
-    the largest clock, then ``,a,b`` and a newline.  Dropping every row's
-    leading zeros (all but the last digit of clock 0) and reading the rest
-    row-major gives the bytes of formatting each record on its own.
+    A table holds each column's decimal digits right-aligned in the width of
+    its largest value, then a comma (a newline after the last column).
+    Dropping every row's leading zeros (all but the last digit of a 0) and
+    reading the rest row-major gives the bytes of formatting each record on
+    its own.  Single-digit columns have no leading zeros to drop.
     """
-    clock = np.asarray(clock, dtype=np.uint64)
-    width = len(str(int(clock.max()))) if clock.size else 1
-    rows = np.empty((clock.size, width + 5), dtype=np.uint8)
-    rest = clock.copy()
-    for k in range(width - 1, -1, -1):
-        rows[:, k] = rest % np.uint64(10)
-        rest //= np.uint64(10)
-    rows[:, width + 1] = alice
-    rows[:, width + 3] = bob
+    columns = [np.asarray(column) for column in columns]
+    tops = [int(column.max()) if column.size else 0 for column in columns]
+    widths = [len(str(top)) for top in tops]
+    rows = np.empty((columns[0].size, sum(widths) + len(widths)), dtype=np.uint8)
+    keep = np.ones(rows.shape, dtype=bool)
+    at = 0
+    for column, top, width in zip(columns, tops, widths):
+        # Digits right to left; a digit is a leading zero once the rest is 0.
+        rest = column.astype(np.min_scalar_type(top))
+        for k in range(at + width - 1, at, -1):
+            rows[:, k] = rest % 10
+            rest //= 10
+            np.not_equal(rest, 0, out=keep[:, k - 1])
+        rows[:, at] = rest
+        at += width + 1
     rows += ord("0")
-    rows[:, [width, width + 2]] = ord(",")
+    rows[:, np.cumsum(widths) + np.arange(len(widths))] = ord(",")
     rows[:, -1] = ord("\n")
-    digits = 1 + np.searchsorted(10 ** np.arange(1, width, dtype=np.uint64), clock, side="right")
-    keep = np.arange(width + 5) >= (width - digits)[:, None]
     return rows[keep].tobytes().decode("ascii")
 
 
@@ -162,7 +167,7 @@ def write_sifted_key(key: SiftedKey, path, consts: ProtocolConstants) -> None:
 
     A commented summary block (record count, error rate, distillable bits)
     follows the records so the file remains trivially machine-parsable.
-    The records are formatted in one vectorised pass (:func:`_key_records`),
+    The records are formatted in one vectorised pass (:func:`_int_rows`),
     with the bytes of formatting each integer on its own; a bit other than
     0 or 1 raises :class:`ProtocolError` before anything is written.
     """
@@ -177,7 +182,7 @@ def write_sifted_key(key: SiftedKey, path, consts: ProtocolConstants) -> None:
     else:
         secure_bits = 0
         qber_text = "undefined"
-    text = _key_records(key.clock_index, alice, bob)
+    text = _int_rows(key.clock_index, alice, bob)
     text += f"# n_sifted = {key.n_sifted}\n# qber = {qber_text}\n# secure_bits = {secure_bits}\n"
     with open(path, "w", encoding="ascii") as handle:
         handle.write(text)

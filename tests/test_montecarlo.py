@@ -757,10 +757,12 @@ class TestEventDumps:
 
     @pytest.mark.parametrize("stamp", [-0.6, 2.0**32 - 0.5, float("nan")])
     def test_timestamp_outside_u32_rejected(self, tmp_path, stamp):
-        path = tmp_path / "tags.bin"
-        with pytest.raises(ParameterError, match="2\\*\\*32"):
-            write_binary_dump(synthetic_stream([0, 1], [0, 0], [10.0, stamp]), path)
-        assert not path.exists()
+        stream = synthetic_stream([0, 1], [0, 0], [10.0, stamp])
+        for writer, path in ((write_binary_dump, tmp_path / "tags.bin"),
+                             (write_csv_dump, tmp_path / "tags.csv")):
+            with pytest.raises(ParameterError, match="2\\*\\*32"):
+                writer(stream, path)
+            assert not path.exists()
 
     def test_truncated_dump_rejected(self, tmp_path):
         stream = synthetic_stream([1], [0], [10.0])
@@ -771,10 +773,22 @@ class TestEventDumps:
             read_binary_dump(path)
 
     def test_csv_dump(self, tmp_path):
+        # Timestamps are the binary dump's integer ps: 12.5 rounds half to even.
         stream = synthetic_stream([4, 5], [1, 0], [12.5, 13.25])
         path = tmp_path / "tags.csv"
         write_csv_dump(stream, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "clock_index,detector_id,timestamp_ps"
-        assert lines[1] == "4,1,12.5"
-        assert lines[2] == "5,0,13.25"
+        assert lines[1] == "4,1,12"
+        assert lines[2] == "5,0,13"
+
+    def test_csv_dump_holds_the_binary_records(self, cfg, tmp_path):
+        tags = simulate(cfg.at_length(5.6), 200_000, seed=5).tags
+        binary, text = tmp_path / "tags.bin", tmp_path / "tags.csv"
+        write_binary_dump(tags, binary)
+        write_csv_dump(tags, text)
+        header, *lines = text.read_text().splitlines()
+        assert header == "clock_index,detector_id,timestamp_ps"
+        rows = [tuple(int(field) for field in line.split(",")) for line in lines]
+        assert len(rows) == len(tags) > 0
+        assert rows == list(zip(*(column.tolist() for column in read_binary_dump(binary))))

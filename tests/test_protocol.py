@@ -229,12 +229,18 @@ class TestSiftedKeyFile:
         write_sifted_key(key, path, CONSTS)
         assert path.read_bytes() == expected
 
-    @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 1), st.integers(0, 1)),
-                    max_size=30))
-    def test_records_match_per_record_formatting(self, records):
-        columns = np.array(records, dtype=np.uint64).reshape(-1, 3)
-        text = protocol._key_records(columns[:, 0], columns[:, 1], columns[:, 2])
-        assert text == "".join(f"{c},{a},{b}\n" for c, a, b in records)
+    @given(st.lists(st.sampled_from([0, 9, 999, 2**64 - 1]), min_size=1, max_size=4).flatmap(
+        lambda tops: st.lists(st.tuples(*(st.integers(0, top) for top in tops)), max_size=30)
+        .map(lambda records: (len(tops), records))
+    ))
+    def test_records_match_per_record_formatting(self, table):
+        # Columns of mixed width: all 0, single digits, up to 3 digits, up to
+        # 2**64 - 1; the record list may be empty.
+        n_columns, records = table
+        columns = np.array(records, dtype=np.uint64).reshape(-1, n_columns)
+        text = protocol._int_rows(*columns.T)
+        assert text == "".join(",".join(f"{value}" for value in record) + "\n"
+                               for record in records)
 
     def test_non_bit_rejected_before_writing(self, tmp_path):
         key = SiftedKey(

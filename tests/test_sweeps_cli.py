@@ -326,17 +326,18 @@ class TestCli:
         assert rc == 4
         assert "i/o error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--pulses", "1000", "--out", "-"],
-        ["calibrate", "--out", "-"],
-    ], ids=["simulate", "calibrate"])
-    def test_dash_out_rejected_where_a_file_is_written(self, argv, tmp_path, monkeypatch,
+    @pytest.mark.parametrize("argv,flag", [
+        (["simulate", "--pulses", "1000", "--out", "-"], "--out"),
+        (["simulate", "--pulses", "1000", "--sifted-key", "-"], "--sifted-key"),
+        (["calibrate", "--out", "-"], "--out"),
+    ], ids=["simulate", "simulate-sifted-key", "calibrate"])
+    def test_dash_out_rejected_where_a_file_is_written(self, argv, flag, tmp_path, monkeypatch,
                                                        capsys):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "argument --out" in capsys.readouterr().err
+        assert f"argument {flag}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv,head", [
