@@ -14,9 +14,12 @@ inferred from link-level observables:
 Each parameter is pinned by its own anchor (a slope, two wrong-clock
 error points, a pair of dispersion-compensated QBERs, three secure-rate
 points, and one low-bias QBER), so the fit runs as staged one-dimensional
-solves iterated to a joint fixed point.  Stages use bracketing root
-finders; a missing bracket means the requested anchors are unreachable
-and raises :class:`ConvergenceError` with the residuals gathered so far.
+solves iterated to a joint fixed point, with depth-2 Anderson mixing
+choosing where each sweep starts.  The couplings returned are the output
+of a sweep that moved them by less than ``tol``.  Stages use
+bracketing root finders; a missing bracket means the requested anchors are
+unreachable and raises :class:`ConvergenceError` with the residuals
+gathered so far.
 
 Trials run on plain floats through the :mod:`linkbudget` kernels: a stage
 reads once per sweep what its trial value cannot move and recomputes per
@@ -33,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import keyrate, linkbudget
-from .params import ParameterError, SystemConfig, _afterpulse_at, _check_range, _dark_at
+from .params import _RANGES, ParameterError, SystemConfig, _afterpulse_at, _check_range, _dark_at
 
 __all__ = ["CalibrationAnchors", "ConvergenceError", "FitReport", "calibrate"]
 
@@ -94,7 +97,7 @@ class FitReport:
     fitted: dict
     residuals: dict
     warnings: tuple
-    trace: tuple  # per sweep, the largest relative change of any coupling
+    trace: tuple  # per accelerated sweep, the largest relative change of any coupling
 
     def summary(self) -> str:
         lines = [
@@ -143,6 +146,8 @@ def _optimize():
 
 class _Fitter:
     """The staged fit; ``state`` holds the six couplings as plain floats."""
+
+    rtol = 4 * np.finfo(float).eps  # solves' relative tolerance; calibrate loosens it per sweep
 
     def __init__(self, config: SystemConfig, anchors: CalibrationAnchors):
         self.base = config
@@ -258,7 +263,8 @@ class _Fitter:
         stage's fixed parts, so a range check failing there is reported like
         one failing in a trial."""
         try:
-            return _optimize().brentq(residual, lo, hi, args=fixed(), xtol=1e-13, maxiter=200)
+            return _optimize().brentq(residual, lo, hi, args=fixed(), xtol=1e-13,
+                                      rtol=self.rtol, maxiter=200)
         except ValueError as exc:
             raise ConvergenceError(
                 f"{label}: no solution in [{lo}, {hi}] ({exc}); "
@@ -294,7 +300,7 @@ class _Fitter:
         # brentq evaluates both ends before it iterates; they are known.
         ends = {1e-6: low, _SIDE_WEIGHT_MAX: high}
         return _optimize().brentq(lambda w: ends[w] if w in ends else residual(w),
-                                  1e-6, _SIDE_WEIGHT_MAX, xtol=1e-14, maxiter=200)
+                                  1e-6, _SIDE_WEIGHT_MAX, xtol=1e-14, rtol=self.rtol, maxiter=200)
 
     def stage_side_mode(self) -> None:
         (l_near, t_near), (l_far, t_far) = self.anchors.interclock
@@ -331,7 +337,8 @@ class _Fitter:
                 "side mode: wrong-clock anchors admit no (weight, offset) pair; "
                 f"residuals so far: {self.residuals()}"
             )
-        offset = _optimize().brentq(far_residual, *bracket, xtol=1e-12, maxiter=200)
+        offset = _optimize().brentq(far_residual, *bracket, xtol=1e-12, rtol=self.rtol,
+                                    maxiter=200)
         far_residual(offset)  # a no-op unless brentq returned an offset it did not try
         self.state["side_mode_offset"] = offset
         self.state["side_mode_weight"] = tried[offset][0]
@@ -365,7 +372,7 @@ class _Fitter:
 
         result = _optimize().minimize_scalar(
             objective, bounds=(1e-4, 0.25), method="bounded",
-            options={"xatol": 1e-11},
+            options={"xatol": max(1e-11, self.rtol * self.state["pa_ref"])},
         )
         if not result.success:
             raise ConvergenceError(f"afterpulse reference fit failed: {result.message}")
@@ -385,6 +392,16 @@ class _Fitter:
         self.state["gamma"] = math.log(self.state["pa_ref"] / pa_low) / math.log(
             a.operating_eta / a.qber_low_eta
         )
+
+    def sweep(self, start) -> np.ndarray:
+        """Run the five stages once from ``start``; return the couplings they end at."""
+        self.state.update(zip(_STATE_FIELDS, map(float, start)))
+        self.stage_spectral_width()
+        self.stage_side_mode()
+        self.stage_dark_slope()
+        self.stage_afterpulse_ref()
+        self.stage_gamma()
+        return np.array([self.state[name] for name in _STATE_FIELDS])
 
     # -- reporting -----------------------------------------------------------
 
@@ -441,11 +458,21 @@ class _Fitter:
                 f"d({a.pa_ceiling_eta:.2f}) = {dark_high:.3e}, above the "
                 f"device ceiling {a.dark_ceiling:.3e}"
             )
-        extras = {
-            "pa_at_ceiling_eta": pa_high,
-            "dark_at_ceiling_eta": dark_high,
-        }
-        return tuple(warnings), extras
+        return tuple(warnings), {"pa_at_ceiling_eta": pa_high, "dark_at_ceiling_eta": dark_high}
+
+
+def _anderson(history: list) -> np.ndarray:
+    """Where the next sweep starts, from the last sweeps' ``(G(x), r)`` pairs
+    (``r`` the scaled residual): Anderson's mix, or the plain step ``G(x)``
+    when the columns are rank-deficient or non-finite, or the mix is out of range."""
+    g, r = (np.array(column).T for column in zip(*history))
+    dg, dr = np.diff(g), np.diff(r)
+    if not (dr.size and np.isfinite(dr).all()):
+        return history[-1][0]
+    weights, _, rank, _ = np.linalg.lstsq(dr, r[:, -1])
+    mixed = g[:, -1] - dg @ weights
+    valid = [_RANGES[f"{_OWNER[name]}.{name}"][0](v) for name, v in zip(_STATE_FIELDS, mixed)]
+    return mixed if rank == dr.shape[1] and all(valid) else history[-1][0]
 
 
 def calibrate(
@@ -469,22 +496,24 @@ def calibrate(
     anchors = anchors or CalibrationAnchors()
     fitter = _Fitter(config, anchors)
 
-    trace = []
+    trace, history = [], []
+    start = plain = np.array([fitter.state[name] for name in _STATE_FIELDS])
     for iterations in range(1, max_iter + 1):
-        before = [fitter.state[name] for name in _STATE_FIELDS]
-        fitter.stage_spectral_width()
-        fitter.stage_side_mode()
-        fitter.stage_dark_slope()
-        fitter.stage_afterpulse_ref()
-        fitter.stage_gamma()
-        after = [fitter.state[name] for name in _STATE_FIELDS]
-        change = max(
-            abs(new - old) / max(abs(new), 1e-12)
-            for new, old in zip(after, before)
-        )
+        try:
+            end = fitter.sweep(start)
+        except (ParameterError, ConvergenceError):
+            if start is plain:
+                raise
+            start = plain
+            end = fitter.sweep(start)
+        residual = (end - start) / np.maximum(np.abs(end), 1e-12)
+        change = float(np.max(np.abs(residual)))
         trace.append(change)
         if change < tol:
             break
+        history = [*history[-2:], (end, residual)]
+        fitter.rtol = max(_Fitter.rtol, 1e-5 * change)
+        plain, start = end, _anderson(history)
     else:
         raise ConvergenceError(
             f"fixed point did not settle in {max_iter} sweeps; "

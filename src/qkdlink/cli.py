@@ -126,7 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the raw-rate slope anchor")
     p_cal.add_argument("--qber-low", type=float, metavar="F",
                        help="override the low-bias QBER anchor")
-    p_cal.add_argument("--max-iter", type=int, default=60, metavar="N")
+    p_cal.add_argument("--max-iter", type=int, default=60, metavar="N",
+                       help="sweep budget of the fit (default %(default)s); below 1 exits 2")
     return parser
 
 
