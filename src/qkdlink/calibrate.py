@@ -16,10 +16,11 @@ error points, a pair of dispersion-compensated QBERs, three secure-rate
 points, and one low-bias QBER), so the fit runs as staged one-dimensional
 solves iterated to a joint fixed point, with depth-2 Anderson mixing
 choosing where each sweep starts.  The couplings returned are the output
-of a sweep that moved them by less than ``tol``.  Stages use
-bracketing root finders; a missing bracket means the requested anchors are
-unreachable and raises :class:`ConvergenceError` with the residuals
-gathered so far.
+of a sweep that moved them by less than ``tol``.  Stages use bracketing
+root finders, the width and dark-slope ones bracketing near the last
+sweep's root after the first sweep; no sign change over a stage's whole
+range means its anchors are unreachable and raises
+:class:`ConvergenceError` with the residuals gathered so far.
 
 Trials run on plain floats through the :mod:`linkbudget` kernels: a stage
 reads once per sweep what its trial value cannot move and recomputes per
@@ -131,6 +132,7 @@ _OWNER = {name: "source" if i < 3 else "calibration" for i, name in enumerate(_S
 # crossing before handing over to the root finder.
 _OFFSET_GRID = np.arange(0.56, 0.951, 0.015)
 _SIDE_WEIGHT_MAX = 0.45
+_WARM_WIDTH = 1.0  # a warm bracket's half-width, in units of the last sweep's change
 
 
 def _optimize():
@@ -147,7 +149,11 @@ def _optimize():
 class _Fitter:
     """The staged fit; ``state`` holds the six couplings as plain floats."""
 
-    rtol = 4 * np.finfo(float).eps  # solves' relative tolerance; calibrate loosens it per sweep
+    change = None  # the last sweep's largest relative coupling change; None in the first
+
+    @property
+    def rtol(self) -> float:  # the solves' relative tolerance, loosened with the change
+        return max(4 * np.finfo(float).eps, 1e-5 * (self.change or 0.0))
 
     def __init__(self, config: SystemConfig, anchors: CalibrationAnchors):
         self.base = config
@@ -258,13 +264,31 @@ class _Fitter:
 
     # -- stages --------------------------------------------------------------
 
-    def _solve(self, residual, fixed, lo, hi, label):
-        """Root in [lo, hi] of ``residual(x, *fixed())``.  ``fixed`` reads the
-        stage's fixed parts, so a range check failing there is reported like
-        one failing in a trial."""
+    def _root(self, f, lo, hi, x0=None, ends=(), xtol=1e-13) -> float:
+        """``brentq``'s root of ``f`` in [lo, hi] (``lo >= 0``), reusing the values
+        in ``ends``.  After the first sweep a solve given ``x0``, its coupling at
+        the stage's start, brackets from ``x0·(1 ± h)``, ``h = _WARM_WIDTH × change``
+        widened 8× at a time until that holds a sign change or is [lo, hi]."""
+        known = dict(ends)
+        if self.change is not None and x0 is not None and lo < x0 < hi:
+            h = _WARM_WIDTH * self.change
+            while True:
+                a, b = max(lo, x0 * (1.0 - h)), min(hi, x0 * (1.0 + h))
+                known.update((x, f(x)) for x in (a, b) if x not in known)
+                if known[a] * known[b] <= 0.0 or (a, b) == (lo, hi):
+                    break
+                h *= 8.0
+            lo, hi = a, b
+        return _optimize().brentq(lambda x: known[x] if x in known else f(x), lo, hi,
+                                  xtol=xtol, rtol=self.rtol, maxiter=200)
+
+    def _solve(self, residual, fixed, lo, hi, label, name):
+        """Root in [lo, hi] of ``residual(x, *fixed())``, warm-started at the
+        coupling ``name``.  ``fixed`` reads the stage's fixed parts, so a
+        range check failing there is reported like one failing in a trial."""
         try:
-            return _optimize().brentq(residual, lo, hi, args=fixed(), xtol=1e-13,
-                                      rtol=self.rtol, maxiter=200)
+            args = fixed()
+            return self._root(lambda x: residual(x, *args), lo, hi, self.state[name])
         except ValueError as exc:
             raise ConvergenceError(
                 f"{label}: no solution in [{lo}, {hi}] ({exc}); "
@@ -282,7 +306,7 @@ class _Fitter:
 
         self.state["spectral_width"] = self._solve(
             residual, lambda: self._noise(self.anchors.operating_eta)[:1], 1e-3, 1.0,
-            "spectral width vs raw-rate slope",
+            "spectral width vs raw-rate slope", "spectral_width",
         )
 
     def _side_weight_for(self, offset: float, length: float, target: float):
@@ -298,9 +322,8 @@ class _Fitter:
         if high < 0.0 or (low := residual(1e-6)) > 0.0:
             return None
         # brentq evaluates both ends before it iterates; they are known.
-        ends = {1e-6: low, _SIDE_WEIGHT_MAX: high}
-        return _optimize().brentq(lambda w: ends[w] if w in ends else residual(w),
-                                  1e-6, _SIDE_WEIGHT_MAX, xtol=1e-14, rtol=self.rtol, maxiter=200)
+        return self._root(residual, 1e-6, _SIDE_WEIGHT_MAX,
+                          ends={1e-6: low, _SIDE_WEIGHT_MAX: high}, xtol=1e-14)
 
     def stage_side_mode(self) -> None:
         (l_near, t_near), (l_far, t_far) = self.anchors.interclock
@@ -356,7 +379,7 @@ class _Fitter:
 
         self.state["dark_slope"] = self._solve(
             residual, lambda: (self._compensated_qber(),), 0.0, 80.0,
-            "dark-count bias coupling vs compensated QBER",
+            "dark-count bias coupling vs compensated QBER", "dark_slope",
         )
 
     def stage_afterpulse_ref(self) -> None:
@@ -512,7 +535,7 @@ def calibrate(
         if change < tol:
             break
         history = [*history[-2:], (end, residual)]
-        fitter.rtol = max(_Fitter.rtol, 1e-5 * change)
+        fitter.change = change
         plain, start = end, _anderson(history)
     else:
         raise ConvergenceError(

@@ -107,7 +107,9 @@ class ClockBits:
     column is ``n_clocks`` long but stores nothing per clock.  Index it
     with a 1-D integer clock array.  A clock outside ``[0, n_clocks)``
     raises :class:`IndexError`, and converting the whole column to an
-    array raises :class:`TypeError`.
+    array raises :class:`TypeError`.  Compare columns with ``==`` or
+    evaluated at a clock array: ``np.array_equal`` on two columns returns
+    False even for two same-seed runs, as it turns that error into False.
     """
 
     key: int
@@ -377,14 +379,14 @@ def _candidates(config, lo, hi, n_pulses, rng, budget, key):
         emit, gate, offset, flip = emit[keep], gate[keep], offset[keep], flip[keep]
 
         # Interferometer routing against Bob's phase in the gate where the
-        # photon is actually detected.
-        mix_emit = _clock_mix(key, emit)
-        mix_gate = _clock_mix(key, gate)
+        # photon is actually detected, tabulated on the code bit·8 + basis·4 +
+        # flip·2 + Bob's basis (rows: each code's four bits, high to low).
         p_detector_a = protocol.detector_a_probability(
-            _mix_bit(mix_emit, ALICE_BIT), _mix_bit(mix_emit, ALICE_BASIS), flip,
-            _mix_bit(mix_gate, BOB_BASIS), receiver.visibility,
-        )
-        to_a = rng.random(gate.size) < p_detector_a
+            *(np.arange(16) >> np.arange(3, -1, -1)[:, None] & 1), receiver.visibility)
+        mix_emit = _clock_mix(key, emit)
+        code = (_mix_bit(mix_emit, ALICE_BIT) << 3 | _mix_bit(mix_emit, ALICE_BASIS) << 2
+                | flip.view(np.uint8) << 1 | _mix_bit(_clock_mix(key, gate), BOB_BASIS))
+        to_a = rng.random(gate.size) < p_detector_a[code]
         ts = center + offset
         pieces += [(DETECTOR_A, gate[to_a], ts[to_a]), (DETECTOR_B, gate[~to_a], ts[~to_a])]
 

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from qkdlink import keyrate, linkbudget
 from qkdlink.calibrate import (
@@ -319,13 +320,18 @@ class TestAnalyticOutputPin:
     ``tol`` of the same fixed point, 10 sweeps from this start instead of
     31.  That moved its couplings by at most 1.1e-9 relative and its
     anchor residuals by at most 2.6e-10 absolute, and the sweeps' rows with
-    them in the last digits.
+    them in the last digits.  They were re-pinned a second time, by design,
+    when the spectral-width and dark-slope solves began bracketing their
+    roots around the previous sweep's value: each solve then stops at
+    another point inside its tolerance, which moved the couplings by at
+    most 9.6e-12 relative and the anchor residuals by at most 5.8e-12
+    absolute, with the same 10 sweeps.
     """
 
     DIGESTS = {
-        "refit.cfg": "93e481e0dfc33ea60cd237c866100436b3cd4021a08c0a417940fd811448e389",
-        "distance.csv": "14b73092b7640c261016e14893a6c946e0db94deab7324315cfc1f1ed6269860",
-        "bias.csv": "ad04738006b3d833acc9233ca3e174743e9162aba20c37d298e8d200abf9c081",
+        "refit.cfg": "f4eecc643e9f926b41af08987ebe60f8e4e517a397b877abe72555580646bec2",
+        "distance.csv": "e15aeaeb5792996597cc02c15e7228564fcae33c9fa2c2871575043b216d5728",
+        "bias.csv": "94e37527dfb0bfd69e4f90b6cdb5251a2b6bec7777fdd7b0124f268c39fe1b40",
     }
 
     def test_refit_and_sweep_digests(self, cfg, tmp_path, capsys):
@@ -393,6 +399,81 @@ class TestNoRepeatedWork:
         _Fitter(perturbed(cfg, 1.1, 0.9, 1.1, 0.9, 1.1, 0.9),
                 CalibrationAnchors()).stage_side_mode()
         assert 0 < len(set(calls)) == len(calls)
+
+    def test_fit_evaluation_budget(self, cfg, monkeypatch):
+        # Blocked gates are most of a fit's cost.  With every solve on its
+        # cold bracket this fit evaluates them 251 times; warm brackets after
+        # the first sweep bring that to 155.
+        calls = []
+        blocked = linkbudget._blocked_gates
+        monkeypatch.setattr(linkbudget, "_blocked_gates",
+                            lambda *args: calls.append(args) or blocked(*args))
+        calibrate(perturbed(cfg, *START))
+        assert len(calls) <= 175
+
+
+class TestWarmBracket:
+    """``_Fitter._root``: brentq on [lo, hi] in the first sweep, then on a
+    bracket around the coupling's last value, widened until it holds the root."""
+
+    LO, HI, ROOT = 0.0, 80.0, 31.7
+
+    @pytest.fixture
+    def fitter(self, cfg):
+        return _Fitter(cfg, CalibrationAnchors())
+
+    def residual(self, calls):
+        return lambda x: calls.append(x) or math.tanh((x - self.ROOT) / 5.0)
+
+    def test_first_sweep_takes_the_cold_bracket(self, fitter):
+        calls = []
+        root = fitter._root(self.residual(calls), self.LO, self.HI, x0=30.0)
+        assert calls[:2] == [self.LO, self.HI]
+        assert root == pytest.approx(self.ROOT, rel=fitter.rtol)
+
+    def test_root_outside_the_first_warm_bracket_is_found_after_widening(self, fitter):
+        fitter.change = 1e-3
+        x0, h = 30.0, fitter.change * fit_module._WARM_WIDTH
+        calls = []
+        warm = fitter._root(self.residual(calls), self.LO, self.HI, x0=x0)
+        # The first bracket, x0·(1 ± h), misses the root; each widening is 8x.
+        assert calls[:2] == [x0 * (1 - h), x0 * (1 + h)]
+        assert calls[2:4] == [x0 * (1 - 8 * h), x0 * (1 + 8 * h)]
+        assert x0 * (1 + 8 * h) < self.ROOT < x0 * (1 + 64 * h)
+        cold = scipy.optimize.brentq(self.residual([]), self.LO, self.HI, xtol=1e-13,
+                                     rtol=fitter.rtol)
+        assert warm == pytest.approx(cold, rel=fitter.rtol)
+        assert len(set(calls)) == len(calls)  # brentq reused the bracket's end values
+
+    def test_no_sign_change_in_the_range_names_the_whole_range(self, fitter):
+        fitter.change = 1e-3
+        calls = []
+        with pytest.raises(ConvergenceError,
+                           match=r"^label: no solution in \[0\.0, 80\.0\]"):
+            fitter._solve(lambda x: calls.append(x) or 1.0 + x, lambda: (),
+                          self.LO, self.HI, "label", "dark_slope")
+        # The widening stopped at the range's own ends.
+        assert self.LO in calls and self.HI in calls
+
+    def test_fit_brackets_cold_only_in_its_first_sweep(self, cfg, monkeypatch):
+        sweeps, brentq, sweep = [], scipy.optimize.brentq, _Fitter.sweep
+
+        def recording(f, a, b, **kwargs):
+            sweeps[-1].append((a, b))
+            return brentq(f, a, b, **kwargs)
+
+        def marking(fitter, start):
+            sweeps.append([])
+            return sweep(fitter, start)
+
+        monkeypatch.setattr(scipy.optimize, "brentq", recording)
+        monkeypatch.setattr(_Fitter, "sweep", marking)
+        _, report = calibrate(perturbed(cfg, *START))
+        assert len(sweeps) == report.iterations > 1
+        cold = {(1e-3, 1.0), (0.0, 80.0)}  # spectral width, dark slope
+        assert cold <= set(sweeps[0])
+        for brackets in sweeps[1:]:
+            assert not cold & set(brackets)
 
 
 class TestErrorPaths:

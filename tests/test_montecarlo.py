@@ -96,6 +96,16 @@ class TestSimulate:
         for column_a, column_b in _columns(a, b):
             assert np.array_equal(column_a[clocks], column_b[clocks])
 
+    def test_same_seed_columns_compare_equal_as_columns_and_at_clocks(self, cfg):
+        # np.array_equal cannot compare the columns themselves: it reads the
+        # TypeError of their conversion as "not equal".
+        a, b, other = (simulate(cfg.at_length(5.6), 50_000, seed=seed) for seed in (5, 5, 6))
+        clocks = np.arange(50_000)
+        for (column_a, column_b), (column_other, _) in zip(_columns(a, b), _columns(other, b)):
+            assert column_a == column_b
+            assert (column_a[clocks] == column_b[clocks]).all()
+            assert column_a != column_other
+
     def test_columns_follow_the_global_clock_across_segments(self, cfg):
         """One seed gives the same per-clock bits at any segment count,
         on both sides of every segment boundary."""
