@@ -16,17 +16,20 @@ error points, a pair of dispersion-compensated QBERs, three secure-rate
 points, and one low-bias QBER), so the fit runs as staged one-dimensional
 solves iterated to a joint fixed point, with depth-2 Anderson mixing
 choosing where each sweep starts.  The couplings returned are the output
-of a sweep that moved them by less than ``tol``.  Stages use bracketing
-root finders, the width and dark-slope ones bracketing near the last
-sweep's root after the first sweep; no sign change over a stage's whole
-range means its anchors are unreachable and raises
-:class:`ConvergenceError` with the residuals gathered so far.
+of a sweep that moved them by less than ``tol``.  Every iterative stage is
+one bracketed root (``brentq``) or a closed form: the side-mode weight that
+meets the near wrong-clock point follows from the two lines' timing alone,
+and the afterpulse reference is the root of the derivative of its
+secure-rate least squares.  After the first sweep the width, dark-slope and
+afterpulse-reference solves bracket near the last sweep's root; no sign
+change over a stage's whole range means its anchors are unreachable and
+raises :class:`ConvergenceError` with the residuals gathered so far.
 
 Trials run on plain floats through the :mod:`linkbudget` kernels: a stage
 reads once per sweep what its trial value cannot move and recomputes per
 trial only what it moves, range-checking each moved value like the field
-that holds it.  Validated objects appear only in the start config, the
-residual report (through :func:`keyrate.evaluate_point`) and the result.
+that holds it.  The residual report reads the anchors through the same
+functions; validated objects appear only in the start config and the result.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import keyrate, linkbudget
-from .params import _RANGES, ParameterError, SystemConfig, _afterpulse_at, _check_range, _dark_at
+from .params import (_RANGES, SIFT_FACTOR, ParameterError, SystemConfig, _afterpulse_at,
+                     _check_range, _dark_at)
 
 __all__ = ["CalibrationAnchors", "ConvergenceError", "FitReport", "calibrate"]
 
@@ -135,17 +139,6 @@ _SIDE_WEIGHT_MAX = 0.45
 _WARM_WIDTH = 1.0  # a warm bracket's half-width, in units of the last sweep's change
 
 
-def _optimize():
-    """``scipy.optimize``, imported on first use.
-
-    Its import costs more than a 10M-pulse simulation (about 0.3 s and
-    40 MB), and only a fit needs it, so importing qkdlink never loads SciPy.
-    """
-    import scipy.optimize
-
-    return scipy.optimize
-
-
 class _Fitter:
     """The staged fit; ``state`` holds the six couplings as plain floats."""
 
@@ -239,9 +232,10 @@ class _Fitter:
             self._errors(a, self._clicks(a, eta, dark), afterpulse)[4] for a in arrivals
         ]
 
-    def _secure_rates(self):
-        """Secure rates at the secure anchors as a function of the afterpulse
-        probability, which moves neither the raw rates nor the other errors."""
+    def _secure_points(self):
+        """``(raw rate, QBER capped at 1/2)`` at the secure anchors as a function
+        of the afterpulse probability, which moves neither the raw rates nor
+        the other errors."""
         eta = self.anchors.operating_eta
         dark, _ = self._noise(eta)
         points = []
@@ -250,9 +244,7 @@ class _Fitter:
             clicks = self._clicks(arrival, eta, dark)
             points.append((arrival, clicks, self._raw_rate(arrival, clicks)))
         return lambda afterpulse: [
-            keyrate.secure_rate(raw, min(self._errors(a, c, afterpulse)[4], 0.5),
-                                self.base.protocol)
-            for a, c, raw in points
+            (raw, min(self._errors(a, c, afterpulse)[4], 0.5)) for a, c, raw in points
         ]
 
     def _low_bias_errors(self):
@@ -264,12 +256,12 @@ class _Fitter:
 
     # -- stages --------------------------------------------------------------
 
-    def _root(self, f, lo, hi, x0=None, ends=(), xtol=1e-13) -> float:
-        """``brentq``'s root of ``f`` in [lo, hi] (``lo >= 0``), reusing the values
-        in ``ends``.  After the first sweep a solve given ``x0``, its coupling at
-        the stage's start, brackets from ``x0·(1 ± h)``, ``h = _WARM_WIDTH × change``
-        widened 8× at a time until that holds a sign change or is [lo, hi]."""
-        known = dict(ends)
+    def _root(self, f, lo, hi, x0=None) -> float:
+        """``brentq``'s root of ``f`` in [lo, hi] (``lo >= 0``).  After the first
+        sweep a solve given ``x0``, its coupling at the stage's start, brackets
+        from ``x0·(1 ± h)``, ``h = _WARM_WIDTH × change`` widened 8× at a time
+        until that holds a sign change or is [lo, hi]."""
+        known = {}
         if self.change is not None and x0 is not None and lo < x0 < hi:
             h = _WARM_WIDTH * self.change
             while True:
@@ -279,8 +271,12 @@ class _Fitter:
                     break
                 h *= 8.0
             lo, hi = a, b
-        return _optimize().brentq(lambda x: known[x] if x in known else f(x), lo, hi,
-                                  xtol=xtol, rtol=self.rtol, maxiter=200)
+        # Imported here: SciPy costs more to import than a 10M-pulse
+        # simulation (about 0.3 s and 40 MB), and only a fit needs it.
+        from scipy.optimize import brentq
+
+        return brentq(lambda x: known[x] if x in known else f(x), lo, hi,
+                      xtol=1e-13, rtol=self.rtol, maxiter=200)
 
     def _solve(self, residual, fixed, lo, hi, label, name):
         """Root in [lo, hi] of ``residual(x, *fixed())``, warm-started at the
@@ -309,25 +305,37 @@ class _Fitter:
             "spectral width vs raw-rate slope", "spectral_width",
         )
 
-    def _side_weight_for(self, offset: float, length: float, target: float):
-        """Side-mode weight matching the wrong-clock error at one length."""
-        self._move("side_mode_offset", offset)
+    def _side_weight(self):
+        """The side-mode weight meeting the near wrong-clock anchor as a function
+        of the offset; None where no weight in [1e-6, _SIDE_WEIGHT_MAX] does.
+        The mix's error averages its lines' errors ``e`` weighted by
+        ``(1 - w)·A_main`` and ``w·A_side`` (``A`` a line's acceptance alone), so
+        with ``g = A·(e - target)`` it meets the target at ``w = g_main /
+        (g_main - g_side)``, rising through it only where ``g_side > g_main``."""
+        (length, target), _ = self.anchors.interclock
+        source, channel = self.base.source, self.base.channel
 
-        def residual(weight):
-            self._move("side_mode_weight", weight)
-            return self._interclock(length) - target
+        def excess(offset, line):  # g of one line alone
+            _, mean, sigma = linkbudget._components(
+                source.pulse_sigma0, self.state["spectral_width"], 1.0, offset,
+                channel.dispersion, length, False)[line]
+            acceptance, error = linkbudget._profile_timing(((1.0, mean, sigma),),
+                                                           *self.timing, False)
+            return acceptance * (error - target)
 
-        # Even a maximal side mode may fall short, or a minimal one overshoot.
-        high = residual(_SIDE_WEIGHT_MAX)
-        if high < 0.0 or (low := residual(1e-6)) > 0.0:
-            return None
-        # brentq evaluates both ends before it iterates; they are known.
-        return self._root(residual, 1e-6, _SIDE_WEIGHT_MAX,
-                          ends={1e-6: low, _SIDE_WEIGHT_MAX: high}, xtol=1e-14)
+        g_main = excess(0.0, 0)  # the main line does not move with the offset
+
+        def weight(offset):
+            g_side = excess(offset, 1)
+            w = g_main / (g_main - g_side) if g_side > g_main else 0.0
+            return w if 1e-6 <= w <= _SIDE_WEIGHT_MAX else None
+
+        return weight
 
     def stage_side_mode(self) -> None:
-        (l_near, t_near), (l_far, t_far) = self.anchors.interclock
+        _, (l_far, t_far) = self.anchors.interclock
         self._noise(self.anchors.operating_eta)  # only for its range checks
+        weight_for = self._side_weight()
         # Per offset tried, (near-anchor weight, far residual), or None where
         # no weight meets the near anchor: brentq starts from the two offsets
         # of the scan's bracket, and its root is an offset it tried.
@@ -335,10 +343,9 @@ class _Fitter:
 
         def attempt(offset):
             if offset not in tried:
-                weight = self._side_weight_for(offset, l_near, t_near)
-                tried[offset] = None
+                tried[offset] = weight = weight_for(offset)
                 if weight is not None:
-                    self.state["side_mode_weight"] = weight
+                    self.state.update(side_mode_offset=offset, side_mode_weight=weight)
                     tried[offset] = (weight, self._interclock(l_far) - t_far)
             return tried[offset]
 
@@ -349,22 +356,18 @@ class _Fitter:
                 )
             return tried[offset][1]
 
-        bracket = None
-        for pair in zip(_OFFSET_GRID, _OFFSET_GRID[1:]):
-            points = [attempt(offset) for offset in pair]
+        for bracket in zip(_OFFSET_GRID, _OFFSET_GRID[1:]):
+            points = [attempt(offset) for offset in bracket]
             if None not in points and points[0][1] > 0.0 >= points[1][1]:
-                bracket = pair
                 break
-        if bracket is None:
+        else:
             raise ConvergenceError(
                 "side mode: wrong-clock anchors admit no (weight, offset) pair; "
                 f"residuals so far: {self.residuals()}"
             )
-        offset = _optimize().brentq(far_residual, *bracket, xtol=1e-12, rtol=self.rtol,
-                                    maxiter=200)
+        offset = self._root(far_residual, *bracket)
         far_residual(offset)  # a no-op unless brentq returned an offset it did not try
-        self.state["side_mode_offset"] = offset
-        self.state["side_mode_weight"] = tried[offset][0]
+        self.state.update(side_mode_offset=offset, side_mode_weight=tried[offset][0])
 
     def stage_dark_slope(self) -> None:
         eta = self.anchors.operating_eta
@@ -383,23 +386,25 @@ class _Fitter:
         )
 
     def stage_afterpulse_ref(self) -> None:
-        rates = self._secure_rates()
+        # The least sum of squared relative secure-rate misfits, as the root
+        # of its derivative: at the operating bias the afterpulse probability
+        # is pa_ref, half of which adds to each QBER, so up to a positive
+        # factor the derivative is -sum (rate - T)/T² · raw · H'(e).
+        protocol = self.base.protocol
 
-        def objective(pa_ref):
+        def residual(pa_ref, points):
             self._move("pa_ref", pa_ref)
             total = 0.0
-            for rate, (_, target) in zip(rates(self._noise(self.anchors.operating_eta)[1]),
-                                         self.anchors.secure):
-                total += ((rate - target) / target) ** 2
+            for (raw, e), (_, target) in zip(points(self._noise(self.anchors.operating_eta)[1]),
+                                             self.anchors.secure):
+                rate = SIFT_FACTOR * raw * keyrate.key_yield(e, protocol)
+                total -= (rate - target) / target**2 * raw * math.log2((1.0 - e) / e)
             return total
 
-        result = _optimize().minimize_scalar(
-            objective, bounds=(1e-4, 0.25), method="bounded",
-            options={"xatol": max(1e-11, self.rtol * self.state["pa_ref"])},
+        self.state["pa_ref"] = self._solve(
+            residual, lambda: (self._secure_points(),), 1e-4, 0.25,
+            "afterpulse reference vs secure rates", "pa_ref",
         )
-        if not result.success:
-            raise ConvergenceError(f"afterpulse reference fit failed: {result.message}")
-        self.state["pa_ref"] = float(result.x)
 
     def stage_gamma(self) -> None:
         a = self.anchors
@@ -429,35 +434,27 @@ class _Fitter:
     # -- reporting -----------------------------------------------------------
 
     def residuals(self) -> dict:
+        """Each anchor's misfit, read through the functions the stages solve."""
         a = self.anchors
         out: dict[str, float] = {}
         try:
-            fitted = self.fitted()
-
-            def point(length, compensated=False, eta=a.operating_eta):
-                return keyrate.evaluate_point(fitted.at_bias(eta).at_length(length, compensated))
-
+            dark, afterpulse = self._noise(a.operating_eta)
             l1, l2 = a.slope_lengths
-            r1, _ = point(l1)
-            r2, _ = point(l2)
-            out["slope_db_per_km"] = (
-                10.0 * math.log10(r1.raw_rate / r2.raw_rate) / (l2 - l1)
-                - a.slope_db_per_km
-            )
-            lengths = [length for length, _ in a.secure]
-            rates = [point(length)[0].raw_rate for length in lengths]
-            fit = np.polyfit(lengths, [-10.0 * math.log10(r) for r in rates], 1)
+            r1, r2 = self._slope_rates(dark)
+            out["slope_db_per_km"] = 10.0 * math.log10(r1 / r2) / (l2 - l1) - a.slope_db_per_km
+            secure = self._secure_points()(afterpulse)
+            fit = np.polyfit([length for length, _ in a.secure],
+                             [-10.0 * math.log10(raw) for raw, _ in secure], 1)
             out["slope_regression_db_per_km"] = float(fit[0]) - a.slope_db_per_km
             for length, target in a.interclock:
-                out[f"interclock_{length}km"] = point(length)[1].e_interclock - target
-            for length, target in a.compensated_qber:
-                _, qber = point(length, compensated=True)
-                out[f"qber_compensated_{length}km"] = qber.total - target
-            for length, target in a.secure:
-                rate, _ = point(length)
-                out[f"secure_rel_{length}km"] = (rate.secure_rate - target) / target
-            _, qber_low = point(a.qber_low_length, eta=a.qber_low_eta)
-            out["qber_low_bias"] = qber_low.total - a.qber_low
+                out[f"interclock_{length}km"] = self._interclock(length) - target
+            for (length, target), qber in zip(a.compensated_qber,
+                                              self._compensated_qber()(dark, afterpulse)):
+                out[f"qber_compensated_{length}km"] = qber - target
+            for (length, target), (raw, qber) in zip(a.secure, secure):
+                rate = keyrate.secure_rate(raw, qber, self.base.protocol)
+                out[f"secure_rel_{length}km"] = (rate - target) / target
+            out["qber_low_bias"] = self._low_bias_errors()[4] - a.qber_low
         except Exception:  # partial state mid-fit; report what we can
             out["evaluation_error"] = float("nan")
         return out
@@ -548,13 +545,6 @@ def calibrate(
     fitted_config = fitter.fitted().at_bias(config.receiver.detector.efficiency)
 
     warnings, extras = fitter.diagnostics()
-    residuals = fitter.residuals()
-    residuals.update(extras)
-    report = FitReport(
-        iterations=iterations,
-        fitted=dict(fitter.state),
-        residuals=residuals,
-        warnings=warnings,
-        trace=tuple(trace),
-    )
-    return fitted_config, report
+    residuals = {**fitter.residuals(), **extras}
+    return fitted_config, FitReport(iterations, dict(fitter.state), residuals, warnings,
+                                    tuple(trace))

@@ -54,6 +54,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 # Gaussian mass beyond 8 sigma is ~1e-15; windows further out are ignored.
 _TAIL_SIGMAS = 8.0
+_MAX_WINDOWS = 10_000  # longer profiles (about 2e5 km of shipped fiber) are rejected
 
 
 @dataclass(frozen=True)
@@ -141,12 +142,16 @@ def _window_masses(
 ) -> list[tuple[int, float]]:
     """Mass of a Gaussian in each clock-period gate window that matters.
 
-    Window ``k`` spans ``[k*period - window/2, k*period + window/2]``.
+    Window ``k`` spans ``[k*period - window/2, k*period + window/2]``.  A
+    profile over more than ``_MAX_WINDOWS`` periods raises ParameterError.
     """
     half = 0.5 * window
     reach = _TAIL_SIGMAS * sigma + half
-    k_lo = int(math.floor((mean - reach) / period))
-    k_hi = int(math.ceil((mean + reach) / period))
+    lo, hi = (mean - reach) / period, (mean + reach) / period
+    if not hi - lo <= _MAX_WINDOWS:
+        raise ParameterError(f"arrival profile spans more than {_MAX_WINDOWS} gate periods; "
+                             "the fiber is too long for the analytic model")
+    k_lo, k_hi = math.floor(lo), math.ceil(hi)
     z = sigma * _SQRT2
     out = []
     for k in range(k_lo, k_hi + 1):

@@ -130,6 +130,18 @@ class TestLinkTiming:
         long, _ = link_timing(cfg.source, replace(cfg.channel, length=75.8), cfg.receiver)
         assert long < short
 
+    @pytest.mark.parametrize("length", [1e7, 1e300, 1e308])
+    def test_profile_over_too_many_periods_is_rejected(self, cfg, length):
+        # Window by window, 1e7 km took seconds, 1e300 km never returned and
+        # 1e308 km overflowed the walk-off to inf.
+        with pytest.raises(ParameterError, match="gate periods"):
+            link_timing(cfg.source, replace(cfg.channel, length=length), cfg.receiver)
+
+    def test_longest_accepted_profile(self, cfg):
+        # The window cap leaves about 2e5 km of the shipped fiber.
+        _, leak = link_timing(cfg.source, replace(cfg.channel, length=2e5), cfg.receiver)
+        assert 0.0 < leak < 0.5
+
 
 class TestClickProbabilities:
     def test_composition(self, cfg):

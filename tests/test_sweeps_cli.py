@@ -21,6 +21,7 @@ EDITED_CFGS = {
     "<dark-prob-mismatch.cfg>": {"detector_b.dark_prob": "1e-5"},
     "<dark-slope.cfg>": {"calibration.dark_slope": "1000.0"},
     "<gamma.cfg>": {"calibration.gamma": "1000.0"},
+    "<length-1e300.cfg>": {"channel.length_km": "1e300"},
     "<dead-time-inf.cfg>": {"detector_a.dead_time_ns": "inf", "detector_b.dead_time_ns": "inf"},
     "<not-utf8.cfg>": b"\xff\xfesource.mu = 0.2\n",
 }
@@ -238,7 +239,7 @@ class TestCli:
         assert main(["sweep-distance", "--engine", "mc", "--pulses", "200000", "--seed", "3",
                      "--lengths", "5.6,65.5", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "650c54ff2760733d2eaba14db7a8f9ba945db24b06593763089b00ef605e1b7e"
+            "565d030fce186b4e14767382d39c6c6820e4746eca676760ae22101a6c57e695"
         )
 
     def test_histogram_command(self, tmp_path):
@@ -379,7 +380,7 @@ class TestCli:
         # Pins the report's bytes, residuals included, ahead of the path line.
         report = text[:text.index("calibrated config written to")]
         assert hashlib.sha256(report.encode()).hexdigest() == (
-            "d9f3ba87cab310dc4c830188099914dbaa0a1a75d0b0dc399a332d893867539f"
+            "99aa1c1e691282065a06aeac62ff648ffb76105959203f8373165338a8a6f024"
         )
         assert out.exists()
         from qkdlink.config import load_config
@@ -401,6 +402,20 @@ class TestCli:
             pytest.param(
                 ["simulate", "--length", "inf", "--pulses", "1000"], "channel.length",
                 id="simulate-length-inf",
+            ),
+            # A finite length too long to integrate window by window; 1e308
+            # km also overflows the dispersion walk-off to inf.
+            pytest.param(
+                ["sweep-distance", "--lengths", "1e300"], "gate periods",
+                id="sweep-distance-length-1e300",
+            ),
+            pytest.param(
+                ["sweep-distance", "--lengths", "1e308"], "gate periods",
+                id="sweep-distance-length-1e308",
+            ),
+            pytest.param(
+                ["sweep-bias", "--config", "<length-1e300.cfg>"], "gate periods",
+                id="sweep-bias-config-length-1e300",
             ),
             pytest.param(
                 ["calibrate", "--max-iter", "0"], "max_iter", id="calibrate-max-iter-0"
