@@ -154,7 +154,7 @@ class _Fitter:
         self.state = {name: getattr(getattr(config, _OWNER[name]), name)
                       for name in _STATE_FIELDS}
         source, det = config.source, config.receiver.detector
-        self.timing = (det.jitter_sigma, source.gate_period, det.gate_window)
+        self.timing, self.jitter = (source.gate_period, det.gate_window), det.jitter_sigma
 
     def fitted(self) -> SystemConfig:
         """The start config with the couplings of the current state."""
@@ -192,7 +192,7 @@ class _Fitter:
         s, source, channel = self.state, self.base.source, self.base.channel
         components = linkbudget._components(
             source.pulse_sigma0, s["spectral_width"], s["side_mode_weight"],
-            s["side_mode_offset"], channel.dispersion, length, compensated,
+            s["side_mode_offset"], channel.dispersion, length, compensated, self.jitter,
         )
         acceptance, e_interclock = linkbudget._profile_timing(components, *self.timing,
                                                                compensated)
@@ -203,8 +203,8 @@ class _Fitter:
         return linkbudget._clicks(self.base.source.mu, arrival[3], eta, arrival[1], dark)
 
     def _raw_rate(self, arrival, clicks) -> float:
-        jitter, period, window = self.timing
-        blocked = linkbudget._blocked_gates(arrival[0], jitter, window, period,
+        period, window = self.timing
+        blocked = linkbudget._blocked_gates(arrival[0], window, period,
                                             self.base.receiver.detector.dead_time_ps,
                                             clicks[0], clicks[1])
         return linkbudget._renewal_rate(self.base.source.clock_rate, clicks[2], blocked)
@@ -318,7 +318,7 @@ class _Fitter:
         def excess(offset, line):  # g of one line alone
             _, mean, sigma = linkbudget._components(
                 source.pulse_sigma0, self.state["spectral_width"], 1.0, offset,
-                channel.dispersion, length, False)[line]
+                channel.dispersion, length, False, self.jitter)[line]
             acceptance, error = linkbudget._profile_timing(((1.0, mean, sigma),),
                                                            *self.timing, False)
             return acceptance * (error - target)

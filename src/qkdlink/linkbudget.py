@@ -8,11 +8,11 @@ into its four physical contributions::
 
     e = e_opt + e_afterpulse + e_dark + e_interclock
 
-The arrival-time profile at the receiver is a weighted mixture of Gaussian
-components (main spectral line plus an optional displaced side mode), each
-convolved with the detector jitter.  Gate acceptance and inter-clock
-leakage both follow from integrating that profile over the periodic gate
-windows.
+The detected arrival-time profile (:func:`temporal_components`) is a
+weighted mixture of Gaussian lines, the main spectral line plus an optional
+displaced side mode, whose widths it alone convolves with the detector
+jitter.  Gate acceptance, inter-clock leakage and the hold-off's offset
+density integrate it over the gate windows; the event engine draws from it.
 
 Each law is one plain-float kernel that the public functions wrap and the
 calibration fitter calls directly, so a fit trial builds no validated
@@ -107,33 +107,35 @@ def transmittance(length: float, attenuation: float) -> float:
 
 
 def temporal_components(
-    source: SourceParams, channel: ChannelParams
+    source: SourceParams, channel: ChannelParams, receiver: ReceiverParams
 ) -> tuple[tuple[float, float, float], ...]:
-    """Weighted Gaussian components of the arrival-time profile.
+    """Weighted Gaussian lines of the detected arrival-time profile.
 
-    Returns a tuple of ``(weight, mean_ps, sigma_ps)`` triples, relative to
-    the pulse's own clock center and before detector jitter.  The main line
-    broadens with dispersion; the spectral side mode is quasi-monochromatic,
-    so it keeps the launch width but walks away from the gate at
-    ``D * L * side_mode_offset``.  Compensation cancels the accumulated
-    dispersion for all wavelengths, collapsing the profile back to a single
-    centered component.
+    Returns ``(weight, mean_ps, sigma_ps)`` triples relative to the pulse's
+    own clock center, each width ``hypot(line width, jitter_sigma)``: the
+    line as the detector sees it.  The main line broadens with dispersion;
+    the spectral side mode is quasi-monochromatic, so it keeps the launch
+    width but walks away from the gate at ``D * L * side_mode_offset``.
+    Compensation cancels the accumulated dispersion for all wavelengths,
+    collapsing the profile back to a single centered line.  The analytic
+    kernels integrate this profile and the event engine draws from it.
     """
     return _components(source.pulse_sigma0, source.spectral_width, source.side_mode_weight,
                        source.side_mode_offset, channel.dispersion, channel.length,
-                       channel.compensated)
+                       channel.compensated, receiver.detector.jitter_sigma)
 
 
-def _components(sigma0, width, side_weight, side_offset, dispersion, length, compensated):
+def _components(sigma0, width, side_weight, side_offset, dispersion, length, compensated, jitter):
+    launch = math.hypot(sigma0, jitter)  # the undispersed width as detected
     if compensated:
-        return ((1.0, 0.0, sigma0),)
+        return ((1.0, 0.0, launch),)
     walkoff = dispersion * length  # ps per nm of detuning
-    main_sigma = math.hypot(sigma0, walkoff * width)
+    main_sigma = math.hypot(math.hypot(sigma0, walkoff * width), jitter)
     if side_weight == 0.0:
         return ((1.0, 0.0, main_sigma),)
     return (
         (1.0 - side_weight, 0.0, main_sigma),
-        (side_weight, walkoff * side_offset, sigma0),
+        (side_weight, walkoff * side_offset, launch),
     )
 
 
@@ -164,14 +166,12 @@ def _window_masses(
     return out
 
 
-def _profile_timing(components, jitter: float, period: float, window: float,
-                    compensated: bool):
-    """``(acceptance, e_interclock)`` of a mixture profile."""
+def _profile_timing(components, period: float, window: float, compensated: bool):
+    """``(acceptance, e_interclock)`` of a detected mixture profile."""
     accepted = 0.0
     neighbors = 0.0
     for weight, mean, sigma in components:
-        eff_sigma = math.hypot(sigma, jitter)
-        for k, mass in _window_masses(mean, eff_sigma, period, window):
+        for k, mass in _window_masses(mean, sigma, period, window):
             accepted += weight * mass
             if k != 0:
                 neighbors += weight * mass
@@ -190,9 +190,8 @@ def link_timing(
     both detectors of the matched pair share.  A compensated span has no
     leakage by construction.
     """
-    det = receiver.detector
-    return _profile_timing(temporal_components(source, channel), det.jitter_sigma,
-                           source.gate_period, det.gate_window, channel.compensated)
+    return _profile_timing(temporal_components(source, channel, receiver), source.gate_period,
+                           receiver.detector.gate_window, channel.compensated)
 
 
 def click_probabilities(
@@ -232,9 +231,8 @@ def effective_blocked_gates(
     """
     det = receiver.detector
     clicks = click_probabilities(source, channel, receiver)
-    return _blocked_gates(temporal_components(source, channel), det.jitter_sigma,
-                          det.gate_window, source.gate_period, det.dead_time_ps,
-                          clicks.p_signal, clicks.p_dark)
+    return _blocked_gates(temporal_components(source, channel, receiver), det.gate_window,
+                          source.gate_period, det.dead_time_ps, clicks.p_signal, clicks.p_dark)
 
 
 @functools.lru_cache(maxsize=128)
@@ -269,21 +267,20 @@ def _holdoff(window: float, period: float, dead: float):
     return k_always, grid, du, tuple(lookups)
 
 
-def _blocked_gates(components, jitter, window, period, dead, p_signal, p_dark) -> float:
+def _blocked_gates(components, window, period, dead, p_signal, p_dark) -> float:
     """Blocked gates from the offset density of signal and dark clicks."""
     k_always, grid, du, lookups = _holdoff(window, period, dead)
     density = np.zeros_like(grid)
     # Signal photons: profile restricted to the windows, folded onto the
     # in-window offset coordinate.
     for weight, mean, sigma in components:
-        eff_sigma = math.hypot(sigma, jitter)
-        for k, _ in _window_masses(mean, eff_sigma, period, window):
+        for k, _ in _window_masses(mean, sigma, period, window):
             center = k * period
             density += (
                 weight
                 * p_signal
-                * np.exp(-0.5 * ((grid + center - mean) / eff_sigma) ** 2)
-                / (eff_sigma * math.sqrt(2.0 * math.pi))
+                * np.exp(-0.5 * ((grid + center - mean) / sigma) ** 2)
+                / (sigma * math.sqrt(2.0 * math.pi))
             )
     # Dark counts: uniform across the window.
     density += p_dark / window

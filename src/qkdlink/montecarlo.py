@@ -8,11 +8,13 @@ scales with its events rather than its clock cycles: the engine draws how
 many photons survive the fiber and how many dark counts each detector
 sees, then places them on uniform clocks (Poisson superposition and
 uniform subsets, exact in law for per-gate Poisson photons and Bernoulli
-darks).  Each photon is routed through the interferometer and both gated
-detectors are run: window acceptance with timing jitter, dark counts,
-afterpulse release, hold-off (dead time) and double-click squashing.  The
-output is Alice's preparation log plus Bob's time-tagged detection stream,
-bit-reproducible for a fixed (config, n_pulses, seed).
+darks).  Each photon's arrival is one draw from the detected profile that
+the analytic engine integrates (:func:`linkbudget.temporal_components`: a
+line, then a normal at its jitter-convolved width); it is routed through
+the interferometer and both gated detectors are run: window acceptance,
+dark counts, afterpulse release, hold-off (dead time) and double-click
+squashing.  The output is Alice's preparation log plus Bob's time-tagged
+detection stream, bit-reproducible for a fixed (config, n_pulses, seed).
 
 The stateful part (hold-off and afterpulse feedback) runs once per
 detector over the whole run: every candidate's potential afterpulse tree
@@ -340,9 +342,7 @@ def _candidates(config, lo, hi, n_pulses, rng, budget, key):
     ``n_pulses``-clock run.  Returns ``(detector, gates, offsets)`` pieces,
     each detector's photons before its darks.
     """
-    source = config.source
-    channel = config.channel
-    receiver = config.receiver
+    source, channel, receiver = config.source, config.channel, config.receiver
     det = receiver.detector  # both detectors of the matched pair
     period = source.gate_period
     window = det.gate_window
@@ -360,23 +360,21 @@ def _candidates(config, lo, hi, n_pulses, rng, budget, key):
         np.not_equal(emit[1:], emit[:-1], out=first[1:])
         clocks, clock_of = emit[first], np.cumsum(first) - 1
         flip = (rng.random(clocks.size) < receiver.mismodulation_error)[clock_of]
-        components = linkbudget.temporal_components(source, channel)
-        if len(components) == 1:
-            _, comp_mean, comp_sigma = components[0]
-            arrival = comp_mean + comp_sigma * rng.standard_normal(n_photons)
-        else:
-            comp_means = np.array([m for _, m, _ in components])
-            comp_sigmas = np.array([s for _, _, s in components])
-            comp_edges = np.cumsum([w for w, _, _ in components])
-            comp = np.searchsorted(comp_edges, rng.random(n_photons), side="right")
-            comp = np.minimum(comp, len(components) - 1)
-            arrival = comp_means[comp] + comp_sigmas[comp] * rng.standard_normal(n_photons)
-        arrival = arrival + det.jitter_sigma * rng.standard_normal(n_photons)
-        shift = np.rint(arrival / period).astype(np.int64)
-        offset = arrival - shift * period
-        gate = emit + shift
+        # One uniform picks each photon's line, one normal its arrival.
+        weights, means, sigmas = map(np.array, zip(*linkbudget.temporal_components(
+            source, channel, receiver)))
+        line = np.minimum(np.searchsorted(np.cumsum(weights), rng.random(n_photons),
+                                          side="right"), weights.size - 1)
+        arrival = rng.standard_normal(n_photons)
+        arrival *= sigmas[line]
+        arrival += means[line]
+        gate = np.rint(arrival / period)  # float until kept: none past int64 is cast
+        with np.errstate(invalid="ignore"):  # infinite arrivals: NaN offsets, never kept
+            offset = arrival - gate * period
+        gate += emit
         keep = (np.abs(offset) <= half_window) & (gate >= 0) & (gate < n_pulses)
-        emit, gate, offset, flip = emit[keep], gate[keep], offset[keep], flip[keep]
+        emit, offset, flip = emit[keep], offset[keep], flip[keep]
+        gate = gate[keep].astype(np.int64)
 
         # Interferometer routing against Bob's phase in the gate where the
         # photon is actually detected, tabulated on the code bit·8 + basis·4 +

@@ -44,6 +44,11 @@ class TestTransmittance:
         assert combined == pytest.approx(product, rel=1e-9)
 
 
+def unjittered(receiver):
+    """``receiver`` with a jitter-free detector."""
+    return replace(receiver, detector=replace(receiver.detector, jitter_fwhm=0.0))
+
+
 def gaussian_pulse(cfg, sigma):
     """Single centered Gaussian of RMS width ``sigma`` ps at the receiver.
 
@@ -52,38 +57,53 @@ def gaussian_pulse(cfg, sigma):
     """
     source = replace(cfg.source, pulse_sigma0=sigma, side_mode_weight=0.0)
     channel = replace(cfg.channel, dispersion=0.0, compensated=False)
-    assert temporal_components(source, channel) == ((1.0, 0.0, sigma),)
+    assert temporal_components(source, channel, unjittered(cfg.receiver)) == ((1.0, 0.0, sigma),)
     return source, channel
 
 
 class TestPulseWidth:
+    """Optical line widths, seen through a jitter-free receiver."""
+
     def test_dispersion_adds_in_quadrature(self, cfg):
         source = replace(cfg.source, side_mode_weight=0.0)
         channel = cfg.channel.__class__(length=40.0, attenuation=0.195, dispersion=17.0)
         expected = math.hypot(source.pulse_sigma0,
                               17.0 * 40.0 * source.spectral_width)
-        ((weight, mean, sigma),) = temporal_components(source, channel)
+        ((weight, mean, sigma),) = temporal_components(source, channel, unjittered(cfg.receiver))
         assert (weight, mean) == (1.0, 0.0)
         assert sigma == pytest.approx(expected)
 
     def test_compensated_restores_intrinsic_width(self, cfg):
         channel = replace(cfg.channel, length=101.1, compensated=True)
-        ((_, _, sigma),) = temporal_components(cfg.source, channel)
+        ((_, _, sigma),) = temporal_components(cfg.source, channel, unjittered(cfg.receiver))
         assert sigma == cfg.source.pulse_sigma0
 
     def test_compensated_profile_is_single_component(self, cfg):
         channel = replace(cfg.channel, length=75.8, compensated=True)
-        comps = temporal_components(cfg.source, channel)
+        comps = temporal_components(cfg.source, channel, unjittered(cfg.receiver))
         assert comps == ((1.0, 0.0, cfg.source.pulse_sigma0),)
 
     def test_side_mode_walks_off_with_length(self, cfg):
-        comps = temporal_components(cfg.source, replace(cfg.channel, length=65.5))
+        comps = temporal_components(cfg.source, replace(cfg.channel, length=65.5),
+                                    unjittered(cfg.receiver))
         assert len(comps) == 2
         (w_main, m_main, _), (w_side, m_side, s_side) = comps
         assert w_main + w_side == pytest.approx(1.0)
         assert m_main == 0.0
         assert m_side == pytest.approx(17.0 * 65.5 * cfg.source.side_mode_offset)
         assert s_side == cfg.source.pulse_sigma0
+
+    @pytest.mark.parametrize("length, compensated", [(0.0, False), (40.0, False),
+                                                     (65.5, False), (75.8, True)])
+    def test_jitter_convolves_every_line(self, cfg, length, compensated):
+        # The detected profile is the optical one with each line's width
+        # taken in quadrature with the jitter; weights and means stay.
+        channel = replace(cfg.channel, length=length, compensated=compensated)
+        optical = temporal_components(cfg.source, channel, unjittered(cfg.receiver))
+        jitter = cfg.receiver.detector.jitter_sigma
+        assert jitter > 0.0
+        assert temporal_components(cfg.source, channel, cfg.receiver) == tuple(
+            (weight, mean, math.hypot(sigma, jitter)) for weight, mean, sigma in optical)
 
 
 class TestGateAcceptance:

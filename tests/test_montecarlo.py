@@ -12,7 +12,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.stats import chi2_contingency
+from scipy.special import erf
+from scipy.stats import chi2_contingency, power_divergence
 
 from qkdlink import keyrate, linkbudget, montecarlo
 from qkdlink.cli import main
@@ -105,6 +106,18 @@ class TestSimulate:
             assert column_a == column_b
             assert (column_a[clocks] == column_b[clocks]).all()
             assert column_a != column_other
+
+    @pytest.mark.parametrize("length", [1e300, 1e308])
+    def test_profile_beyond_every_clock_detects_nothing(self, cfg, length):
+        # Lossless fiber this long spreads every arrival past the run, by
+        # more clocks than int64 holds (an infinite width at 1e308 km): each
+        # photon is dropped, and no out-of-range cast or NaN warns.
+        lossless = dataclasses.replace(cfg, channel=dataclasses.replace(cfg.channel,
+                                                                        attenuation=0.0))
+        config = with_detector(lossless.at_length(length), dark_prob=0.0, afterpulse_total=0.0)
+        result = simulate(config, 100_000, seed=1)
+        assert result.meta["events_generated"] > 1000
+        assert len(result.tags) == 0
 
     def test_columns_follow_the_global_clock_across_segments(self, cfg):
         """One seed gives the same per-clock bits at any segment count,
@@ -356,6 +369,46 @@ class TestCandidateLaw:
         _assert_count_law(counts, mean, var, mu4)
 
 
+class TestArrivalLaw:
+    """The event engine draws each photon's arrival from the detected
+    profile the analytic kernels integrate: with darks, afterpulses and
+    hold-off off, the folded tag times follow that profile's in-window mass
+    per 5 ps bin (G-test; bins expecting fewer than 5 tags pooled)."""
+
+    BIN_PS = 5.0
+    P_MIN = 1e-3
+
+    @pytest.mark.parametrize("length, compensated, lines, seed", [
+        (75.8, True, 1, 31),
+        (65.5, False, 2, 32),
+    ])
+    def test_folded_times_follow_the_detected_profile(self, cfg, length, compensated,
+                                                      lines, seed):
+        config = with_detector(cfg.at_length(length, compensated), dark_prob=0.0,
+                               afterpulse_total=0.0, dead_time=0.0)
+        profile = linkbudget.temporal_components(config.source, config.channel,
+                                                 config.receiver)
+        assert len(profile) == lines
+        tags = simulate(config, 400_000_000, seed=seed).tags
+        assert len(tags) >= 100_000
+        counts, edges = histogram(tags, self.BIN_PS)
+        # Each line's mass per bin, over every gate window it reaches, on the
+        # in-window axis u = t - period/2.
+        period, half = tags.meta["gate_period_ps"], 0.5 * tags.meta["gate_window_ps"]
+        u = np.clip(edges - 0.5 * period, -half, half)
+        cdf = sum(weight * 0.5 * erf((u + k * period - mean) / (sigma * math.sqrt(2.0)))
+                  for weight, mean, sigma in profile for k in range(-10, 11))
+        expected = len(tags) * np.diff(cdf) / (cdf[-1] - cdf[0])
+        pooled = expected < 5.0
+        observed = [*counts[~pooled], counts[pooled].sum()]
+        expect = [*expected[~pooled], expected[pooled].sum()]
+        if expect[-1] == 0.0:  # every pooled bin lies outside the window
+            assert observed.pop() == 0
+            expect.pop()
+        _, p = power_divergence(observed, expect, lambda_="log-likelihood")
+        assert p > self.P_MIN, f"G-test p = {p:.2e} over {len(tags)} tags"
+
+
 class TestStreamLayout:
     """Pins the random-stream layout, so a change to it is deliberate and
     recorded.  The digests also move if NumPy changes one of the Generator
@@ -363,10 +416,10 @@ class TestStreamLayout:
 
     # (dump, sifted key) SHA-256 per ``--segments`` value.
     DIGESTS = {
-        1: ("02593f52ccb2c0c4fc132303048917e542700406ea96eb83a45f82c1c091e440",
-            "c0cfa52796d9f54fe5a26b070c2c511296b0b75e9a08376503e6240d3824c664"),
-        4: ("2f1fd81ea22f2b0ed92e002e961b37d3ea786ea1420f8937c22843df8c39fc60",
-            "64f3b6d634a6c99bf30f90c5ef6b87af41e5587aeb32d7577a6429e93c1b7ad0"),
+        1: ("dd7c2177fe3ebeef00a477868f0d0d2c697207073d202d7517f3c624ee9d316d",
+            "1ee6ae3952c75187adf82477e5e135c06192e0ed756e0417abb9d855c4a0c111"),
+        4: ("80bd3b603d141de4b0f6fcbb1a746c90e13335194bcaa75d2d0ae1f943d751d3",
+            "41015d965444ef00d3e009d7f6e11245dad6d22a7125a26759e46a04a9baa1de"),
     }
 
     def test_fixed_seed_output_digests(self, tmp_path):

@@ -229,7 +229,7 @@ class TestCli:
         assert main(["histogram", "--length", "0", "--pulses", "100000", "--seed", "2",
                      "--bin-ps", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "f312f3a2d613ca896d92bb1131ff464ca2ecdfaf821848643ed59b8bf6817ccf"
+            "ccc84dbc7eb80c998e6b07b2e023af35ca621e2e7e3a0b3b434f371ef52c36ec"
         )
 
     def test_mc_distance_csv_digest(self, tmp_path):
@@ -239,7 +239,7 @@ class TestCli:
         assert main(["sweep-distance", "--engine", "mc", "--pulses", "200000", "--seed", "3",
                      "--lengths", "5.6,65.5", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "565d030fce186b4e14767382d39c6c6820e4746eca676760ae22101a6c57e695"
+            "ef643629ec9b7ad5947a84d17dab0c00bc653b20c23cf282612bb8a9577984bb"
         )
 
     def test_histogram_command(self, tmp_path):
