@@ -16,7 +16,7 @@ error points, a pair of dispersion-compensated QBERs, three secure-rate
 points, and one low-bias QBER), so the fit runs as staged one-dimensional
 solves iterated to a joint fixed point, with depth-2 Anderson mixing
 choosing where each sweep starts.  The couplings returned are the output
-of a sweep that moved them by less than ``tol``.  Every iterative stage is
+of a sweep that moved them by less than ``_TOL``.  Every iterative stage is
 one bracketed root (``brentq``) or a closed form: the side-mode weight that
 meets the near wrong-clock point follows from the two lines' timing alone,
 and the afterpulse reference is the root of the derivative of its
@@ -137,6 +137,7 @@ _OWNER = {name: "source" if i < 3 else "calibration" for i, name in enumerate(_S
 _OFFSET_GRID = np.arange(0.56, 0.951, 0.015)
 _SIDE_WEIGHT_MAX = 0.45
 _WARM_WIDTH = 1.0  # a warm bracket's half-width, in units of the last sweep's change
+_TOL = 1e-9  # the fit stops at a sweep that moves no coupling by this much, relative
 
 
 class _Fitter:
@@ -500,7 +501,6 @@ def calibrate(
     anchors: CalibrationAnchors | None = None,
     *,
     max_iter: int = 60,
-    tol: float = 1e-9,
 ) -> tuple[SystemConfig, FitReport]:
     """Fit source/detector couplings so the model reproduces the anchors.
 
@@ -529,7 +529,7 @@ def calibrate(
         residual = (end - start) / np.maximum(np.abs(end), 1e-12)
         change = float(np.max(np.abs(residual)))
         trace.append(change)
-        if change < tol:
+        if change < _TOL:
             break
         history = [*history[-2:], (end, residual)]
         fitter.change = change

@@ -81,8 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--out", type=_file_path, metavar="PATH", help="event dump path")
     p_sim.add_argument("--segments", type=int, default=1, metavar="N",
-                       help="stretches whose candidates are drawn from independent "
-                            "streams (same law for any N)")
+                       help=f"clock stretches (at most {montecarlo._MAX_SEGMENTS}), one candidate "
+                            "stream each; one more serves the afterpulses (same law for any N)")
     p_sim.add_argument("--dump-format", choices=("binary", "csv"), default="binary",
                        help="event dump layout for --out")
     p_sim.add_argument("--sifted-key", type=_file_path, metavar="PATH",

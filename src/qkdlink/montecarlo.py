@@ -1,20 +1,21 @@
 """Stochastic event engine for the gated QKD link.
 
-Alice's bit/basis pair and Bob's basis are pure functions of the run's
-seed and the global clock index (a counter-based SplitMix64 mix), evaluated
-only at the clocks that are read: emitting clocks, detection gates and
-tagged clocks.  Everything else is drawn per event, so the cost of a run
-scales with its events rather than its clock cycles: the engine draws how
-many photons survive the fiber and how many dark counts each detector
-sees, then places them on uniform clocks (Poisson superposition and
-uniform subsets, exact in law for per-gate Poisson photons and Bernoulli
-darks).  Each photon's arrival is one draw from the detected profile that
-the analytic engine integrates (:func:`linkbudget.temporal_components`: a
-line, then a normal at its jitter-convolved width); it is routed through
-the interferometer and both gated detectors are run: window acceptance,
-dark counts, afterpulse release, hold-off (dead time) and double-click
-squashing.  The output is Alice's preparation log plus Bob's time-tagged
-detection stream, bit-reproducible for a fixed (config, n_pulses, seed).
+Every per-clock coin (Alice's bit, basis and mis-modulation, Bob's basis,
+the double-click squash) is a pure function of the run's seed and the
+global clock index (a counter-based SplitMix64 mix), evaluated only at the
+clocks that are read: emitting clocks, detection gates and tagged clocks.
+Everything else is drawn per event, so the cost of a run scales with its
+events rather than its clock cycles: the engine draws how many photons
+survive the fiber and how many dark counts each detector sees, then places
+them on uniform clocks (Poisson superposition and uniform subsets, exact in
+law for per-gate Poisson photons and Bernoulli darks).  Each photon's
+arrival is one draw from the detected profile that the analytic engine
+integrates (:func:`linkbudget.temporal_components`: a line, then a normal
+at its jitter-convolved width); it is routed through the interferometer and
+both gated detectors are run: window acceptance, dark counts, afterpulse
+release, hold-off (dead time) and double-click squashing.  The output is
+Alice's preparation log plus Bob's time-tagged detection stream,
+bit-reproducible for a fixed (config, n_pulses, seed).
 
 The stateful part (hold-off and afterpulse feedback) runs once per
 detector over the whole run: every candidate's potential afterpulse tree
@@ -72,8 +73,13 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 
-# Bit of the clock mix that carries each per-clock column.
-ALICE_BIT, ALICE_BASIS, BOB_BASIS = 63, 62, 61
+# Most segments a run may have: each costs a stream and a fixed set of numpy
+# calls, and 1024 split the default 50M-event budget into 49k apiece.
+_MAX_SEGMENTS = 1024
+
+# Bit of the clock mix that carries each per-clock coin; the low 53 bits
+# carry the pulse's mis-modulation (:func:`_mismodulated`).
+ALICE_BIT, ALICE_BASIS, BOB_BASIS, SQUASH_A = 63, 62, 61, 60
 
 
 class ResourceLimitError(RuntimeError):
@@ -99,6 +105,12 @@ def _clock_mix(key: int, clocks) -> np.ndarray:
 def _mix_bit(z: np.ndarray, bit: int) -> np.ndarray:
     """Bit ``bit`` of each mixed value, as uint8 0/1."""
     return ((z >> np.uint64(bit)) & np.uint64(1)).astype(np.uint8)
+
+
+def _mismodulated(z: np.ndarray, m: float) -> np.ndarray:
+    """Low 53 bits ``k`` below ``ceil(m * 2**53)``: exactly ``k / 2**53 < m``,
+    the Bernoulli(m) of ``Generator.random() < m``."""
+    return (z & np.uint64(2**53 - 1)) < np.uint64(np.ceil(m * 2.0**53))
 
 
 @dataclass(frozen=True)
@@ -337,10 +349,10 @@ def _candidates(config, lo, hi, n_pulses, rng, budget, key):
     """Photon and dark candidates emitted at clocks ``[lo, hi)``.
 
     Gates are global clock indices, at which the clock mix keyed by ``key``
-    gives Alice's and Bob's bits.  A photon detected in a gate outside
-    ``[lo, hi)`` is kept as long as that gate lies inside the
-    ``n_pulses``-clock run.  Returns ``(detector, gates, offsets)`` pieces,
-    each detector's photons before its darks.
+    gives Alice's and Bob's bits and the pulse's mis-modulation.  A photon
+    detected in a gate outside ``[lo, hi)`` is kept as long as that gate
+    lies inside the ``n_pulses``-clock run.  Returns ``(detector, gates,
+    offsets)`` pieces, each detector's photons before its darks.
     """
     source, channel, receiver = config.source, config.channel, config.receiver
     det = receiver.detector  # both detectors of the matched pair
@@ -353,13 +365,8 @@ def _candidates(config, lo, hi, n_pulses, rng, budget, key):
 
     # --- photons that reach a detector -------------------------------------
     if n_photons:
+        # Sorted, the candidates reach the sweep's time sort nearly in order.
         emit = np.sort(rng.integers(lo, hi, n_photons))
-        # One mis-modulation draw per emitting clock, shared by its photons.
-        first = np.empty(n_photons, dtype=bool)
-        first[0] = True
-        np.not_equal(emit[1:], emit[:-1], out=first[1:])
-        clocks, clock_of = emit[first], np.cumsum(first) - 1
-        flip = (rng.random(clocks.size) < receiver.mismodulation_error)[clock_of]
         # One uniform picks each photon's line, one normal its arrival.
         weights, means, sigmas = map(np.array, zip(*linkbudget.temporal_components(
             source, channel, receiver)))
@@ -373,7 +380,7 @@ def _candidates(config, lo, hi, n_pulses, rng, budget, key):
             offset = arrival - gate * period
         gate += emit
         keep = (np.abs(offset) <= half_window) & (gate >= 0) & (gate < n_pulses)
-        emit, offset, flip = emit[keep], offset[keep], flip[keep]
+        emit, offset = emit[keep], offset[keep]
         gate = gate[keep].astype(np.int64)
 
         # Interferometer routing against Bob's phase in the gate where the
@@ -382,6 +389,7 @@ def _candidates(config, lo, hi, n_pulses, rng, budget, key):
         p_detector_a = protocol.detector_a_probability(
             *(np.arange(16) >> np.arange(3, -1, -1)[:, None] & 1), receiver.visibility)
         mix_emit = _clock_mix(key, emit)
+        flip = _mismodulated(mix_emit, receiver.mismodulation_error)
         code = (_mix_bit(mix_emit, ALICE_BIT) << 3 | _mix_bit(mix_emit, ALICE_BASIS) << 2
                 | flip.view(np.uint8) << 1 | _mix_bit(_clock_mix(key, gate), BOB_BASIS))
         to_a = rng.random(gate.size) < p_detector_a[code]
@@ -421,13 +429,14 @@ def simulate(
     config:
         Full system parameter set.
     n_pulses:
-        Number of clock cycles to simulate.
+        Number of clock cycles to simulate, in ``[1, 2**63)``.
     seed:
         Non-negative root seed; every run with the same (config, n_pulses,
-        seed, segments) is bit-identical.
+        seed, segments) is bit-identical.  It keys the clock mix and spawns
+        one Philox stream for the afterpulses and one per segment.
     segments:
-        Number of contiguous stretches whose candidates are drawn from
-        independent random streams.  One hold-off/afterpulse sweep per
+        Number of contiguous stretches (at most 1024) whose candidates are
+        drawn from independent streams.  One hold-off/afterpulse sweep per
         detector then covers the whole run, so the output is exact in law
         for every segment count; only the draws differ.
     max_events:
@@ -442,26 +451,23 @@ def simulate(
         time-tag stream.  ``result.meta`` records the seed and stream
         layout.
     """
-    if n_pulses < 1:
-        raise ParameterError("n_pulses must be at least 1")
+    if not 1 <= n_pulses < 2**63:
+        raise ParameterError(f"n_pulses must lie in [1, 2**63), got {n_pulses}")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
-    if segments < 1 or segments > n_pulses:
-        raise ParameterError("segments must lie in [1, n_pulses]")
+    if not 1 <= segments <= min(n_pulses, _MAX_SEGMENTS):
+        raise ParameterError(
+            f"segments must lie in [1, min(n_pulses, {_MAX_SEGMENTS})], got {segments}")
     budget = _EventBudget(max_events)
     period = config.source.gate_period
     det = config.receiver.detector
 
     root = np.random.SeedSequence(seed)
     key = int(root.generate_state(1, np.uint64)[0])
-    # (candidates, afterpulses) streams per segment; the run's afterpulse
-    # sweep and double-click squash read only the first segment's.
-    streams = [child.spawn(2) for child in root.spawn(segments)]
-    rngs = [np.random.Generator(np.random.Philox(cand_ss)) for cand_ss, _ in streams]
-    ap_rng = np.random.Generator(np.random.Philox(streams[0][1]))
-    bounds = np.linspace(0, n_pulses, segments + 1).astype(np.int64).tolist()
+    ap_rng, *rngs = [np.random.Generator(np.random.Philox(s)) for s in root.spawn(1 + segments)]
     cand_gates = {DETECTOR_A: [], DETECTOR_B: []}
     cand_offsets = {DETECTOR_A: [], DETECTOR_B: []}
+    bounds = [int(n_pulses) * i // segments for i in range(segments + 1)]
     for lo, hi, rng in zip(bounds[:-1], bounds[1:], rngs):
         for det_id, gates, offsets in _candidates(config, lo, hi, n_pulses, rng, budget, key):
             cand_gates[det_id].append(gates)
@@ -479,16 +485,12 @@ def simulate(
 
     # --- squash simultaneous clicks into a single recorded event -----------
     _, idx_a, idx_b = np.intersect1d(gates_a, gates_b, assume_unique=True, return_indices=True)
-    keep_a_side = rngs[0].random(idx_a.size) < 0.5
-    mask_a = np.ones(gates_a.size, dtype=bool)
-    mask_a[idx_a[~keep_a_side]] = False
-    mask_b = np.ones(gates_b.size, dtype=bool)
-    mask_b[idx_b[keep_a_side]] = False
-    gate_col = np.concatenate([gates_a[mask_a], gates_b[mask_b]])
-    ts_col = np.concatenate([ts_a[mask_a], ts_b[mask_b]])
-    det_col = np.repeat(
-        np.array([DETECTOR_A, DETECTOR_B], dtype=np.uint8), [mask_a.sum(), mask_b.sum()]
-    )
+    keep_a_side = _mix_bit(_clock_mix(key, gates_a[idx_a]), SQUASH_A).view(bool)
+    drop_a, drop_b = idx_a[~keep_a_side], idx_b[keep_a_side]
+    gate_col = np.concatenate([np.delete(gates_a, drop_a), np.delete(gates_b, drop_b)])
+    ts_col = np.concatenate([np.delete(ts_a, drop_a), np.delete(ts_b, drop_b)])
+    det_col = np.repeat(np.array([DETECTOR_A, DETECTOR_B], dtype=np.uint8),
+                        [gates_a.size - drop_a.size, gates_b.size - drop_b.size])
     order = np.argsort(gate_col, kind="stable")
 
     meta = {
@@ -498,15 +500,12 @@ def simulate(
         "gate_period_ps": period,
         "gate_window_ps": det.gate_window,
         "rng": (
-            "per-clock columns: SplitMix64 of (clock + 1) * golden + key, key "
-            "= SeedSequence(seed).generate_state(1, uint64), Alice's bit, "
-            "Alice's basis and Bob's basis at bits 63, 62, 61; Philox, two "
-            "spawned streams per segment: sparse candidates for the "
-            "segment's clocks (photon and dark counts, then positions) and "
-            "afterpulses; one sweep over the whole run reads the first "
-            "segment's afterpulse stream (per detector and generation: spawn "
-            "counts per node, then delays, then offsets), then the first "
-            "segment's candidate stream draws the double-click squash"
+            "per-clock coins: SplitMix64 of (clock + 1) * golden + key, key = "
+            "SeedSequence(seed).generate_state(1, uint64); bits 63, 62, 61, 60: "
+            "Alice's bit, Alice's basis, Bob's basis, squash keeps A; low 53 "
+            "bits < ceil(m * 2**53): mis-modulated; Philox streams spawned "
+            "from the seed: the run's afterpulses, then one per segment for "
+            "its candidates"
         ),
         "events_generated": budget.used,
     }

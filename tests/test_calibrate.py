@@ -177,8 +177,8 @@ def perturbed(cfg, spectral_width, side_mode_weight, side_mode_offset,
 class TestFitReport:
     def test_trace_records_each_sweep(self, cfg):
         start = perturbed(cfg, 1.1, 1.1, 1.1, 1.1, 1.1, 1.1)
-        tol = 1e-9
-        _, report = calibrate(start, tol=tol)
+        tol = fit_module._TOL
+        _, report = calibrate(start)
         assert report.iterations > 1
         assert len(report.trace) == report.iterations
         assert report.trace[-1] < tol

@@ -251,10 +251,16 @@ class TestSimulate:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
-    @pytest.mark.parametrize("n_pulses,segments", [(0, 1), (100, 0), (10, 11)])
+    @pytest.mark.parametrize("n_pulses,segments", [
+        (0, 1), (100, 0), (10, 11), (2**63, 1), (10**20, 1),
+        # One over the segment cap, rejected before any stream is spawned.
+        (10**6, montecarlo._MAX_SEGMENTS + 1),
+    ])
     def test_bad_run_shape_rejected(self, cfg, n_pulses, segments):
-        with pytest.raises(ParameterError):
-            simulate(cfg, n_pulses, seed=0, segments=segments)
+        with mock.patch.object(np.random, "SeedSequence") as spawn:
+            with pytest.raises(ParameterError):
+                simulate(cfg, n_pulses, seed=0, segments=segments)
+        spawn.assert_not_called()
 
     def test_tags_cluster_at_gate_center(self, cfg):
         result = simulate(cfg.at_length(0.0), 300_000, seed=9)
@@ -293,14 +299,18 @@ class TestClockMix:
 
     def test_columns_are_balanced_and_independent(self, cfg):
         """Over 2**20 clocks of one run, each column, each pairwise XOR of
-        columns and each column's lag-1 XOR is balanced within 5 sigma."""
+        columns and each column's lag-1 XOR is balanced within 5 sigma.  The
+        columns include the squash coin and the mis-modulation at m = 1/2."""
         n = 2**20
         result = simulate(cfg.at_length(65.5), n, seed=3)
         clocks = np.arange(n)
+        z = montecarlo._clock_mix(result.alice.bit.key, clocks)
         columns = {
             "alice bit": result.alice.bit[clocks],
             "alice basis": result.alice.basis[clocks],
             "bob basis": result.bob_bases[clocks],
+            "squash keeps A": montecarlo._mix_bit(z, montecarlo.SQUASH_A),
+            "mis-modulated": montecarlo._mismodulated(z, 0.5).view(np.uint8),
         }
         sequences = dict(columns)
         names = list(columns)
@@ -409,6 +419,35 @@ class TestArrivalLaw:
         assert p > self.P_MIN, f"G-test p = {p:.2e} over {len(tags)} tags"
 
 
+class TestPerClockCoins:
+    """The clock mix's per-clock coins keep their laws in whole runs: the
+    sifted error rate of a mis-modulating, otherwise perfect link is m, and
+    a double click is recorded on either detector with probability 1/2."""
+
+    SIGMAS = 4.0
+
+    def test_mismodulated_pulses_err_at_rate_m(self, cfg):
+        m = 0.2
+        config = with_detector(cfg.at_length(75.8, compensated=True), dark_prob=0.0,
+                               afterpulse_total=0.0, dead_time=0.0)
+        config = dataclasses.replace(config, receiver=dataclasses.replace(
+            config.receiver, visibility=1.0, mismodulation_error=m))
+        result = simulate(config, 200_000_000, seed=51)
+        key = protocol.sift(result.alice, result.tags, result.bob_bases)
+        assert key.n_sifted > 20_000
+        sigma = math.sqrt(m * (1.0 - m) / key.n_sifted)
+        assert abs(key.qber_estimate - m) < self.SIGMAS * sigma, key.qber_estimate
+
+    def test_squash_keeps_either_detector_half_the_time(self, cfg):
+        # Per gate, darks alone: A 0.21, B 0.21, both 0.09.  A coin that
+        # always kept A would give A a 0.30 / 0.51 = 0.588 share.
+        config = with_detector(cfg, dark_prob=0.3, afterpulse_total=0.0, dead_time=0.0)
+        config = dataclasses.replace(config, source=dataclasses.replace(config.source, mu=0.0))
+        tags = simulate(config, 200_000, seed=52).tags
+        share = np.mean(tags.detector_id == montecarlo.DETECTOR_A)
+        assert abs(share - 0.5) < self.SIGMAS * math.sqrt(0.25 / len(tags)), share
+
+
 class TestStreamLayout:
     """Pins the random-stream layout, so a change to it is deliberate and
     recorded.  The digests also move if NumPy changes one of the Generator
@@ -416,10 +455,10 @@ class TestStreamLayout:
 
     # (dump, sifted key) SHA-256 per ``--segments`` value.
     DIGESTS = {
-        1: ("dd7c2177fe3ebeef00a477868f0d0d2c697207073d202d7517f3c624ee9d316d",
-            "1ee6ae3952c75187adf82477e5e135c06192e0ed756e0417abb9d855c4a0c111"),
-        4: ("80bd3b603d141de4b0f6fcbb1a746c90e13335194bcaa75d2d0ae1f943d751d3",
-            "41015d965444ef00d3e009d7f6e11245dad6d22a7125a26759e46a04a9baa1de"),
+        1: ("e5c14253d1ca109db607cf0610c6c375f73f0b902d5d2a34d07b1f6fb84565e0",
+            "4f0c33bff6ba43063dbb6965fee74e072c07b15e604efef0000958d615807c5e"),
+        4: ("b779bf4f02c5e0e9b99e6b378ddcfa0ab6ad939251187b2c2b905175baa578cb",
+            "121be9860bb501d01a1ac5e2bd424911151fd81bae4d7d48abe64321f33a2dbf"),
     }
 
     def test_fixed_seed_output_digests(self, tmp_path):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qkdlink import sweeps
+from qkdlink import montecarlo, sweeps
 from qkdlink.cli import main
 from qkdlink.config import save_config
 from qkdlink.keyrate import RateResult
@@ -229,7 +229,7 @@ class TestCli:
         assert main(["histogram", "--length", "0", "--pulses", "100000", "--seed", "2",
                      "--bin-ps", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "ccc84dbc7eb80c998e6b07b2e023af35ca621e2e7e3a0b3b434f371ef52c36ec"
+            "dbc18fd3e4dc68780592a7016ecd96ab1551b9f44a932e12b58c4dedf968b6c3"
         )
 
     def test_mc_distance_csv_digest(self, tmp_path):
@@ -239,7 +239,7 @@ class TestCli:
         assert main(["sweep-distance", "--engine", "mc", "--pulses", "200000", "--seed", "3",
                      "--lengths", "5.6,65.5", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "ef643629ec9b7ad5947a84d17dab0c00bc653b20c23cf282612bb8a9577984bb"
+            "0f29ffec1e3481c349d81c5822f08a40cd9f1106c59bf132c7c686f44c5cfea5"
         )
 
     def test_histogram_command(self, tmp_path):
@@ -442,6 +442,29 @@ class TestCli:
             pytest.param(
                 ["histogram", "--bin-ps", "1e-12", "--pulses", "1000"], "bin_ps",
                 id="histogram-bins-over-cap",
+            ),
+            # Clock counts near and past int64: the segment bounds are exact
+            # integers, and 2**63 clocks or more are rejected up front.
+            pytest.param(
+                ["simulate", "--pulses", str(2**63 - 1)], "event budget",
+                id="simulate-pulses-int64-max",
+            ),
+            pytest.param(
+                ["simulate", "--pulses", "99999999999999999999"], "n_pulses",
+                id="simulate-pulses-past-int64",
+            ),
+            pytest.param(
+                ["histogram", "--pulses", str(2**63 - 1)], "event budget",
+                id="histogram-pulses-int64-max",
+            ),
+            pytest.param(
+                ["sweep-distance", "--engine", "mc", "--pulses", str(2**63)], "n_pulses",
+                id="sweep-distance-mc-pulses-2-63",
+            ),
+            pytest.param(
+                ["simulate", "--pulses", "1000000", "--segments",
+                 str(montecarlo._MAX_SEGMENTS + 1)], "segments",
+                id="simulate-segments-over-cap",
             ),
             pytest.param(
                 ["histogram", "--mu", "inf", "--pulses", "1000"], "source.mu",
