@@ -18,12 +18,12 @@ solves iterated to a joint fixed point, with depth-2 Anderson mixing
 choosing where each sweep starts.  The couplings returned are the output
 of a sweep that moved them by less than ``_TOL``.  Every iterative stage is
 one bracketed root (``brentq``) or a closed form: the side-mode weight that
-meets the near wrong-clock point follows from the two lines' timing alone,
-and the afterpulse reference is the root of the derivative of its
-secure-rate least squares.  After the first sweep the width, dark-slope and
-afterpulse-reference solves bracket near the last sweep's root; no sign
-change over a stage's whole range means its anchors are unreachable and
-raises :class:`ConvergenceError` with the residuals gathered so far.
+meets a wrong-clock point follows from the two lines' timing alone, so the
+offset is the root of the two points' weight difference; and the afterpulse
+reference is the root of the derivative of its secure-rate least squares.
+After the first sweep every root brackets near the last sweep's root; no
+sign change over a stage's whole range means its anchors are unreachable
+and raises :class:`ConvergenceError` with the residuals gathered so far.
 
 Trials run on plain floats through the :mod:`linkbudget` kernels: a stage
 reads once per sweep what its trial value cannot move and recomputes per
@@ -34,6 +34,7 @@ functions; validated objects appear only in the start config and the result.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -130,13 +131,7 @@ _STATE_FIELDS = (
 # The parameter object that holds each coupling.
 _OWNER = {name: "source" if i < 3 else "calibration" for i, name in enumerate(_STATE_FIELDS)}
 
-# Side-mode offset grid scanned to bracket the outer root of stage 2.  The
-# lower part of the range is infeasible (the side mode falls in the dead
-# gap at both anchor lengths); the scan finds the feasible descending
-# crossing before handing over to the root finder.
-_OFFSET_GRID = np.arange(0.56, 0.951, 0.015)
 _SIDE_WEIGHT_MAX = 0.45
-_WARM_WIDTH = 1.0  # a warm bracket's half-width, in units of the last sweep's change
 _TOL = 1e-9  # the fit stops at a sweep that moves no coupling by this much, relative
 
 
@@ -257,35 +252,35 @@ class _Fitter:
 
     # -- stages --------------------------------------------------------------
 
-    def _root(self, f, lo, hi, x0=None) -> float:
-        """``brentq``'s root of ``f`` in [lo, hi] (``lo >= 0``).  After the first
-        sweep a solve given ``x0``, its coupling at the stage's start, brackets
-        from ``x0·(1 ± h)``, ``h = _WARM_WIDTH × change`` widened 8× at a time
-        until that holds a sign change or is [lo, hi]."""
-        known = {}
-        if self.change is not None and x0 is not None and lo < x0 < hi:
-            h = _WARM_WIDTH * self.change
-            while True:
-                a, b = max(lo, x0 * (1.0 - h)), min(hi, x0 * (1.0 + h))
-                known.update((x, f(x)) for x in (a, b) if x not in known)
-                if known[a] * known[b] <= 0.0 or (a, b) == (lo, hi):
-                    break
-                h *= 8.0
-            lo, hi = a, b
-        # Imported here: SciPy costs more to import than a 10M-pulse
-        # simulation (about 0.3 s and 40 MB), and only a fit needs it.
-        from scipy.optimize import brentq
-
-        return brentq(lambda x: known[x] if x in known else f(x), lo, hi,
-                      xtol=1e-13, rtol=self.rtol, maxiter=200)
-
     def _solve(self, residual, fixed, lo, hi, label, name):
-        """Root in [lo, hi] of ``residual(x, *fixed())``, warm-started at the
-        coupling ``name``.  ``fixed`` reads the stage's fixed parts, so a
-        range check failing there is reported like one failing in a trial."""
+        """``brentq``'s root in [lo, hi] (``lo >= 0``) of ``residual(x, *fixed())``.
+        After the first sweep it brackets from ``x0·(1 ± h)``, ``x0`` the
+        coupling ``name`` at the stage's start and ``h`` the last sweep's
+        change, widened 8× at a time until that holds a sign change or is
+        [lo, hi].  ``fixed`` reads the stage's fixed parts, so a range check
+        failing there is reported like one failing in a trial."""
+        known = {}  # brentq re-evaluates its bracket's ends
+        x0, a, b = self.state[name], lo, hi
         try:
             args = fixed()
-            return self._root(lambda x: residual(x, *args), lo, hi, self.state[name])
+
+            def f(x):
+                if x not in known:
+                    known[x] = residual(x, *args)
+                return known[x]
+
+            if self.change is not None and lo < x0 < hi:
+                h = self.change
+                while True:
+                    a, b = max(lo, x0 * (1.0 - h)), min(hi, x0 * (1.0 + h))
+                    if f(a) * f(b) <= 0.0 or (a, b) == (lo, hi):
+                        break
+                    h *= 8.0
+            # Imported here: SciPy costs more to import than a 10M-pulse
+            # simulation (about 0.3 s and 40 MB), and only a fit needs it.
+            from scipy.optimize import brentq
+
+            return brentq(f, a, b, xtol=1e-13, rtol=self.rtol, maxiter=200)
         except ValueError as exc:
             raise ConvergenceError(
                 f"{label}: no solution in [{lo}, {hi}] ({exc}); "
@@ -306,14 +301,14 @@ class _Fitter:
             "spectral width vs raw-rate slope", "spectral_width",
         )
 
-    def _side_weight(self):
-        """The side-mode weight meeting the near wrong-clock anchor as a function
-        of the offset; None where no weight in [1e-6, _SIDE_WEIGHT_MAX] does.
-        The mix's error averages its lines' errors ``e`` weighted by
-        ``(1 - w)·A_main`` and ``w·A_side`` (``A`` a line's acceptance alone), so
-        with ``g = A·(e - target)`` it meets the target at ``w = g_main /
-        (g_main - g_side)``, rising through it only where ``g_side > g_main``."""
-        (length, target), _ = self.anchors.interclock
+    def _side_weight(self, length: float, target: float):
+        """The side-mode weight at which the mix meets the wrong-clock error
+        ``target`` at ``length``, as a function of the offset: ``(w,
+        admissible)``, memoized per offset.  The mix's error averages its
+        lines' errors ``e`` weighted by ``(1 - w)·A_main`` and ``w·A_side`` (``A``
+        a line's acceptance alone), so with ``g = A·(e - target)`` it meets the
+        target at ``w = g_main / (g_main - g_side)``, admissible where it rises
+        through it (``g_side > g_main``) and ``w`` is in [1e-6, _SIDE_WEIGHT_MAX]."""
         source, channel = self.base.source, self.base.channel
 
         def excess(offset, line):  # g of one line alone
@@ -326,49 +321,26 @@ class _Fitter:
 
         g_main = excess(0.0, 0)  # the main line does not move with the offset
 
+        @functools.cache
         def weight(offset):
             g_side = excess(offset, 1)
-            w = g_main / (g_main - g_side) if g_side > g_main else 0.0
-            return w if 1e-6 <= w <= _SIDE_WEIGHT_MAX else None
+            w = g_main / (g_main - g_side) if g_side != g_main else math.inf
+            return w, g_side > g_main and 1e-6 <= w <= _SIDE_WEIGHT_MAX
 
         return weight
 
     def stage_side_mode(self) -> None:
-        _, (l_far, t_far) = self.anchors.interclock
+        # Each anchor's error condition is linear in the weight, so the pair
+        # that meets both is an offset where both ask for the same weight.
         self._noise(self.anchors.operating_eta)  # only for its range checks
-        weight_for = self._side_weight()
-        # Per offset tried, (near-anchor weight, far residual), or None where
-        # no weight meets the near anchor: brentq starts from the two offsets
-        # of the scan's bracket, and its root is an offset it tried.
-        tried = {}
-
-        def attempt(offset):
-            if offset not in tried:
-                tried[offset] = weight = weight_for(offset)
-                if weight is not None:
-                    self.state.update(side_mode_offset=offset, side_mode_weight=weight)
-                    tried[offset] = (weight, self._interclock(l_far) - t_far)
-            return tried[offset]
-
-        def far_residual(offset):
-            if attempt(offset) is None:
-                raise ConvergenceError(
-                    f"side mode: near anchor infeasible at offset {offset:.4f} nm"
-                )
-            return tried[offset][1]
-
-        for bracket in zip(_OFFSET_GRID, _OFFSET_GRID[1:]):
-            points = [attempt(offset) for offset in bracket]
-            if None not in points and points[0][1] > 0.0 >= points[1][1]:
-                break
-        else:
-            raise ConvergenceError(
-                "side mode: wrong-clock anchors admit no (weight, offset) pair; "
-                f"residuals so far: {self.residuals()}"
-            )
-        offset = self._root(far_residual, *bracket)
-        far_residual(offset)  # a no-op unless brentq returned an offset it did not try
-        self.state.update(side_mode_offset=offset, side_mode_weight=tried[offset][0])
+        near, far = (self._side_weight(*anchor) for anchor in self.anchors.interclock)
+        failure = "side mode: wrong-clock anchors admit no (weight, offset) pair"
+        offset = self._solve(lambda offset: near(offset)[0] - far(offset)[0], tuple,
+                             0.56, 0.95, failure, "side_mode_offset")
+        (weight, near_ok), (_, far_ok) = near(offset), far(offset)
+        if not (near_ok and far_ok):
+            raise ConvergenceError(f"{failure}; residuals so far: {self.residuals()}")
+        self.state.update(side_mode_offset=offset, side_mode_weight=weight)
 
     def stage_dark_slope(self) -> None:
         eta = self.anchors.operating_eta

@@ -182,11 +182,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep_distance(args) -> int:
-    config = _load(args.config)
+    config = _load(args.config, compensated=args.compensated)
     lengths = _parse_floats(args.lengths, "--lengths")
     table = sweeps.run_distance_sweep(
-        config, lengths, engine=args.engine,
-        compensated=_compensated(args.compensated), n_pulses=args.pulses, seed=args.seed,
+        config, lengths, engine=args.engine, n_pulses=args.pulses, seed=args.seed,
     )
     sweeps.emit_csv(table, args.out or "-")
     return EXIT_OK

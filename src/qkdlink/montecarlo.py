@@ -73,8 +73,12 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 
+# Most candidate events (photons, dark counts, afterpulses) a run may
+# generate before it aborts with ResourceLimitError.
+_MAX_EVENTS = 50_000_000
+
 # Most segments a run may have: each costs a stream and a fixed set of numpy
-# calls, and 1024 split the default 50M-event budget into 49k apiece.
+# calls, and 1024 split the 50M-event budget into 49k apiece.
 _MAX_SEGMENTS = 1024
 
 # Bit of the clock mix that carries each per-clock coin; the low 53 bits
@@ -410,7 +414,6 @@ def simulate(
     seed: int,
     *,
     segments: int = 1,
-    max_events: int = 50_000_000,
 ) -> SimulationResult:
     """Run the event engine over ``n_pulses`` clock cycles.
 
@@ -418,7 +421,7 @@ def simulate(
     the per-clock bit and basis columns are evaluated only at emitting
     clocks, detection gates and, later, tagged clocks, so the run costs
     O(events) in time and memory, whatever ``n_pulses`` is.  Each
-    segment's photon and dark counts are charged against ``max_events``
+    segment's photon and dark counts are charged against ``_MAX_EVENTS``
     before its per-event arrays are allocated, and each afterpulse
     generation's spawn total before its delays and offsets.
     ``meta["events_generated"]`` counts photons, darks and every drawn
@@ -439,9 +442,6 @@ def simulate(
         drawn from independent streams.  One hold-off/afterpulse sweep per
         detector then covers the whole run, so the output is exact in law
         for every segment count; only the draws differ.
-    max_events:
-        Upper bound on generated candidate events (photons, dark counts,
-        afterpulses) before the run aborts with :class:`ResourceLimitError`.
 
     Returns
     -------
@@ -458,7 +458,7 @@ def simulate(
     if not 1 <= segments <= min(n_pulses, _MAX_SEGMENTS):
         raise ParameterError(
             f"segments must lie in [1, min(n_pulses, {_MAX_SEGMENTS})], got {segments}")
-    budget = _EventBudget(max_events)
+    budget = _EventBudget(_MAX_EVENTS)
     period = config.source.gate_period
     det = config.receiver.detector
 
@@ -567,9 +567,7 @@ def fwhm_from_counts(counts: np.ndarray, edges: np.ndarray) -> float | None:
         return None
 
     def _cross(i_low, i_high):
-        c0, c1 = counts[i_low], counts[i_high]
-        if c1 == c0:
-            return centers[i_high]
+        c0, c1 = counts[i_low], counts[i_high]  # c0 < half <= c1
         frac = (half - c0) / (c1 - c0)
         return centers[i_low] + frac * (centers[i_high] - centers[i_low])
 

@@ -128,20 +128,19 @@ def run_distance_sweep(
     lengths=DEFAULT_LENGTHS,
     engine: str = "analytic",
     *,
-    compensated: bool | None = None,
     n_pulses: int = 1_000_000,
     seed: int = 0,
 ) -> SweepTable:
     """Rates and error budget across fiber lengths.
 
-    ``compensated`` overrides the config's dispersion-compensation flag for
-    every row; None keeps it.  Event-engine rows use seed + row index, so
-    the whole table is reproducible from one seed.
+    Every row keeps the config's dispersion-compensation flag.  Event-engine
+    rows use seed + row index, so the whole table is reproducible from one
+    seed.
     """
     lengths = [float(length) for length in lengths]
     if not lengths:
         raise ParameterError("lengths must not be empty")
-    points = [(x, config.at_length(x, compensated=compensated)) for x in lengths]
+    points = [(x, config.at_length(x)) for x in lengths]
     return _sweep("length_km", points, engine, n_pulses, seed)
 
 

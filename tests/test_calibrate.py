@@ -188,6 +188,14 @@ class TestFitReport:
 START = (1.13, 0.88, 1.05, 0.92, 1.12, 0.87)
 
 
+CONVERGENCE_STARTS = [
+    START,
+    (1.15, 0.85, 1.15, 0.85, 1.15, 0.85),
+    (0.85, 1.15, 0.85, 1.15, 0.85, 1.15),
+    (0.86, 0.86, 0.86, 1.14, 1.14, 1.14),
+]
+
+
 def couplings(config):
     """The six fitted couplings of ``config`` by name."""
     return _Fitter(config, CalibrationAnchors()).state
@@ -197,12 +205,7 @@ class TestConvergenceRate:
     """Anderson mixing of the sweeps reaches the fixed point in a third of
     the plain iteration's sweeps (31 from ``START``), for the same fit."""
 
-    @pytest.mark.parametrize("factors", [
-        START,
-        (1.15, 0.85, 1.15, 0.85, 1.15, 0.85),
-        (0.85, 1.15, 0.85, 1.15, 0.85, 1.15),
-        (0.86, 0.86, 0.86, 1.14, 1.14, 1.14),
-    ])
+    @pytest.mark.parametrize("factors", CONVERGENCE_STARTS)
     def test_perturbed_start_recovers_shipped_couplings(self, cfg, factors):
         _, report = calibrate(perturbed(cfg, *factors))
         assert report.iterations <= 15
@@ -216,8 +219,8 @@ class TestConvergenceRate:
         assert report.iterations == 1
         assert report.fitted == {
             "spectral_width": 0.16048410106801178,
-            "side_mode_weight": 0.11203461127253449,
-            "side_mode_offset": 0.7264960154033977,
+            "side_mode_weight": 0.11203461127253507,
+            "side_mode_offset": 0.7264960154033976,
             "dark_slope": 20.73996188284944,
             "pa_ref": 0.059874460524710245,
             "gamma": 1.5312324855190327,
@@ -339,13 +342,17 @@ class TestAnalyticOutputPin:
     by design, when the side-mode weight became closed-form and the
     afterpulse reference the root of its objective's derivative: the exact
     stages move the fixed point by at most 2.4e-9 relative, and the shipped
-    config was refitted to it.
+    config was refitted to it.  They were re-pinned a fourth time, by
+    design, when the side-mode offset became the root of the two anchors'
+    weight difference, warm-bracketed like the other solves, instead of a
+    grid scan and a root of the far residual: the same fixed point, but
+    each sweep's offset solve stops at another point inside its tolerance.
     """
 
     DIGESTS = {
-        "refit.cfg": "69971c885c2a482754608371bff89ceba85f501940abf35e646112ecabf54f0b",
-        "distance.csv": "bca7ea40d94fdf648872e27b767a9b55a05d1e1623fb77a94e11d2c62b87a925",
-        "bias.csv": "e4758776c718bbdc4d57e99d17d8158ad9cb17c71f5ac8355a1ef334c4b2a4c4",
+        "refit.cfg": "d10538507cb8d8a0106647d5d882032170dbf95f11dbd9973a46ff36cc4e1142",
+        "distance.csv": "7b9b36679827a36abf899ba3058731642e68ca1b1b3b9cf8110f73c9e607c6fd",
+        "bias.csv": "2551ec7c1248264b15ccd3c2671c7be6d9a8a297c7a66cf8d6b2c7bf436e6639",
     }
 
     def test_refit_and_sweep_digests(self, cfg, tmp_path, capsys):
@@ -405,33 +412,38 @@ class TestFloatPath:
         assert (e_opt, e_dark, e_interclock) == (low.e_opt, low.e_dark, low.e_interclock)
 
 
+# The offset grid the side-mode stage once scanned for its bracket.
+OFFSET_GRID = np.arange(0.56, 0.951, 0.015)
+
+
 class TestSideWeight:
     """The closed-form side-mode weight against brentq on the full
-    two-component wrong-clock error at the near anchor."""
+    two-component wrong-clock error at each anchor."""
 
     @pytest.mark.parametrize("factors", [(1.0,) * 6, START])
     def test_closed_form_matches_the_two_component_root(self, cfg, factors):
         anchors = CalibrationAnchors()
-        (length, target), _ = anchors.interclock
         fitter = _Fitter(perturbed(cfg, *factors), anchors)
-        weight_for = fitter._side_weight()
         lo, hi = 1e-6, fit_module._SIDE_WEIGHT_MAX
-        feasible = 0
-        for offset in fit_module._OFFSET_GRID:
-            def residual(weight):
-                fitter.state.update(side_mode_offset=offset, side_mode_weight=weight)
-                return fitter._interclock(length) - target
+        for length, target in anchors.interclock:
+            weight_for = fitter._side_weight(length, target)
+            feasible = 0
+            for offset in OFFSET_GRID:
+                def residual(weight):
+                    fitter.state.update(side_mode_offset=offset, side_mode_weight=weight)
+                    return fitter._interclock(length) - target
 
-            closed = weight_for(offset)
-            # Even a maximal side mode may fall short, or a minimal one overshoot.
-            if residual(hi) < 0.0 or residual(lo) > 0.0:
-                assert closed is None, offset
-                continue
-            root = scipy.optimize.brentq(residual, lo, hi, xtol=1e-15,
-                                         rtol=4 * np.finfo(float).eps, maxiter=200)
-            assert closed == pytest.approx(root, rel=1e-12, abs=0.0), offset
-            feasible += 1
-        assert 0 < feasible < len(fit_module._OFFSET_GRID)
+                closed, admissible = weight_for(offset)
+                # Even a maximal side mode may fall short, or a minimal one overshoot.
+                if residual(hi) < 0.0 or residual(lo) > 0.0:
+                    assert not admissible, (length, offset)
+                    continue
+                root = scipy.optimize.brentq(residual, lo, hi, xtol=1e-15,
+                                             rtol=4 * np.finfo(float).eps, maxiter=200)
+                assert admissible, (length, offset)
+                assert closed == pytest.approx(root, rel=1e-12, abs=0.0), (length, offset)
+                feasible += 1
+            assert 0 < feasible < len(OFFSET_GRID), length
 
     def test_falling_crossing_has_no_weight(self, cfg):
         # A broad main line leaks more than a side mode sitting in its own
@@ -441,21 +453,65 @@ class TestSideWeight:
         fitter = _Fitter(cfg, dataclasses.replace(CalibrationAnchors(),
                                                   interclock=(near, (75.8, 0.105))))
         fitter.state["spectral_width"] = 1.0
-        offset = fit_module._OFFSET_GRID[0]
+        offset = OFFSET_GRID[0]
 
         def residual(weight):
             fitter.state.update(side_mode_offset=offset, side_mode_weight=weight)
             return fitter._interclock(near[0]) - near[1]
 
         assert residual(1e-6) > 0.0 > residual(fit_module._SIDE_WEIGHT_MAX)
-        assert fitter._side_weight()(offset) is None
+        _, admissible = fitter._side_weight(*near)(offset)
+        assert not admissible
+
+    def test_lines_of_equal_excess_are_not_admissible(self, cfg, monkeypatch):
+        # Both lines alone read the same acceptance and error, so no weight
+        # moves the mix's error: an inadmissible weight, not a division by zero.
+        monkeypatch.setattr(linkbudget, "_profile_timing", lambda *args: (0.5, 0.01))
+        fitter = _Fitter(cfg, CalibrationAnchors())
+        _, admissible = fitter._side_weight(65.5, 0.021)(0.7)
+        assert not admissible
+
+
+def scanned_offset(fitter):
+    """The side-mode offset as a scan over ``OFFSET_GRID`` finds it: the far
+    anchor's residual at the near anchor's weight, then brentq in the first
+    descending bracket whose ends both admit a near weight."""
+    near, (l_far, t_far) = fitter.anchors.interclock
+    weight_for = fitter._side_weight(*near)
+
+    def far_residual(offset):
+        weight, admissible = weight_for(offset)
+        if not admissible:
+            return None
+        fitter.state.update(side_mode_offset=offset, side_mode_weight=weight)
+        return fitter._interclock(l_far) - t_far
+
+    for a, b in zip(OFFSET_GRID, OFFSET_GRID[1:]):
+        r_a, r_b = far_residual(a), far_residual(b)
+        if None not in (r_a, r_b) and r_a > 0.0 >= r_b:
+            return scipy.optimize.brentq(far_residual, a, b, xtol=1e-13,
+                                         rtol=4 * np.finfo(float).eps, maxiter=200)
+    raise AssertionError("no descending bracket admits a near weight")
+
+
+class TestSideModeSolve:
+    """Solving for the offset where both anchors ask for the same weight
+    finds the offset that scanning the far residual at the near weight does."""
+
+    @pytest.mark.parametrize("factors", [(1.0,) * 6, *CONVERGENCE_STARTS])
+    def test_solve_finds_the_scanned_offset(self, cfg, factors):
+        start = perturbed(cfg, *factors)
+        fitter = _Fitter(start, CalibrationAnchors())
+        fitter.stage_side_mode()
+        scanned = scanned_offset(_Fitter(start, CalibrationAnchors()))
+        assert fitter.state["side_mode_offset"] == pytest.approx(scanned, rel=1e-9, abs=0.0)
 
 
 class TestNoRepeatedWork:
     def test_side_mode_stage_evaluates_each_profile_once(self, cfg, monkeypatch):
-        # brentq re-evaluates the ends of its bracket; the stage hands it the
-        # values its offset scan already has, and the main line alone is
-        # evaluated once for every offset.
+        # brentq re-evaluates the ends of its bracket; each anchor's weight
+        # is memoized per offset, and its main line alone is evaluated once
+        # for every offset.
         calls = []
         timing = linkbudget._profile_timing
         monkeypatch.setattr(linkbudget, "_profile_timing",
@@ -467,7 +523,7 @@ class TestNoRepeatedWork:
     def test_fit_evaluation_budget(self, cfg, monkeypatch):
         # Blocked gates are most of a fit's cost.  With every solve on its
         # cold bracket this fit evaluates them 251 times; warm brackets after
-        # the first sweep bring that to 155.
+        # the first sweep bring that to 159.
         calls = []
         blocked = linkbudget._blocked_gates
         monkeypatch.setattr(linkbudget, "_blocked_gates",
@@ -478,39 +534,45 @@ class TestNoRepeatedWork:
     def test_fit_profile_budget(self, cfg, monkeypatch):
         # Solving the side-mode weight by brentq nested in the offset solve,
         # and reporting through evaluate_point, took 1,013 profiles for this
-        # fit; the closed-form weight and the float-path report take 460.
+        # fit; the closed-form weight and the float-path report took 460,
+        # and solving the offset without an offset-grid scan takes 372.
         calls = []
         timing = linkbudget._profile_timing
         monkeypatch.setattr(linkbudget, "_profile_timing",
                             lambda *args: calls.append(args) or timing(*args))
         calibrate(perturbed(cfg, *START))
-        assert len(calls) <= 600
+        assert len(calls) <= 420
 
 
 class TestWarmBracket:
-    """``_Fitter._root``: brentq on [lo, hi] in the first sweep, then on a
+    """``_Fitter._solve``: brentq on [lo, hi] in the first sweep, then on a
     bracket around the coupling's last value, widened until it holds the root."""
 
     LO, HI, ROOT = 0.0, 80.0, 31.7
 
     @pytest.fixture
     def fitter(self, cfg):
-        return _Fitter(cfg, CalibrationAnchors())
+        fitter = _Fitter(cfg, CalibrationAnchors())
+        fitter.state["dark_slope"] = 30.0
+        return fitter
 
     def residual(self, calls):
         return lambda x: calls.append(x) or math.tanh((x - self.ROOT) / 5.0)
 
+    def solve(self, fitter, residual):
+        return fitter._solve(residual, tuple, self.LO, self.HI, "label", "dark_slope")
+
     def test_first_sweep_takes_the_cold_bracket(self, fitter):
         calls = []
-        root = fitter._root(self.residual(calls), self.LO, self.HI, x0=30.0)
+        root = self.solve(fitter, self.residual(calls))
         assert calls[:2] == [self.LO, self.HI]
         assert root == pytest.approx(self.ROOT, rel=fitter.rtol)
 
     def test_root_outside_the_first_warm_bracket_is_found_after_widening(self, fitter):
         fitter.change = 1e-3
-        x0, h = 30.0, fitter.change * fit_module._WARM_WIDTH
+        x0, h = fitter.state["dark_slope"], fitter.change
         calls = []
-        warm = fitter._root(self.residual(calls), self.LO, self.HI, x0=x0)
+        warm = self.solve(fitter, self.residual(calls))
         # The first bracket, x0·(1 ± h), misses the root; each widening is 8x.
         assert calls[:2] == [x0 * (1 - h), x0 * (1 + h)]
         assert calls[2:4] == [x0 * (1 - 8 * h), x0 * (1 + 8 * h)]
@@ -525,8 +587,7 @@ class TestWarmBracket:
         calls = []
         with pytest.raises(ConvergenceError,
                            match=r"^label: no solution in \[0\.0, 80\.0\]"):
-            fitter._solve(lambda x: calls.append(x) or 1.0 + x, lambda: (),
-                          self.LO, self.HI, "label", "dark_slope")
+            self.solve(fitter, lambda x: calls.append(x) or 1.0 + x)
         # The widening stopped at the range's own ends.
         assert self.LO in calls and self.HI in calls
 
@@ -545,7 +606,8 @@ class TestWarmBracket:
         monkeypatch.setattr(_Fitter, "sweep", marking)
         _, report = calibrate(perturbed(cfg, *START))
         assert len(sweeps) == report.iterations > 1
-        cold = {(1e-3, 1.0), (0.0, 80.0), (1e-4, 0.25)}  # width, dark slope, pa_ref
+        # width, side-mode offset, dark slope, pa_ref
+        cold = {(1e-3, 1.0), (0.56, 0.95), (0.0, 80.0), (1e-4, 0.25)}
         assert cold <= set(sweeps[0])
         for brackets in sweeps[1:]:
             assert not cold & set(brackets)
@@ -569,6 +631,13 @@ class TestErrorPaths:
             ({"interclock": ((65.5, 0.4), (75.8, 0.45))}, ConvergenceError,
              "admit no \\(weight, offset\\) pair"),
             ({"qber_low": 0.005}, ConvergenceError, "bias exponent"),
+            ({"interclock": ((65.5, 0.021), (75.8, 0.3))}, ConvergenceError,
+             "admit no \\(weight, offset\\) pair"),
+            ({"interclock": ((65.5, 0.021), (75.8, 0.45))}, ConvergenceError,
+             "admit no \\(weight, offset\\) pair"),
+            # The two anchors ask for the same weight at no offset in range.
+            ({"interclock": ((65.5, 0.021), (75.8, 1e-4))}, ConvergenceError,
+             "admit no \\(weight, offset\\) pair"),
         ],
     )
     def test_unreachable_anchor(self, cfg, changes, error, field):

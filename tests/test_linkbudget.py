@@ -32,8 +32,10 @@ class TestTransmittance:
         assert transmittance(0.0, 0.195) == 1.0
 
     def test_rejects_negative(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="length"):
             transmittance(-1.0, 0.195)
+        with pytest.raises(ParameterError, match="attenuation"):
+            transmittance(5.6, -0.195)
 
     @given(st.floats(min_value=0.0, max_value=100.0),
            st.floats(min_value=0.0, max_value=100.0))

@@ -216,23 +216,25 @@ class TestSimulate:
         without = len(simulate(quiet, n, seed=3).tags)
         assert 1.02 < with_ap / without < 1.10
 
-    def test_event_budget_enforced(self, cfg):
+    def test_event_budget_enforced(self, cfg, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MAX_EVENTS", 100)
         with pytest.raises(ResourceLimitError):
-            simulate(cfg.at_length(0.0), 1_000_000, seed=0, max_events=100)
+            simulate(cfg.at_length(0.0), 1_000_000, seed=0)
 
-    def test_event_budget_charged_before_allocation(self, cfg):
+    def test_event_budget_charged_before_allocation(self, cfg, monkeypatch):
         """A run far over budget (3.6e6 expected photons against 100) fails
         on its photon count, before any per-event array is allocated."""
+        monkeypatch.setattr(montecarlo, "_MAX_EVENTS", 100)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError):
-                simulate(cfg.at_length(0.0), 300_000_000, seed=0, max_events=100)
+                simulate(cfg.at_length(0.0), 300_000_000, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
-    def test_afterpulse_budget_charged_per_generation(self, cfg):
+    def test_afterpulse_budget_charged_per_generation(self, cfg, monkeypatch):
         """A near-critical cascade (about 20 nodes per candidate, 600k in
         all here) fails on its first afterpulse generation's spawn total,
         before the rest of the tree is drawn."""
@@ -242,10 +244,11 @@ class TestSimulate:
             with_detector(bright, afterpulse_total=0.0), n, seed=0
         ).meta["events_generated"]
         cascade = with_detector(bright, afterpulse_total=0.95)
+        monkeypatch.setattr(montecarlo, "_MAX_EVENTS", candidates + 1000)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError):
-                simulate(cascade, n, seed=0, max_events=candidates + 1000)
+                simulate(cascade, n, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -825,6 +828,8 @@ class TestHistogramAnalysis:
 
     def test_mean_peak_spacing_undefined(self):
         assert mean_peak_spacing(synthetic_stream([0], [0], [1.0])) is None
+        # Two tags in one clock span no clock cycle.
+        assert mean_peak_spacing(synthetic_stream([3, 3], [0, 1], [1.0, 2.0])) is None
 
 
 class TestEventDumps:

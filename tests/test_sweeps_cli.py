@@ -69,8 +69,9 @@ class TestDistanceSweep:
         assert np.all(np.diff(raw) < 0)
 
     def test_compensation_never_hurts(self, cfg):
-        plain = sweeps.run_distance_sweep(cfg, compensated=False)
-        fixed = sweeps.run_distance_sweep(cfg, compensated=True)
+        length = cfg.channel.length
+        plain = sweeps.run_distance_sweep(cfg.at_length(length, compensated=False))
+        fixed = sweeps.run_distance_sweep(cfg.at_length(length, compensated=True))
         assert np.all(fixed.column("secure_hz") >= plain.column("secure_hz"))
         assert np.all(fixed.column("qber") <= plain.column("qber"))
         assert all(row.compensated for row in fixed)
@@ -85,7 +86,8 @@ class TestDistanceSweep:
         # distills key.  (Beyond ~70 km the displaced side mode re-enters
         # the neighboring gate and the straight line breaks down, together
         # with the key rate itself.)
-        table = sweeps.run_distance_sweep(cfg, [5.6, 25.3, 65.5], compensated=False)
+        plain = cfg.at_length(cfg.channel.length, compensated=False)
+        table = sweeps.run_distance_sweep(plain, [5.6, 25.3, 65.5])
         lengths = table.column("length_km")
         assert all(r.rate.secure_rate > 0 for r in table)
         loss_db = -10.0 * np.log10(table.column("raw_hz"))
@@ -380,7 +382,7 @@ class TestCli:
         # Pins the report's bytes, residuals included, ahead of the path line.
         report = text[:text.index("calibrated config written to")]
         assert hashlib.sha256(report.encode()).hexdigest() == (
-            "99aa1c1e691282065a06aeac62ff648ffb76105959203f8373165338a8a6f024"
+            "1591a0c3695b5053acc056e7dbf13ab114d459de01cd1b6e9060a8d59e526ed4"
         )
         assert out.exists()
         from qkdlink.config import load_config
