@@ -99,11 +99,15 @@ def _all_finite(value) -> bool:
 class FitReport:
     """Outcome of a calibration run: fitted values, residuals, warnings, trace."""
 
-    iterations: int
     fitted: dict
     residuals: dict
     warnings: tuple
     trace: tuple  # per accelerated sweep, the largest relative change of any coupling
+
+    @property
+    def iterations(self) -> int:
+        """Sweeps the fit took, one per trace entry."""
+        return len(self.trace)
 
     def summary(self) -> str:
         lines = [
@@ -190,8 +194,7 @@ class _Fitter:
             source.pulse_sigma0, s["spectral_width"], s["side_mode_weight"],
             s["side_mode_offset"], channel.dispersion, length, compensated, self.jitter,
         )
-        acceptance, e_interclock = linkbudget._profile_timing(components, *self.timing,
-                                                               compensated)
+        acceptance, e_interclock = linkbudget._profile_timing(components, *self.timing)
         return (components, acceptance, e_interclock,
                 linkbudget.transmittance(length, channel.attenuation))
 
@@ -315,8 +318,7 @@ class _Fitter:
             _, mean, sigma = linkbudget._components(
                 source.pulse_sigma0, self.state["spectral_width"], 1.0, offset,
                 channel.dispersion, length, False, self.jitter)[line]
-            acceptance, error = linkbudget._profile_timing(((1.0, mean, sigma),),
-                                                           *self.timing, False)
+            acceptance, error = linkbudget._profile_timing(((1.0, mean, sigma),), *self.timing)
             return acceptance * (error - target)
 
         g_main = excess(0.0, 0)  # the main line does not move with the offset
@@ -490,7 +492,7 @@ def calibrate(
 
     trace, history = [], []
     start = plain = np.array([fitter.state[name] for name in _STATE_FIELDS])
-    for iterations in range(1, max_iter + 1):
+    for _ in range(max_iter):
         try:
             end = fitter.sweep(start)
         except (ParameterError, ConvergenceError):
@@ -518,5 +520,4 @@ def calibrate(
 
     warnings, extras = fitter.diagnostics()
     residuals = {**fitter.residuals(), **extras}
-    return fitted_config, FitReport(iterations, dict(fitter.state), residuals, warnings,
-                                    tuple(trace))
+    return fitted_config, FitReport(dict(fitter.state), residuals, warnings, tuple(trace))

@@ -159,15 +159,13 @@ def _cmd_simulate(args) -> int:
         config, args.pulses, args.seed, segments=args.segments
     )
     tags = result.tags
-    clock = config.source.clock_rate
-    raw = len(tags) * clock / args.pulses
-    key = protocol.sift(result.alice, tags, result.bob_bases)
+    raw, key, qber = sweeps._read_run(config, result, args.pulses)
     print(f"pulses = {args.pulses}")
     print(f"tags = {len(tags)}")
     print(f"raw_hz = {sweeps._fmt(raw)}")
     if key.n_sifted > 0:
         print(f"sifted = {key.n_sifted}")
-        print(f"qber = {sweeps._fmt(key.qber_estimate)}")
+        print(f"qber = {sweeps._fmt(qber)}")
     else:
         print("sifted = 0")
         print("qber = undefined")

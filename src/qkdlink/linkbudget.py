@@ -13,6 +13,8 @@ weighted mixture of Gaussian lines, the main spectral line plus an optional
 displaced side mode, whose widths it alone convolves with the detector
 jitter.  Gate acceptance, inter-clock leakage and the hold-off's offset
 density integrate it over the gate windows; the event engine draws from it.
+A compensated link's single line leaks into the neighboring windows as
+far as its jittered width reaches, like any other profile.
 
 Each law is one plain-float kernel that the public functions wrap and the
 calibration fitter calls directly, so a fit trial builds no validated
@@ -166,7 +168,7 @@ def _window_masses(
     return out
 
 
-def _profile_timing(components, period: float, window: float, compensated: bool):
+def _profile_timing(components, period: float, window: float):
     """``(acceptance, e_interclock)`` of a detected mixture profile."""
     accepted = 0.0
     neighbors = 0.0
@@ -175,7 +177,7 @@ def _profile_timing(components, period: float, window: float, compensated: bool)
             accepted += weight * mass
             if k != 0:
                 neighbors += weight * mass
-    if compensated or accepted <= 0.0:
+    if accepted <= 0.0:
         return accepted, 0.0
     # A photon detected in a neighboring clock errs half the time.
     return accepted, 0.5 * neighbors / accepted
@@ -187,11 +189,10 @@ def link_timing(
     """Gate acceptance and inter-clock error of the full arrival profile.
 
     Returns ``(acceptance, e_interclock)`` of the detector response, which
-    both detectors of the matched pair share.  A compensated span has no
-    leakage by construction.
+    both detectors of the matched pair share, compensated or not.
     """
     return _profile_timing(temporal_components(source, channel, receiver), source.gate_period,
-                           receiver.detector.gate_window, channel.compensated)
+                           receiver.detector.gate_window)
 
 
 def click_probabilities(
@@ -315,8 +316,6 @@ def raw_rate(
 
 
 def _renewal_rate(clock_rate, p_total, blocked_gates):
-    if p_total <= 0.0:
-        return 0.0
     # Symmetric split of the combined no-click probability between the two
     # detectors; exact, since the pair is matched and routing is balanced.
     q = 1.0 - math.sqrt(1.0 - p_total)

@@ -15,7 +15,9 @@ at its jitter-convolved width); it is routed through the interferometer and
 both gated detectors are run: window acceptance, dark counts, afterpulse
 release, hold-off (dead time) and double-click squashing.  The output is
 Alice's preparation log plus Bob's time-tagged detection stream,
-bit-reproducible for a fixed (config, n_pulses, seed).
+bit-reproducible for a fixed (config, n_pulses, seed).  A zero photon
+mean, dark probability or afterpulse probability is no special case: it
+takes the general path, whose empty draws take nothing from the streams.
 
 The stateful part (hold-off and afterpulse feedback) runs once per
 detector over the whole run: every candidate's potential afterpulse tree
@@ -238,7 +240,7 @@ def _afterpulse_tree(gates, offsets, det, ap_rng, period, n_gates, budget):
     gen_off = np.asarray(offsets, dtype=np.float64)
     node_gate, node_off, node_parent = [gen_gate], [gen_off], [np.full(gen_gate.size, -1)]
     first = 0
-    while pa > 0.0 and gen_gate.size:
+    while gen_gate.size:
         spawned = ap_rng.poisson(pa, gen_gate.size)
         budget.charge(spawned.sum())
         parent = np.repeat(np.arange(gen_gate.size), spawned)
@@ -331,20 +333,20 @@ def _candidate_counts(config, n_gates, rng, budget):
     Poisson(m) photons and Bernoulli(p) darks.  A photon mean too large to
     draw raises :class:`ResourceLimitError` without drawing.
     """
-    mean_candidates = (
+    lam = (
         config.source.mu
         * linkbudget.transmittance(config.channel.length, config.channel.attenuation)
         * config.receiver.detector.efficiency
+        * n_gates
     )
-    lam = mean_candidates * n_gates
     if lam > _POISSON_LAM_MAX:
         raise ResourceLimitError(f"event budget exceeded: {lam:.3g} expected photons")
-    n_photons = int(rng.poisson(lam)) if mean_candidates > 0 else 0
+    n_photons = int(rng.poisson(lam))
     budget.charge(n_photons)
     dark_prob = config.receiver.detector.dark_prob
     n_darks = []
     for _ in range(2):  # one count per detector
-        n_darks.append(int(rng.binomial(n_gates, dark_prob)) if dark_prob > 0 else 0)
+        n_darks.append(int(rng.binomial(n_gates, dark_prob)))
         budget.charge(n_darks[-1])
     return n_photons, n_darks
 
@@ -365,46 +367,45 @@ def _candidates(config, lo, hi, n_pulses, rng, budget, key):
     center = 0.5 * period
     half_window = 0.5 * window
     n_photons, n_darks = _candidate_counts(config, hi - lo, rng, budget)
-    pieces = []
+    # No count needs a guard: a draw of size 0 takes nothing from ``rng``,
+    # so a segment without photons or darks keeps the stream layout.
 
     # --- photons that reach a detector -------------------------------------
-    if n_photons:
-        # Sorted, the candidates reach the sweep's time sort nearly in order.
-        emit = np.sort(rng.integers(lo, hi, n_photons))
-        # One uniform picks each photon's line, one normal its arrival.
-        weights, means, sigmas = map(np.array, zip(*linkbudget.temporal_components(
-            source, channel, receiver)))
-        line = np.minimum(np.searchsorted(np.cumsum(weights), rng.random(n_photons),
-                                          side="right"), weights.size - 1)
-        arrival = rng.standard_normal(n_photons)
-        arrival *= sigmas[line]
-        arrival += means[line]
-        gate = np.rint(arrival / period)  # float until kept: none past int64 is cast
-        with np.errstate(invalid="ignore"):  # infinite arrivals: NaN offsets, never kept
-            offset = arrival - gate * period
-        gate += emit
-        keep = (np.abs(offset) <= half_window) & (gate >= 0) & (gate < n_pulses)
-        emit, offset = emit[keep], offset[keep]
-        gate = gate[keep].astype(np.int64)
+    # Sorted, the candidates reach the sweep's time sort nearly in order.
+    emit = np.sort(rng.integers(lo, hi, n_photons))
+    # One uniform picks each photon's line, one normal its arrival.
+    weights, means, sigmas = map(np.array, zip(*linkbudget.temporal_components(
+        source, channel, receiver)))
+    line = np.minimum(np.searchsorted(np.cumsum(weights), rng.random(n_photons),
+                                      side="right"), weights.size - 1)
+    arrival = rng.standard_normal(n_photons)
+    arrival *= sigmas[line]
+    arrival += means[line]
+    gate = np.rint(arrival / period)  # float until kept: none past int64 is cast
+    with np.errstate(invalid="ignore"):  # infinite arrivals: NaN offsets, never kept
+        offset = arrival - gate * period
+    gate += emit
+    keep = (np.abs(offset) <= half_window) & (gate >= 0) & (gate < n_pulses)
+    emit, offset = emit[keep], offset[keep]
+    gate = gate[keep].astype(np.int64)
 
-        # Interferometer routing against Bob's phase in the gate where the
-        # photon is actually detected, tabulated on the code bit·8 + basis·4 +
-        # flip·2 + Bob's basis (rows: each code's four bits, high to low).
-        p_detector_a = protocol.detector_a_probability(
-            *(np.arange(16) >> np.arange(3, -1, -1)[:, None] & 1), receiver.visibility)
-        mix_emit = _clock_mix(key, emit)
-        flip = _mismodulated(mix_emit, receiver.mismodulation_error)
-        code = (_mix_bit(mix_emit, ALICE_BIT) << 3 | _mix_bit(mix_emit, ALICE_BASIS) << 2
-                | flip.view(np.uint8) << 1 | _mix_bit(_clock_mix(key, gate), BOB_BASIS))
-        to_a = rng.random(gate.size) < p_detector_a[code]
-        ts = center + offset
-        pieces += [(DETECTOR_A, gate[to_a], ts[to_a]), (DETECTOR_B, gate[~to_a], ts[~to_a])]
+    # Interferometer routing against Bob's phase in the gate where the
+    # photon is actually detected, tabulated on the code bit·8 + basis·4 +
+    # flip·2 + Bob's basis (rows: each code's four bits, high to low).
+    p_detector_a = protocol.detector_a_probability(
+        *(np.arange(16) >> np.arange(3, -1, -1)[:, None] & 1), receiver.visibility)
+    mix_emit = _clock_mix(key, emit)
+    flip = _mismodulated(mix_emit, receiver.mismodulation_error)
+    code = (_mix_bit(mix_emit, ALICE_BIT) << 3 | _mix_bit(mix_emit, ALICE_BASIS) << 2
+            | flip.view(np.uint8) << 1 | _mix_bit(_clock_mix(key, gate), BOB_BASIS))
+    to_a = rng.random(gate.size) < p_detector_a[code]
+    ts = center + offset
+    pieces = [(DETECTOR_A, gate[to_a], ts[to_a]), (DETECTOR_B, gate[~to_a], ts[~to_a])]
 
     # --- dark counts: distinct uniform gates per detector ------------------
     for det_id, k in zip((DETECTOR_A, DETECTOR_B), n_darks):
-        if k:
-            fired = lo + rng.choice(hi - lo, k, replace=False, shuffle=False)
-            pieces.append((det_id, np.sort(fired), center + (rng.random(k) - 0.5) * window))
+        fired = lo + rng.choice(hi - lo, k, replace=False, shuffle=False)
+        pieces.append((det_id, np.sort(fired), center + (rng.random(k) - 0.5) * window))
     return pieces
 
 
@@ -476,8 +477,8 @@ def simulate(
     # --- hold-off and afterpulses over the whole run, detector A first -----
     (gates_a, ts_a), (gates_b, ts_b) = (
         _sweep_detector(
-            np.concatenate(cand_gates[det_id] or [np.empty(0, dtype=np.int64)]),
-            np.concatenate(cand_offsets[det_id] or [np.empty(0)]),
+            np.concatenate(cand_gates[det_id]),
+            np.concatenate(cand_offsets[det_id]),
             det, ap_rng, period, n_pulses, budget,
         )
         for det_id in (DETECTOR_A, DETECTOR_B)

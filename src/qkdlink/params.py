@@ -257,8 +257,6 @@ class CalibrationParams:
 # The two coupling laws on plain floats, for the calibration fitter.
 def _afterpulse_at(pa_ref: float, pa_ref_eta: float, gamma: float, eta: float) -> float:
     _check(eta >= 0.0, "eta", "must be non-negative")
-    if eta == 0.0:
-        return 0.0
     try:
         return pa_ref * (eta / pa_ref_eta) ** gamma
     except OverflowError:

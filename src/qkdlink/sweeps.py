@@ -87,18 +87,18 @@ class SweepTable:
         return np.array([getter(r) for r in self.rows])
 
 
+def _read_run(config: SystemConfig, result, n_pulses: int):
+    """``(raw_hz, key, qber)`` of an event-engine run: the tag rate, the
+    sifted key and its error rate, NaN when nothing sifted."""
+    raw = len(result.tags) * config.source.clock_rate / n_pulses
+    key = protocol.sift(result.alice, result.tags, result.bob_bases)
+    return raw, key, key.qber_estimate
+
+
 def _measured_point(config: SystemConfig, n_pulses: int, seed: int):
     """Event-engine rate/error measurement at one operating point."""
-    result = montecarlo.simulate(config, n_pulses, seed)
-    clock = config.source.clock_rate
-    raw = len(result.tags) * clock / n_pulses
-    key = protocol.sift(result.alice, result.tags, result.bob_bases)
-    if key.n_sifted > 0:
-        qber = float(key.qber_estimate)
-        secure = keyrate.secure_rate(raw, min(qber, 0.5), config.protocol)
-    else:
-        qber = float("nan")
-        secure = 0.0
+    raw, key, qber = _read_run(config, montecarlo.simulate(config, n_pulses, seed), n_pulses)
+    secure = keyrate.secure_rate(raw, min(qber, 0.5), config.protocol) if key.n_sifted else 0.0
     rate = RateResult(raw_rate=raw, qber=qber, secure_rate=secure)
     breakdown = linkbudget.qber_breakdown(config.source, config.channel, config.receiver)
     return rate, breakdown
@@ -193,12 +193,9 @@ def run_histogram(
     result = montecarlo.simulate(config, n_pulses, seed)
     tags = result.tags
     counts, edges = montecarlo.histogram(tags, bin_ps)
-    if counts.size < 2:
-        fwhm = None
-        span = None  # a single bin cannot resolve any empty span
-    else:
-        fwhm = montecarlo.fwhm_from_counts(counts, edges)
-        span = montecarlo.largest_empty_span(tags)
+    fwhm = montecarlo.fwhm_from_counts(counts, edges)
+    # A single bin cannot resolve any empty span.
+    span = montecarlo.largest_empty_span(tags) if counts.size > 1 else None
     spacing = montecarlo.mean_peak_spacing(tags)
     return HistogramResult(
         counts=counts,

@@ -422,6 +422,30 @@ class TestArrivalLaw:
         assert p > self.P_MIN, f"G-test p = {p:.2e} over {len(tags)} tags"
 
 
+class TestCompensatedLeakage:
+    """Compensation narrows the profile but does not fold it into one clock:
+    with a detector jitter wide enough to reach the neighbor windows, the
+    analytic wrong-clock error of a compensated link is the one the event
+    engine measures on an otherwise perfect link (4 binomial sigma)."""
+
+    SIGMAS = 4.0
+
+    def test_wide_jitter_leaks_into_neighbor_clocks(self, cfg):
+        config = with_detector(cfg.at_length(101.1, compensated=True), jitter_fwhm=1000.0,
+                               dark_prob=0.0, afterpulse_total=0.0, dead_time=0.0)
+        config = dataclasses.replace(config, receiver=dataclasses.replace(
+            config.receiver, visibility=1.0, mismodulation_error=0.0))
+        _, e_interclock = linkbudget.link_timing(config.source, config.channel,
+                                                 config.receiver)
+        assert e_interclock > 0.05
+        result = simulate(config, 200_000_000, seed=61)
+        key = protocol.sift(result.alice, result.tags, result.bob_bases)
+        assert key.n_sifted > 2_000
+        sigma = math.sqrt(e_interclock * (1.0 - e_interclock) / key.n_sifted)
+        assert abs(key.qber_estimate - e_interclock) < self.SIGMAS * sigma, (
+            key.qber_estimate, e_interclock, key.n_sifted)
+
+
 class TestPerClockCoins:
     """The clock mix's per-clock coins keep their laws in whole runs: the
     sifted error rate of a mis-modulating, otherwise perfect link is m, and
@@ -472,6 +496,42 @@ class TestStreamLayout:
             assert main(argv) == 0
             assert hashlib.sha256(dump.read_bytes()).hexdigest() == digests[0], segments
             assert hashlib.sha256(key.read_bytes()).hexdigest() == digests[1], segments
+
+
+class TestZeroCaseLayout:
+    """A zero mean photon number, afterpulse probability or dark rate draws
+    nothing on the general path, so those runs keep the stream layout of a
+    run that branched around the draws.  ``mu = 0`` over three segments
+    leaves segments with darks but no photons.  Pinned per case: tags,
+    events generated and the SHA-256 of the clock, detector and timestamp
+    columns."""
+
+    CASES = {
+        ("mu", 1): (49, 49, "4a8c9fd2c1cc360e0753e6d48139c03b4d14db16033ecd883159517495a8781a"),
+        ("mu", 3): (50, 52, "8805c174432f1103a50fcf131c7d8e60ddf6a79f35146b46a2445331c182c7d6"),
+        ("afterpulse_total", 1): (
+            27_116, 28_149, "89543f8c7f674577491daaa4e8d0abef1809ed0a978d70f28331bdeb28fb5b3a"),
+        ("afterpulse_total", 3): (
+            27_042, 28_139, "df2cbcc0b74198539b51661650cfc7ef01b7209c5538bf98f9e8c41ea8ccc9e0"),
+        ("dark_prob", 1): (
+            28_592, 29_878, "ec6af25f5203645c557f063fe78ab2ffa080f8cd98b0579ac19ee7bcfdc25dba"),
+        ("dark_prob", 3): (
+            28_558, 29_875, "47883445e359c1ccdf05983694f0cf5d76657a04b94bfbf10a4fbf7a3f651e54"),
+    }
+
+    @pytest.mark.parametrize("zero, segments", list(CASES))
+    def test_zero_case_digests(self, cfg, zero, segments):
+        if zero == "mu":
+            config = dataclasses.replace(cfg, source=dataclasses.replace(cfg.source, mu=0.0))
+        else:
+            config = with_detector(cfg, **{zero: 0.0})
+        result = simulate(config.at_length(5.6), 3_000_000, seed=5, segments=segments)
+        tags = result.tags
+        digest = hashlib.sha256()
+        for column in (tags.clock_index, tags.detector_id, tags.timestamp):
+            digest.update(column.tobytes())
+        assert (len(tags), result.meta["events_generated"], digest.hexdigest()) == (
+            self.CASES[zero, segments])
 
 
 def _sweep(det, gates, offsets, rng, n_gates, period=PERIOD, budget=None):

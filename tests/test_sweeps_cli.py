@@ -3,10 +3,15 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qkdlink
 from qkdlink import montecarlo, sweeps
 from qkdlink.cli import main
 from qkdlink.config import save_config
@@ -323,6 +328,24 @@ class TestCli:
         rc = main([command, "--config", str(tmp_path / "nope.cfg")])
         assert rc == 4
         assert "nope.cfg" in capsys.readouterr().err
+
+    @staticmethod
+    def run_module(*argv):
+        """``python -m qkdlink.cli`` in a fresh interpreter: the entry point's exit code."""
+        src = str(Path(qkdlink.__file__).resolve().parents[1])
+        return subprocess.run([sys.executable, "-m", "qkdlink.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+
+    def test_module_entry_point_runs(self):
+        done = self.run_module("sweep-distance", "--lengths", "5.6")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0] == HEADER
+
+    def test_module_entry_point_exits_2_on_a_bad_list(self):
+        done = self.run_module("sweep-distance", "--lengths", "5.6,far")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: --lengths")
 
     def test_missing_config_file_exits_4(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg")])
