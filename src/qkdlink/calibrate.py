@@ -1,6 +1,6 @@
 """Fit the model's free parameters to measured link anchors.
 
-Five quantities are not directly measurable on the bench and are instead
+Six couplings are not directly measurable on the bench and are instead
 inferred from link-level observables:
 
 * the source's effective spectral width (sets how fast dispersion erodes
@@ -17,10 +17,11 @@ points, and one low-bias QBER), so the fit runs as staged one-dimensional
 solves iterated to a joint fixed point, with depth-2 Anderson mixing
 choosing where each sweep starts.  The couplings returned are the output
 of a sweep that moved them by less than ``_TOL``.  Every iterative stage is
-one bracketed root (``brentq``) or a closed form: the side-mode weight that
-meets a wrong-clock point follows from the two lines' timing alone, so the
-offset is the root of the two points' weight difference; and the afterpulse
-reference is the root of the derivative of its secure-rate least squares.
+one bracketed root (Brent's method, :func:`keyrate._brentq`) or a closed
+form: the side-mode weight that meets a wrong-clock point follows from the
+two lines' timing alone, so the offset is the root of the two points'
+weight difference; and the afterpulse reference is the root of the
+derivative of its secure-rate least squares.
 After the first sweep every root brackets near the last sweep's root; no
 sign change over a stage's whole range means its anchors are unreachable
 and raises :class:`ConvergenceError` with the residuals gathered so far.
@@ -137,6 +138,7 @@ _OWNER = {name: "source" if i < 3 else "calibration" for i, name in enumerate(_S
 
 _SIDE_WEIGHT_MAX = 0.45
 _TOL = 1e-9  # the fit stops at a sweep that moves no coupling by this much, relative
+_MAX_SWEEPS = 60  # the fit raises when this many sweeps do not settle
 
 
 class _Fitter:
@@ -256,34 +258,30 @@ class _Fitter:
     # -- stages --------------------------------------------------------------
 
     def _solve(self, residual, fixed, lo, hi, label, name):
-        """``brentq``'s root in [lo, hi] (``lo >= 0``) of ``residual(x, *fixed())``.
+        """``keyrate._brentq``'s root in [lo, hi] (``lo >= 0``) of ``residual(x, *fixed())``.
         After the first sweep it brackets from ``x0·(1 ± h)``, ``x0`` the
         coupling ``name`` at the stage's start and ``h`` the last sweep's
         change, widened 8× at a time until that holds a sign change or is
         [lo, hi].  ``fixed`` reads the stage's fixed parts, so a range check
         failing there is reported like one failing in a trial."""
-        known = {}  # brentq re-evaluates its bracket's ends
-        x0, a, b = self.state[name], lo, hi
+        x0 = self.state[name]
         try:
             args = fixed()
 
             def f(x):
-                if x not in known:
-                    known[x] = residual(x, *args)
-                return known[x]
+                return residual(x, *args)
 
-            if self.change is not None and lo < x0 < hi:
+            if self.change is None or not lo < x0 < hi:
+                a, b, fa, fb = lo, hi, f(lo), f(hi)
+            else:
                 h = self.change
                 while True:
                     a, b = max(lo, x0 * (1.0 - h)), min(hi, x0 * (1.0 + h))
-                    if f(a) * f(b) <= 0.0 or (a, b) == (lo, hi):
+                    fa, fb = f(a), f(b)
+                    if fa * fb <= 0.0 or (a, b) == (lo, hi):
                         break
                     h *= 8.0
-            # Imported here: SciPy costs more to import than a 10M-pulse
-            # simulation (about 0.3 s and 40 MB), and only a fit needs it.
-            from scipy.optimize import brentq
-
-            return brentq(f, a, b, xtol=1e-13, rtol=self.rtol, maxiter=200)
+            return keyrate._brentq(f, a, b, fa, fb, 1e-13, self.rtol, 200)
         except ValueError as exc:
             raise ConvergenceError(
                 f"{label}: no solution in [{lo}, {hi}] ({exc}); "
@@ -470,29 +468,22 @@ def _anderson(history: list) -> np.ndarray:
     return mixed if rank == dr.shape[1] and all(valid) else history[-1][0]
 
 
-def calibrate(
-    config: SystemConfig,
-    anchors: CalibrationAnchors | None = None,
-    *,
-    max_iter: int = 60,
-) -> tuple[SystemConfig, FitReport]:
+def calibrate(config: SystemConfig,
+              anchors: CalibrationAnchors | None = None) -> tuple[SystemConfig, FitReport]:
     """Fit source/detector couplings so the model reproduces the anchors.
 
     Returns the calibrated config (channel and bias point preserved from
     the input, detector-level values refreshed from the fitted couplings)
     together with a :class:`FitReport`.  Raises :class:`ConvergenceError`
     when an anchor is unreachable or the fixed point does not settle
-    within ``max_iter`` sweeps, and :class:`ParameterError` when
-    ``max_iter`` is below 1.
+    within ``_MAX_SWEEPS`` sweeps.
     """
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     anchors = anchors or CalibrationAnchors()
     fitter = _Fitter(config, anchors)
 
     trace, history = [], []
     start = plain = np.array([fitter.state[name] for name in _STATE_FIELDS])
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         try:
             end = fitter.sweep(start)
         except (ParameterError, ConvergenceError):
@@ -510,7 +501,7 @@ def calibrate(
         plain, start = end, _anderson(history)
     else:
         raise ConvergenceError(
-            f"fixed point did not settle in {max_iter} sweeps; "
+            f"fixed point did not settle in {_MAX_SWEEPS} sweeps; "
             f"residuals: {fitter.residuals()}"
         )
 

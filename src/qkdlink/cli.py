@@ -126,8 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the raw-rate slope anchor")
     p_cal.add_argument("--qber-low", type=float, metavar="F",
                        help="override the low-bias QBER anchor")
-    p_cal.add_argument("--max-iter", type=int, default=60, metavar="N",
-                       help="sweep budget of the fit (default %(default)s); below 1 exits 2")
     return parser
 
 
@@ -207,19 +205,13 @@ def _cmd_histogram(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    # The fit would import SciPy on first use anyway, but the cost of so
-    # large an import depends on the call depth it runs at (0.29-0.38 s on
-    # CPython 3.11). Cold `python -m qkdlink.cli calibrate` took 0.54 s with
-    # the import inside the fit, 0.51 s with it here.
-    import scipy.optimize  # noqa: F401
-
     config = _load(args.config)
     anchors = CalibrationAnchors()
     if args.slope_target is not None:
         anchors = replace(anchors, slope_db_per_km=args.slope_target)
     if args.qber_low is not None:
         anchors = replace(anchors, qber_low=args.qber_low)
-    fitted, report = calibrate(config, anchors, max_iter=args.max_iter)
+    fitted, report = calibrate(config, anchors)
     print(report.summary())
     if args.out:
         save_config(fitted, args.out)

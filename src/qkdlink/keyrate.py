@@ -74,15 +74,59 @@ def secure_rate(raw: float, qber: float, consts: ProtocolConstants) -> float:
     return max(0.0, SIFT_FACTOR * raw * key_yield(qber, consts))
 
 
+def _brentq(f, a, b, fa, fb, xtol, rtol, maxiter) -> float:
+    """Brent's root of ``f`` in [a, b] given ``fa = f(a)``, ``fb = f(b)``: SciPy's
+    ``brentq`` (``Zeros/brentq.c``) step for step, so the same evaluations give
+    the same root.  ``ValueError`` on a NaN, ends of one sign, or no convergence."""
+    if math.isnan(fa) or math.isnan(fb):
+        raise ValueError("a function value at the bracket's ends is NaN")
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if math.copysign(1.0, fa) == math.copysign(1.0, fb):  # signbit, as brentq.c
+        raise ValueError("f(a) and f(b) must have different signs")
+    xpre, xcur, fpre, fcur = a, b, float(fa), float(fb)  # C doubles, as brentq.c reads them
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):  # fpre is never 0 here
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolation step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic; a divisor underflowed to 0 bisects, as in C
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError(f"the function value at x={xcur} is NaN")
+    raise ValueError(f"no convergence in {maxiter} iterations")
+
+
 def qber_threshold(consts: ProtocolConstants) -> float:
     """Error rate at which the distillable key vanishes.
 
-    Root of :func:`key_yield` on (0, 0.5), located by bracketed bisection
-    refinement well past 1e-9 accuracy.
+    Root of :func:`key_yield` on (0, 0.5), located by Brent's method well
+    past 1e-9 accuracy.
     """
-    from scipy.optimize import brentq  # deferred: only this solve needs SciPy
+    def f(e):
+        return key_yield(e, consts)
 
-    return float(brentq(key_yield, 1e-15, 0.5, args=(consts,), xtol=1e-13, rtol=8.9e-16))
+    return _brentq(f, 1e-15, 0.5, f(1e-15), f(0.5), 1e-13, 8.9e-16, 100)
 
 
 def evaluate_point(config: SystemConfig):

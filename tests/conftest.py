@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from qkdlink.config import default_config
+from qkdlink.keyrate import _brentq
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +48,31 @@ def _scan_stream_invariants(result, config):
 @pytest.fixture(scope="session")
 def scan_stream_invariants():
     return _scan_stream_invariants
+
+
+def _brent_against_scipy(f, a, b, xtol, rtol, maxiter):
+    """Solve ``f`` on [a, b] with ``scipy.optimize.brentq`` (the reference)
+    and with the library's port, handed ``f(a)`` and ``f(b)``.  Returns each
+    one's ``(root or exception type, points evaluated)``; the port's list
+    starts with the two ends it was handed."""
+    def run(solve):
+        points = []
+
+        def g(x):
+            points.append(x)
+            return f(x)
+
+        try:
+            return solve(g), points
+        except (ValueError, RuntimeError) as exc:
+            return type(exc), points
+
+    return (
+        run(lambda g: scipy.optimize.brentq(g, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)),
+        run(lambda g: _brentq(g, a, b, g(a), g(b), xtol, rtol, maxiter)),
+    )
+
+
+@pytest.fixture(scope="session")
+def brent_against_scipy():
+    return _brent_against_scipy

@@ -25,7 +25,7 @@ from qkdlink.params import ParameterError
 # The package exports the function under the module's name.
 fit_module = importlib.import_module("qkdlink.calibrate")
 
-# Calibration sweeps a handful of scipy root finds per iteration; run the
+# Calibration sweeps a handful of Brent root finds per iteration; run the
 # expensive full fits once per module.
 
 
@@ -211,6 +211,23 @@ class TestConvergenceRate:
         assert report.iterations <= 15
         for name, shipped in couplings(cfg).items():
             assert report.fitted[name] == pytest.approx(shipped, rel=1e-8), name
+
+    @pytest.mark.parametrize("factors", CONVERGENCE_STARTS)
+    def test_every_solve_matches_scipy_brentq(self, cfg, factors, monkeypatch,
+                                              brent_against_scipy):
+        # Each solve is replayed through SciPy's brentq and the port at the
+        # moment the fit makes it, so both see the fitter's state of then.
+        port, solves = keyrate._brentq, []
+
+        def checked(f, a, b, fa, fb, *args):
+            ref, mine = brent_against_scipy(f, a, b, *args)
+            solves.append(mine == ref and (fa, fb) == (f(a), f(b)))
+            return port(f, a, b, fa, fb, *args)
+
+        monkeypatch.setattr(keyrate, "_brentq", checked)
+        _, report = calibrate(perturbed(cfg, *factors))
+        assert len(solves) >= 4 * report.iterations
+        assert all(solves)
 
     def test_shipped_config_refit_is_the_plain_one(self, fitted):
         # The first sweep is neither mixed nor loosened, so refitting the
@@ -509,9 +526,9 @@ class TestSideModeSolve:
 
 class TestNoRepeatedWork:
     def test_side_mode_stage_evaluates_each_profile_once(self, cfg, monkeypatch):
-        # brentq re-evaluates the ends of its bracket; each anchor's weight
-        # is memoized per offset, and its main line alone is evaluated once
-        # for every offset.
+        # The root finder takes its bracket's end values from the stage;
+        # each anchor's weight is memoized per offset, and its main line
+        # alone is evaluated once for every offset.
         calls = []
         timing = linkbudget._profile_timing
         monkeypatch.setattr(linkbudget, "_profile_timing",
@@ -545,8 +562,8 @@ class TestNoRepeatedWork:
 
 
 class TestWarmBracket:
-    """``_Fitter._solve``: brentq on [lo, hi] in the first sweep, then on a
-    bracket around the coupling's last value, widened until it holds the root."""
+    """``_Fitter._solve``: Brent's method on [lo, hi] in the first sweep, then on
+    a bracket around the coupling's last value, widened until it holds the root."""
 
     LO, HI, ROOT = 0.0, 80.0, 31.7
 
@@ -580,7 +597,7 @@ class TestWarmBracket:
         cold = scipy.optimize.brentq(self.residual([]), self.LO, self.HI, xtol=1e-13,
                                      rtol=fitter.rtol)
         assert warm == pytest.approx(cold, rel=fitter.rtol)
-        assert len(set(calls)) == len(calls)  # brentq reused the bracket's end values
+        assert len(set(calls)) == len(calls)  # the bracket's end values were reused
 
     def test_no_sign_change_in_the_range_names_the_whole_range(self, fitter):
         fitter.change = 1e-3
@@ -592,17 +609,17 @@ class TestWarmBracket:
         assert self.LO in calls and self.HI in calls
 
     def test_fit_brackets_cold_only_in_its_first_sweep(self, cfg, monkeypatch):
-        sweeps, brentq, sweep = [], scipy.optimize.brentq, _Fitter.sweep
+        sweeps, brentq, sweep = [], keyrate._brentq, _Fitter.sweep
 
-        def recording(f, a, b, **kwargs):
+        def recording(f, a, b, *args):
             sweeps[-1].append((a, b))
-            return brentq(f, a, b, **kwargs)
+            return brentq(f, a, b, *args)
 
         def marking(fitter, start):
             sweeps.append([])
             return sweep(fitter, start)
 
-        monkeypatch.setattr(scipy.optimize, "brentq", recording)
+        monkeypatch.setattr(keyrate, "_brentq", recording)
         monkeypatch.setattr(_Fitter, "sweep", marking)
         _, report = calibrate(perturbed(cfg, *START))
         assert len(sweeps) == report.iterations > 1
@@ -645,9 +662,10 @@ class TestErrorPaths:
         with pytest.raises(error, match=field):
             calibrate(cfg, anchors)
 
-    def test_unsettled_fixed_point_raises(self, cfg):
+    def test_unsettled_fixed_point_raises(self, cfg, monkeypatch):
+        monkeypatch.setattr(fit_module, "_MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError, match="did not settle in 1 sweeps"):
-            calibrate(perturbed(cfg, 1.1, 1.0, 1.0, 1.0, 1.0, 1.0), max_iter=1)
+            calibrate(perturbed(cfg, 1.1, 1.0, 1.0, 1.0, 1.0, 1.0))
 
     def test_trials_do_not_build_validated_configs(self, cfg, monkeypatch):
         # Trials and the residual report both run on plain floats; a fit

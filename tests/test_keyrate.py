@@ -2,13 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, strategies as st
 from scipy.stats import entropy as scipy_entropy
 
-from qkdlink import linkbudget, sweeps
+from qkdlink import keyrate, linkbudget, sweeps
 from qkdlink.keyrate import (
     RateResult,
+    _brentq,
     binary_entropy,
     evaluate_point,
     qber_threshold,
@@ -107,6 +110,87 @@ class TestQberThreshold:
         loose = qber_threshold(ProtocolConstants(f_ec=1.0))
         tight = qber_threshold(ProtocolConstants(f_ec=1.3))
         assert tight < qber_threshold(CONSTS) < loose
+
+
+EPS = np.finfo(float).eps
+
+# Bracketed test functions of a root and a scale; tanh and the clipped ramp
+# have flat tails, the cubic a flat middle.
+FAMILIES = {
+    "tanh": lambda root, scale: lambda x: math.tanh(scale * (x - root)),
+    "clipped": lambda root, scale: lambda x: max(-1.0, min(1.0, 30.0 * scale * (x - root))),
+    "cubic": lambda root, scale: lambda x: scale * (x - root) ** 3 + 1e-3 * (x - root),
+    "expm1": lambda root, scale: lambda x: math.expm1(scale * (x - root)),
+    "wiggle": lambda root, scale: lambda x: (math.atan(50.0 * scale * (x - root))
+                                             + 0.2 * math.sin(3.0 * x)),
+    "bump": lambda root, scale: lambda x: (x - root) * math.exp(-scale * x * x),
+}
+
+
+class TestBrentPort:
+    """``keyrate._brentq`` against ``scipy.optimize.brentq``: the same root and
+    the same points evaluated, bit for bit."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_seeded_brackets_match_scipy(self, family, brent_against_scipy):
+        rng = np.random.default_rng(list(FAMILIES).index(family))
+        for _ in range(150):
+            root, scale = rng.uniform(-2.0, 2.0), rng.uniform(0.01, 5.0)
+            a, b = root - rng.uniform(0.0, 3.0), root + rng.uniform(0.0, 3.0)
+            if rng.random() < 0.5:
+                a, b = b, a
+            rtol = float(np.exp(rng.uniform(math.log(4 * EPS), math.log(1e-3))))
+            xtol = float(np.exp(rng.uniform(math.log(1e-15), math.log(1e-3))))
+            ref, port = brent_against_scipy(FAMILIES[family](root, scale), a, b, xtol, rtol, 100)
+            assert port == ref, (root, scale, a, b, xtol, rtol)
+
+    @pytest.mark.parametrize("rtol", [4 * EPS, 1e-9, 1e-3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rtol_range_matches_scipy(self, family, rtol, brent_against_scipy):
+        f = FAMILIES[family](0.3, 1.7)
+        ref, port = brent_against_scipy(f, -1.9, 2.3, 1e-13, rtol, 100)
+        assert port == ref
+        assert isinstance(port[0], float)
+
+    @pytest.mark.parametrize("ends", [(0.3, 2.0), (-1.0, 0.3)])
+    def test_root_at_an_end_is_returned_unevaluated(self, ends, brent_against_scipy):
+        ref, port = brent_against_scipy(FAMILIES["tanh"](0.3, 2.0), *ends, 1e-13, 4 * EPS, 100)
+        assert port == ref == (0.3, list(ends))
+
+    def test_exhausted_budget_raises_value_error(self, brent_against_scipy):
+        # SciPy raises RuntimeError here; the port raises ValueError, which
+        # the fit turns into ConvergenceError like a missing sign change.
+        ref, port = brent_against_scipy(FAMILIES["wiggle"](0.3, 1.0), -1.9, 2.3, 1e-13,
+                                        4 * EPS, 3)
+        assert (ref[0], port[0]) == (RuntimeError, ValueError)
+        assert port[1] == ref[1]
+
+    @pytest.mark.parametrize("fa,fb,inside", [(math.nan, 0.5, 0.0), (-0.5, math.nan, 0.0),
+                                              (-0.5, 0.5, math.nan)])
+    def test_nan_value_raises(self, fa, fb, inside):
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(lambda x: inside, 0.0, 1.0, fa, fb, 1e-13, 4 * EPS, 100)
+
+    @pytest.mark.parametrize("fa,fb", [(1.0, 2.0), (-1.0, -2.0), (1e-200, 1e-200)])
+    def test_ends_of_one_sign_raise(self, fa, fb):
+        # 1e-200 * 1e-200 underflows to 0: the signs, not the product, decide.
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x, 0.0, 1.0, fa, fb, 1e-13, 4 * EPS, 100)
+        with pytest.raises(ValueError, match="different signs"):
+            scipy.optimize.brentq(lambda x: fa if x == 0.0 else fb, 0.0, 1.0)
+
+    def test_qber_threshold_matches_scipy_over_f_ec(self, monkeypatch):
+        points, key_yield = [], keyrate.key_yield
+        monkeypatch.setattr(keyrate, "key_yield",
+                            lambda e, consts: points.append(e) or key_yield(e, consts))
+        for f_ec in np.linspace(1.0, 3.0, 201):
+            consts = ProtocolConstants(f_ec=float(f_ec))
+            root = scipy.optimize.brentq(keyrate.key_yield, 1e-15, 0.5, args=(consts,),
+                                         xtol=1e-13, rtol=8.9e-16)
+            ref = points[:]
+            points.clear()
+            assert (qber_threshold(consts), points) == (root, ref), f_ec
+            points.clear()
 
 
 class TestRateResult:

@@ -443,12 +443,6 @@ class TestCli:
                 id="sweep-bias-config-length-1e300",
             ),
             pytest.param(
-                ["calibrate", "--max-iter", "0"], "max_iter", id="calibrate-max-iter-0"
-            ),
-            pytest.param(
-                ["calibrate", "--max-iter", "-3"], "max_iter", id="calibrate-max-iter-neg"
-            ),
-            pytest.param(
                 ["calibrate", "--slope-target", "nan"], "slope_db_per_km",
                 id="calibrate-slope-nan",
             ),
