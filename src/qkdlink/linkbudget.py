@@ -243,12 +243,12 @@ def _holdoff(window: float, period: float, dead: float):
     A candidate in gate ``k`` after a click is separated from it by
     ``k * period + (u2 - u1)``, where the in-window offsets ``u`` differ by
     at most the window width.  The ``k_always`` gates with
-    ``k * period + window <= dead`` are always blocked; each gate with
-    ``|dead - k * period| < window`` is blocked only for part of the offset
-    combinations, and ``lookups`` holds per such gate ``(k, on_grid,
-    index)``, the lookup into the CDF over the offset ``grid`` (step
-    ``du``) of ``u2 - (dead - k*period)``: a candidate at ``u2`` is blocked
-    when the previous click sat later.  The arrays are shared, so read-only.
+    ``k * period + window <= dead`` are always blocked; each following gate
+    with ``k * period < dead + window`` is blocked only for part of the
+    offset combinations, and ``lookups`` holds per such gate the lookup
+    into the CDF (led by a 0) over the offset ``grid`` (step ``du``) of
+    ``u2 - (dead - k*period)``: a candidate at ``u2`` is blocked when the
+    previous click sat later.  The arrays are shared, so read-only.
     """
     k_always = max(0, int(math.floor((dead - window) / period)))
     half = 0.5 * window
@@ -257,13 +257,9 @@ def _holdoff(window: float, period: float, dead: float):
     lookups = []
     k = k_always + 1
     while k * period < dead + window:
-        threshold = dead - k * period
-        position = np.clip(
-            np.searchsorted(grid, grid - threshold, side="right") - 1, -1, len(grid) - 1
-        )
-        lookups.append((k, position >= 0, np.maximum(position, 0)))
+        lookups.append(np.searchsorted(grid, grid - (dead - k * period), side="right"))
         k += 1
-    for array in (grid, *(a for _, *pair in lookups for a in pair)):
+    for array in (grid, *lookups):
         array.flags.writeable = False
     return k_always, grid, du, tuple(lookups)
 
@@ -291,12 +287,11 @@ def _blocked_gates(components, window, period, dead, p_signal, p_dark) -> float:
         return float(k_always) + 0.5 * len(lookups)
     density = density / total
     weights = density * du
-    cdf = np.cumsum(weights)
+    cdf = np.concatenate(([0.0], np.cumsum(weights)))
 
     blocked = float(k_always)
-    for _, on_grid, index in lookups:
-        accept = np.where(on_grid, cdf[index], 0.0)
-        blocked += float(np.sum(weights * (1.0 - accept)))
+    for index in lookups:
+        blocked += float(np.sum(weights * (1.0 - cdf[index])))
     return blocked
 
 

@@ -227,11 +227,12 @@ def _afterpulse_tree(gates, offsets, det, ap_rng, period, n_gates, budget):
     Each node (a photon or dark candidate, or a potential afterpulse)
     carries a Poisson number of potential afterpulses, released an
     exponential time after the hold-off expires and snapped to the nearest
-    gate, where they land uniformly inside the window.  Per generation the
-    spawn counts are drawn in one call and charged to ``budget``, then the
-    delays, then the offsets.  A child in its parent's gate would always
-    merge with the parent's click, and one past the run never fires, so
-    both are dropped.  Returns the nodes in time order (see
+    gate, where they land uniformly inside the window: a child's gate is its
+    parent's plus ``step = rint((offset - center + dead + delay) / period)``.
+    Per generation the spawn counts are drawn in one call and charged to
+    ``budget``, then the delays, then the offsets.  A child with ``step ==
+    0`` would always merge with its parent's click, and one past the run
+    never fires, so both are dropped.  Returns the nodes in time order (see
     :func:`_time_order`).
     """
     pa = det.afterpulse_total
@@ -244,11 +245,12 @@ def _afterpulse_tree(gates, offsets, det, ap_rng, period, n_gates, budget):
         spawned = ap_rng.poisson(pa, gen_gate.size)
         budget.charge(spawned.sum())
         parent = np.repeat(np.arange(gen_gate.size), spawned)
-        release = gen_gate[parent] * period + gen_off[parent] + det.dead_time_ps
+        release = gen_off[parent] - center + det.dead_time_ps
         release += ap_rng.exponential(det.afterpulse_decay_ps, parent.size)
-        child_gate = np.rint((release - center) / period).astype(np.int64)
+        step = np.rint(release / period).astype(np.int64)
+        child_gate = gen_gate[parent] + step
         child_off = center + (ap_rng.random(parent.size) - 0.5) * det.gate_window
-        keep = (child_gate > gen_gate[parent]) & (child_gate < n_gates)
+        keep = (step > 0) & (child_gate < n_gates)
         node_parent.append(parent[keep] + first)
         first += gen_gate.size
         gen_gate, gen_off = child_gate[keep], child_off[keep]
@@ -261,23 +263,24 @@ def _time_order(gate, off, parent, period):
     """Afterpulse-tree nodes, given candidates first and each child after
     its parent (``parent`` = -1 for a candidate), sorted by ``(gate,
     offset)`` with candidates first on a tie.  Returns ``(gate, offset,
-    parent, t_abs)``, ``parent`` re-indexed and ``t_abs = gate * period +
-    offset``.
+    parent)``, ``parent`` re-indexed.
 
-    Offsets lie inside the window, so different gates never tie, and float
-    addition is monotone: a stable sort on ``t_abs`` gives that order.  Two
-    distinct offsets in one gate that round to the same ``t_abs`` are left
-    to the three-key sort on ``(gate, offset, parent >= 0)``.
+    ``gate * period + offset`` is only a sort key.  Equal pairs have equal
+    keys, so a stable sort keeps candidates first; but the key's rounding
+    can tie distinct offsets in a gate out of order, or move a time across
+    a gate.  The sorted pairs are checked, and if they decrease anywhere,
+    the three-key sort on ``(gate, offset, parent >= 0)`` replaces it.
     """
-    t_abs = gate * period + off
-    order = np.argsort(t_abs, kind="stable")
-    tie = np.flatnonzero(np.diff(t_abs[order]) == 0.0)
-    if tie.size and np.any(off[order[tie]] != off[order[tie + 1]]):
+    order = np.argsort(gate * period + off, kind="stable")
+    g, o = gate[order], off[order]
+    d_gate = np.diff(g)
+    if np.any((d_gate < 0) | (d_gate == 0) & (np.diff(o) < 0)):
         order = np.lexsort((parent >= 0, off, gate))
+        g, o = gate[order], off[order]
     rank = np.empty(order.size, dtype=np.int64)
     rank[order] = np.arange(order.size)
     parent = parent[order]
-    return gate[order], off[order], np.where(parent >= 0, rank[parent], -1), t_abs[order]
+    return g, o, np.where(parent >= 0, rank[parent], -1)
 
 
 def _sweep_detector(gates, offsets, det, ap_rng, period, n_gates, budget):
@@ -286,38 +289,37 @@ def _sweep_detector(gates, offsets, det, ap_rng, period, n_gates, budget):
     A node of the :func:`_afterpulse_tree` exists if it is a candidate or
     its parent fired, and it fires unless the last click before it lies in
     its gate (a gate yields at most one avalanche) or less than the hold-off
-    earlier.  The tree's draws do not depend on the history, so using them
-    only for nodes that fire keeps the law of drawing per click.  A node at
-    least the hold-off after its predecessor, in another gate, cannot be
-    blocked: such candidates fire in numpy, and a loop settles the rest.
-    The loop reads lists of only the rest and of each one's anchor, the
-    last numpy click before it (the first node is a candidate and always
-    fires), and the fired flags through a byte buffer.  Returns the clicks'
-    gates and offsets in time order.
+    earlier, ``Δgate * period + Δoffset``.  The tree's draws do not depend
+    on the history, so using them only for nodes that fire keeps the law of
+    drawing per click.  A node at least the hold-off after its predecessor,
+    in another gate, cannot be blocked: such candidates fire in numpy, and
+    a loop settles the rest.  The loop reads lists of only the rest and of
+    each one's anchor, the last numpy click before it (the first node is a
+    candidate and always fires), and the fired flags through a byte buffer.
+    Returns the clicks' gates and offsets in time order.
     """
     dead = det.dead_time_ps
-    gate, off, parent, t_abs = _afterpulse_tree(
-        gates, offsets, det, ap_rng, period, n_gates, budget
-    )
+    gate, off, parent = _afterpulse_tree(gates, offsets, det, ap_rng, period, n_gates, budget)
+    d_gate = np.diff(gate)
     fired = np.ones(gate.size, dtype=bool)
-    fired[1:] = (np.diff(t_abs) >= dead) & (np.diff(gate) != 0)
+    fired[1:] = (d_gate * period + np.diff(off) >= dead) & (d_gate != 0)
     fired &= parent < 0
     rest = np.flatnonzero(~fired)
     anchor = np.maximum.accumulate(np.where(fired, np.arange(gate.size), -1))[rest]
     flags = bytearray(fired)
-    last = last_gate = last_t = -1
-    for j, p, g, t, a, a_gate, a_t in zip(
-        rest.tolist(), parent[rest].tolist(), gate[rest].tolist(), t_abs[rest].tolist(),
-        anchor.tolist(), gate[anchor].tolist(), t_abs[anchor].tolist(),
+    last = last_gate = last_off = -1
+    for j, p, g, o, a, a_gate, a_off in zip(
+        rest.tolist(), parent[rest].tolist(), gate[rest].tolist(), off[rest].tolist(),
+        anchor.tolist(), gate[anchor].tolist(), off[anchor].tolist(),
     ):
         if p >= 0 and not flags[p]:
             continue
         if a > last:  # the anchor is the last click before node j
-            last, last_gate, last_t = a, a_gate, a_t
-        if last_gate == g or t - last_t < dead:
+            last, last_gate, last_off = a, a_gate, a_off
+        if last_gate == g or (g - last_gate) * period + (o - last_off) < dead:
             continue
         flags[j] = 1
-        last, last_gate, last_t = j, g, t
+        last, last_gate, last_off = j, g, o
     fired = np.frombuffer(flags, dtype=bool)
     return gate[fired], off[fired]
 
@@ -409,6 +411,19 @@ def _candidates(config, lo, hi, n_pulses, rng, budget, key):
     return pieces
 
 
+def _squash(key, gates, offsets):
+    """``(detector, gate, offset)`` columns of both detectors' clicks
+    (``gates``, ``offsets``: A's, then B's, each one per gate), gate-sorted
+    by a stable merge, in which a double click is A's tag then B's: its
+    gate's squash coin keeps A's (bit 1, so ``pair + bit`` is deleted)."""
+    gate = np.concatenate(gates)
+    order = np.argsort(gate, kind="stable")
+    pair = np.flatnonzero(np.diff(gate[order]) == 0)
+    order = np.delete(order, pair + _mix_bit(_clock_mix(key, gate[order[pair]]), SQUASH_A))
+    det = np.repeat(np.array([DETECTOR_A, DETECTOR_B], dtype=np.uint8), [g.size for g in gates])
+    return det[order], gate[order], np.concatenate(offsets)[order]
+
+
 def simulate(
     config: SystemConfig,
     n_pulses: int,
@@ -433,7 +448,7 @@ def simulate(
     config:
         Full system parameter set.
     n_pulses:
-        Number of clock cycles to simulate, in ``[1, 2**63)``.
+        Number of clock cycles, in ``[1, 2**53]``, where clock indices are exact floats.
     seed:
         Non-negative root seed; every run with the same (config, n_pulses,
         seed, segments) is bit-identical.  It keys the clock mix and spawns
@@ -452,8 +467,8 @@ def simulate(
         time-tag stream.  ``result.meta`` records the seed and stream
         layout.
     """
-    if not 1 <= n_pulses < 2**63:
-        raise ParameterError(f"n_pulses must lie in [1, 2**63), got {n_pulses}")
+    if not 1 <= n_pulses <= 2**53:
+        raise ParameterError(f"n_pulses must lie in [1, 2**53], got {n_pulses}")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     if not 1 <= segments <= min(n_pulses, _MAX_SEGMENTS):
@@ -475,24 +490,15 @@ def simulate(
             cand_offsets[det_id].append(offsets)
 
     # --- hold-off and afterpulses over the whole run, detector A first -----
-    (gates_a, ts_a), (gates_b, ts_b) = (
+    clicks = [
         _sweep_detector(
             np.concatenate(cand_gates[det_id]),
             np.concatenate(cand_offsets[det_id]),
             det, ap_rng, period, n_pulses, budget,
         )
         for det_id in (DETECTOR_A, DETECTOR_B)
-    )
-
-    # --- squash simultaneous clicks into a single recorded event -----------
-    _, idx_a, idx_b = np.intersect1d(gates_a, gates_b, assume_unique=True, return_indices=True)
-    keep_a_side = _mix_bit(_clock_mix(key, gates_a[idx_a]), SQUASH_A).view(bool)
-    drop_a, drop_b = idx_a[~keep_a_side], idx_b[keep_a_side]
-    gate_col = np.concatenate([np.delete(gates_a, drop_a), np.delete(gates_b, drop_b)])
-    ts_col = np.concatenate([np.delete(ts_a, drop_a), np.delete(ts_b, drop_b)])
-    det_col = np.repeat(np.array([DETECTOR_A, DETECTOR_B], dtype=np.uint8),
-                        [gates_a.size - drop_a.size, gates_b.size - drop_b.size])
-    order = np.argsort(gate_col, kind="stable")
+    ]
+    det_col, gate_col, ts_col = _squash(key, *zip(*clicks))
 
     meta = {
         "seed": int(seed),
@@ -513,12 +519,7 @@ def simulate(
     alice = AliceLog(
         bit=ClockBits(key, ALICE_BIT, n_pulses), basis=ClockBits(key, ALICE_BASIS, n_pulses)
     )
-    tags = TimeTagStream(
-        detector_id=det_col[order],
-        clock_index=gate_col[order],
-        timestamp=ts_col[order],
-        meta=meta,
-    )
+    tags = TimeTagStream(detector_id=det_col, clock_index=gate_col, timestamp=ts_col, meta=meta)
     return SimulationResult(alice=alice, tags=tags, bob_bases=ClockBits(key, BOB_BASIS, n_pulses))
 
 

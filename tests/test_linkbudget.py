@@ -192,13 +192,16 @@ class TestDeadTimeBlocking:
         det = cfg.receiver.detector
         k_always, _, _, lookups = linkbudget._holdoff(det.gate_window, cfg.source.gate_period,
                                                       det.dead_time_ps)
-        assert (k_always, [k for k, _, _ in lookups]) == (7, [8])
+        # The partial gates follow the always-blocked ones, one table each.
+        partial = list(range(k_always + 1, k_always + 1 + len(lookups)))
+        assert (k_always, partial) == (7, [8])
 
     def test_holdoff_key_holds_each_input(self, cfg):
         def as_lists(holdoff):
             k_always, grid, du, lookups = holdoff
+            partial = range(k_always + 1, k_always + 1 + len(lookups))
             return [k_always, grid.tolist(), du,
-                    [(k, on_grid.tolist(), index.tolist()) for k, on_grid, index in lookups]]
+                    [(k, index.tolist()) for k, index in zip(partial, lookups)]]
 
         det = cfg.receiver.detector
         window, period, dead = det.gate_window, cfg.source.gate_period, det.dead_time_ps

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 from scipy.special import erf
 from scipy.stats import chi2_contingency, power_divergence
 
@@ -264,6 +264,12 @@ class TestSimulate:
             with pytest.raises(ParameterError):
                 simulate(cfg, n_pulses, seed=0, segments=segments)
         spawn.assert_not_called()
+
+    def test_clock_count_past_exact_floats_rejected(self, cfg):
+        # Above 2**53 clocks a photon's float gate would be rounded, and the
+        # coins read at the wrong clock.
+        with pytest.raises(ParameterError, match="n_pulses"):
+            simulate(cfg, 2**53 + 1, 0)
 
     def test_tags_cluster_at_gate_center(self, cfg):
         result = simulate(cfg.at_length(0.0), 300_000, seed=9)
@@ -734,12 +740,12 @@ def test_vectorized_resolution_is_exact(cfg):
         offsets[: k // 10] = 0.5 * PERIOD  # exact ties inside shared gates
 
         budget = montecarlo._EventBudget(10**7)
-        gate, offset, parent, t_abs = montecarlo._afterpulse_tree(
+        gate, offset, parent = montecarlo._afterpulse_tree(
             gates, offsets, det, np.random.default_rng(trial), PERIOD, n_gates, budget
         )
         assert np.all(parent < np.arange(parent.size))
-        assert t_abs.tolist() == (gate * PERIOD + offset).tolist()
-        assert np.all(np.diff(t_abs) >= 0.0)
+        # (gate, offset) does not decrease.
+        assert np.all((np.diff(gate) > 0) | (np.diff(gate) == 0) & (np.diff(offset) >= 0.0))
         fired = _walk_tree(gate, offset, parent, det.dead_time_ps, PERIOD)
 
         clicks, click_offsets = _sweep(det, gates, offsets, np.random.default_rng(trial), n_gates)
@@ -747,15 +753,14 @@ def test_vectorized_resolution_is_exact(cfg):
         assert click_offsets.tolist() == offset[fired].tolist()
 
 
-def _lexsort_order(gate, off, parent, period):
+def _lexsort_order(gate, off, parent):
     """The three-key ``(gate, offset, parent >= 0)`` order, as the oracle
     of the one-key time sort."""
     order = np.lexsort((parent >= 0, off, gate))
     rank = np.empty(order.size, dtype=np.int64)
     rank[order] = np.arange(order.size)
     parent = parent[order]
-    gate, off = gate[order], off[order]
-    return gate, off, np.where(parent >= 0, rank[parent], -1), gate * period + off
+    return gate[order], off[order], np.where(parent >= 0, rank[parent], -1)
 
 
 CENTER = 0.5 * PERIOD
@@ -802,7 +807,7 @@ class TestTimeOrder:
     @settings(max_examples=50, deadline=None)
     @given(_node_arrays())
     def test_matches_the_three_key_order(self, nodes):
-        self.assert_same(montecarlo._time_order(*nodes, PERIOD), _lexsort_order(*nodes, PERIOD))
+        self.assert_same(montecarlo._time_order(*nodes, PERIOD), _lexsort_order(*nodes))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -822,11 +827,84 @@ class TestTimeOrder:
                                side_effect=lambda *a: drawn.append(a) or time_order(*a)):
             tree = montecarlo._afterpulse_tree(gates, offsets, det, np.random.default_rng(seed),
                                                PERIOD, 60, montecarlo._EventBudget(10**6))
-        self.assert_same(tree, _lexsort_order(*drawn[0]))
-        gate, _, parent, _ = tree
+        self.assert_same(tree, _lexsort_order(*drawn[0][:3]))
+        gate, _, parent = tree
         children = np.flatnonzero(parent >= 0)
         assert np.all(parent[children] < children)
         assert np.all(gate[parent[children]] < gate[children])
+
+
+class TestClockTranslation:
+    """The detector rules read ``(gate, offset)`` pairs, never absolute ps:
+    moving every candidate by G gates moves the tree and the clicks by G
+    and changes nothing else, far beyond where ``gate * period`` loses
+    its picoseconds."""
+
+    @pytest.mark.parametrize("afterpulse_total", [None, 0.9])
+    def test_same_clicks_at_every_clock(self, cfg, afterpulse_total):
+        det = cfg.receiver.detector
+        if afterpulse_total is not None:
+            det = dataclasses.replace(det, afterpulse_total=afterpulse_total)
+        layout = np.random.default_rng(26)
+        n_gates = 100_000
+        gates = np.sort(layout.integers(0, n_gates, 10_000))
+        offsets = CENTER + (layout.random(gates.size) - 0.5) * det.gate_window
+        offsets[::7] = CENTER  # exact ties inside shared gates
+
+        def run(shift):
+            tree = montecarlo._afterpulse_tree(
+                gates + shift, offsets, det, np.random.default_rng(3), PERIOD, n_gates + shift,
+                montecarlo._EventBudget(10**7))
+            clicks = _sweep(det, gates + shift, offsets, np.random.default_rng(3), n_gates + shift)
+            return [tree[0] - shift, *tree[1:], clicks[0] - shift, clicks[1]]
+
+        want = [column.tolist() for column in run(0)]
+        for shift in (2**40, 2**46, 2**50):
+            assert [column.tolist() for column in run(shift)] == want, shift
+
+
+def _intersect_squash(key, gates, offsets):
+    """The set-based squash that the gate-sorted merge replaced, as its
+    oracle: intersect the two sides' gates, delete the coin's loser from
+    each side, then sort the survivors by gate."""
+    (gates_a, gates_b), (ts_a, ts_b) = gates, offsets
+    _, idx_a, idx_b = np.intersect1d(gates_a, gates_b, assume_unique=True, return_indices=True)
+    keep_a_side = montecarlo._mix_bit(
+        montecarlo._clock_mix(key, gates_a[idx_a]), montecarlo.SQUASH_A).view(bool)
+    drop_a, drop_b = idx_a[~keep_a_side], idx_b[keep_a_side]
+    gate_col = np.concatenate([np.delete(gates_a, drop_a), np.delete(gates_b, drop_b)])
+    ts_col = np.concatenate([np.delete(ts_a, drop_a), np.delete(ts_b, drop_b)])
+    det_col = np.repeat(np.array([montecarlo.DETECTOR_A, montecarlo.DETECTOR_B], dtype=np.uint8),
+                        [gates_a.size - drop_a.size, gates_b.size - drop_b.size])
+    order = np.argsort(gate_col, kind="stable")
+    return det_col[order], gate_col[order], ts_col[order]
+
+
+@st.composite
+def _click_gates(draw):
+    """Both detectors' sorted, unique click gates, sharing many gates,
+    either side possibly empty, near clock 0 or the largest clocks."""
+    base = draw(st.sampled_from([0, 2**40, 2**53 - 200]))
+    small = st.sets(st.integers(0, 120), max_size=60)
+    shared, only_a, only_b = draw(small), draw(small), draw(small)
+    return [base + np.array(sorted(side), dtype=np.int64)
+            for side in (shared | only_a, shared | only_b)]
+
+
+class TestSquash:
+    @example([np.array([], dtype=np.int64)] * 2, 0)
+    @example([np.array([], dtype=np.int64), np.arange(5)], 1)
+    @example([np.arange(5), np.array([], dtype=np.int64)], 2)
+    @example([np.arange(64), np.arange(64)], 3)
+    @seed(26)
+    @settings(max_examples=300, deadline=None)
+    @given(_click_gates(), st.integers(0, 2**64 - 1))
+    def test_merge_matches_the_set_based_rule(self, gates, key):
+        # Distinct offsets mark which side's tag survives.
+        offsets = [np.arange(gates[0].size) + 0.25, -1.0 - np.arange(gates[1].size)]
+        got = montecarlo._squash(key, gates, offsets)
+        want = _intersect_squash(key, gates, offsets)
+        assert [(c.dtype, c.tobytes()) for c in got] == [(c.dtype, c.tobytes()) for c in want]
 
 
 class TestHistogramAnalysis:

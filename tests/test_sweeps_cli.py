@@ -462,19 +462,23 @@ class TestCli:
                 ["histogram", "--bin-ps", "1e-12", "--pulses", "1000"], "bin_ps",
                 id="histogram-bins-over-cap",
             ),
-            # Clock counts near and past int64: the segment bounds are exact
-            # integers, and 2**63 clocks or more are rejected up front.
+            # Clock counts at and past 2**53, the last run whose clock
+            # indices are all exact floats: more clocks are rejected up front.
             pytest.param(
-                ["simulate", "--pulses", str(2**63 - 1)], "event budget",
-                id="simulate-pulses-int64-max",
+                ["simulate", "--pulses", str(2**53)], "event budget",
+                id="simulate-pulses-2-53",
+            ),
+            pytest.param(
+                ["simulate", "--pulses", str(2**53 + 1)], "n_pulses",
+                id="simulate-pulses-2-53-plus-1",
             ),
             pytest.param(
                 ["simulate", "--pulses", "99999999999999999999"], "n_pulses",
                 id="simulate-pulses-past-int64",
             ),
             pytest.param(
-                ["histogram", "--pulses", str(2**63 - 1)], "event budget",
-                id="histogram-pulses-int64-max",
+                ["histogram", "--pulses", str(2**53)], "event budget",
+                id="histogram-pulses-2-53",
             ),
             pytest.param(
                 ["sweep-distance", "--engine", "mc", "--pulses", str(2**63)], "n_pulses",
