@@ -8,12 +8,13 @@ Everything else is drawn per event, so the cost of a run scales with its
 events rather than its clock cycles: the engine draws how many photons
 survive the fiber and how many dark counts each detector sees, then places
 them on uniform clocks (Poisson superposition and uniform subsets, exact in
-law for per-gate Poisson photons and Bernoulli darks).  Each photon's
-arrival is one draw from the detected profile that the analytic engine
-integrates (:func:`linkbudget.temporal_components`: a line, then a normal
-at its jitter-convolved width); it is routed through the interferometer and
-both gated detectors are run: window acceptance, dark counts, afterpulse
-release, hold-off (dead time) and double-click squashing.  The output is
+law for per-gate Poisson photons and Bernoulli darks).  Photon arrivals
+follow the detected profile that the analytic engine integrates
+(:func:`linkbudget.temporal_components`: a Poisson count per line, then a
+normal per photon at its line's jitter-convolved width); they are routed
+through the interferometer and both gated detectors are run: window
+acceptance, dark counts, afterpulse release, hold-off (dead time) and
+double-click squashing.  The output is
 Alice's preparation log plus Bob's time-tagged detection stream,
 bit-reproducible for a fixed (config, n_pulses, seed).  A zero photon
 mean, dark probability or afterpulse probability is no special case: it
@@ -21,9 +22,10 @@ takes the general path, whose empty draws take nothing from the streams.
 
 The stateful part (hold-off and afterpulse feedback) runs once per
 detector over the whole run: every candidate's potential afterpulse tree
-is drawn up front, a generation at a time, and a chronological sweep over
-the tree decides which nodes fire, in numpy wherever no earlier click can
-interfere and in a short loop over the clustered rest.  A run may split
+is drawn up front, a generation at a time (one Poisson total spread over
+uniform parents), and a chronological sweep over the tree decides which
+nodes fire, in numpy wherever no earlier click can interfere and in a short
+loop over the clustered rest.  A run may split
 its clocks into contiguous segments whose candidates are drawn from
 independent random streams; the sweep then sees every segment's
 candidates at once, so the output is exact in law for any segment count.
@@ -225,37 +227,39 @@ def _afterpulse_tree(gates, offsets, det, ap_rng, period, n_gates, budget):
     """Every potential afterpulse of the candidates, drawn up front.
 
     Each node (a photon or dark candidate, or a potential afterpulse)
-    carries a Poisson number of potential afterpulses, released an
+    carries a Poisson(pa) number of potential afterpulses, released an
     exponential time after the hold-off expires and snapped to the nearest
     gate, where they land uniformly inside the window: a child's gate is its
     parent's plus ``step = rint((offset - center + dead + delay) / period)``.
-    Per generation the spawn counts are drawn in one call and charged to
-    ``budget``, then the delays, then the offsets.  A child with ``step ==
-    0`` would always merge with its parent's click, and one past the run
-    never fires, so both are dropped.  Returns the nodes in time order (see
-    :func:`_time_order`).
+    A generation of N nodes draws one Poisson(pa * N) total, charged to
+    ``budget`` before any per-child array, then as many sorted uniform node
+    indices as parents (iid Poisson(pa) per node), delays and offsets.  A
+    child with ``step == 0`` would always merge with its parent's click, and
+    one past the run never fires, so both are dropped.  Returns the nodes in
+    time order (see :func:`_time_order`).
     """
     pa = det.afterpulse_total
     center = 0.5 * period
     gen_gate = np.asarray(gates, dtype=np.int64)
     gen_off = np.asarray(offsets, dtype=np.float64)
-    node_gate, node_off, node_parent = [gen_gate], [gen_off], [np.full(gen_gate.size, -1)]
+    node_gate, node_off, node_parent = [gen_gate], [gen_off], []
     first = 0
     while gen_gate.size:
-        spawned = ap_rng.poisson(pa, gen_gate.size)
-        budget.charge(spawned.sum())
-        parent = np.repeat(np.arange(gen_gate.size), spawned)
+        n_children = int(ap_rng.poisson(pa * gen_gate.size))
+        budget.charge(n_children)
+        parent = np.sort(ap_rng.integers(0, gen_gate.size, n_children))
         release = gen_off[parent] - center + det.dead_time_ps
         release += ap_rng.exponential(det.afterpulse_decay_ps, parent.size)
         step = np.rint(release / period).astype(np.int64)
         child_gate = gen_gate[parent] + step
         child_off = center + (ap_rng.random(parent.size) - 0.5) * det.gate_window
-        keep = (step > 0) & (child_gate < n_gates)
+        keep = np.flatnonzero((step > 0) & (child_gate < n_gates))
         node_parent.append(parent[keep] + first)
         first += gen_gate.size
         gen_gate, gen_off = child_gate[keep], child_off[keep]
         node_gate.append(gen_gate)
         node_off.append(gen_off)
+    node_parent.insert(0, np.full(node_gate[0].size, -1))
     return _time_order(*(np.concatenate(c) for c in (node_gate, node_off, node_parent)), period)
 
 
@@ -320,20 +324,23 @@ def _sweep_detector(gates, offsets, det, ap_rng, period, n_gates, budget):
             continue
         flags[j] = 1
         last, last_gate, last_off = j, g, o
-    fired = np.frombuffer(flags, dtype=bool)
+    fired = np.flatnonzero(np.frombuffer(flags, dtype=bool))
     return gate[fired], off[fired]
 
 
 def _candidate_counts(config, n_gates, rng, budget):
-    """Draw and charge one segment's photon count and per-detector dark counts.
+    """Draw and charge one segment's photon count per spectral line and
+    dark count per detector; returns them after the lines.
 
     Candidates are drawn by count and then position rather than gate by
-    gate: the photons reaching a detector form one Poisson(m * n_gates)
-    total, and each detector's darks a Binomial(n_gates, p) count.  Given
-    their counts, photons sit at uniform emitting clocks and darks at
+    gate: the photons reaching a detector from each ``(w, mean, sigma)``
+    line of :func:`linkbudget.temporal_components` form one Poisson(w * m *
+    n_gates) total, and each detector's darks a Binomial(n_gates, p) count.
+    Given their counts, photons sit at uniform emitting clocks and darks at
     distinct uniform gates, which is exactly the law of iid per-gate
-    Poisson(m) photons and Bernoulli(p) darks.  A photon mean too large to
-    draw raises :class:`ResourceLimitError` without drawing.
+    Poisson(m) photons, each from a line picked with probability ``w``,
+    and Bernoulli(p) darks.  A photon mean too large to draw raises
+    :class:`ResourceLimitError` without drawing.
     """
     lam = (
         config.source.mu
@@ -343,14 +350,15 @@ def _candidate_counts(config, n_gates, rng, budget):
     )
     if lam > _POISSON_LAM_MAX:
         raise ResourceLimitError(f"event budget exceeded: {lam:.3g} expected photons")
-    n_photons = int(rng.poisson(lam))
-    budget.charge(n_photons)
+    lines = linkbudget.temporal_components(config.source, config.channel, config.receiver)
+    n_photons = [int(rng.poisson(lam * weight)) for weight, _, _ in lines]
+    budget.charge(sum(n_photons))
     dark_prob = config.receiver.detector.dark_prob
     n_darks = []
     for _ in range(2):  # one count per detector
         n_darks.append(int(rng.binomial(n_gates, dark_prob)))
         budget.charge(n_darks[-1])
-    return n_photons, n_darks
+    return lines, n_photons, n_darks
 
 
 def _candidates(config, lo, hi, n_pulses, rng, budget, key):
@@ -362,47 +370,45 @@ def _candidates(config, lo, hi, n_pulses, rng, budget, key):
     lies inside the ``n_pulses``-clock run.  Returns ``(detector, gates,
     offsets)`` pieces, each detector's photons before its darks.
     """
-    source, channel, receiver = config.source, config.channel, config.receiver
-    det = receiver.detector  # both detectors of the matched pair
-    period = source.gate_period
-    window = det.gate_window
+    receiver = config.receiver
+    period = config.source.gate_period
+    window = receiver.detector.gate_window
     center = 0.5 * period
-    half_window = 0.5 * window
-    n_photons, n_darks = _candidate_counts(config, hi - lo, rng, budget)
+    lines, n_photons, n_darks = _candidate_counts(config, hi - lo, rng, budget)
     # No count needs a guard: a draw of size 0 takes nothing from ``rng``,
     # so a segment without photons or darks keeps the stream layout.
 
     # --- photons that reach a detector -------------------------------------
-    # Sorted, the candidates reach the sweep's time sort nearly in order.
-    emit = np.sort(rng.integers(lo, hi, n_photons))
-    # One uniform picks each photon's line, one normal its arrival.
-    weights, means, sigmas = map(np.array, zip(*linkbudget.temporal_components(
-        source, channel, receiver)))
-    line = np.minimum(np.searchsorted(np.cumsum(weights), rng.random(n_photons),
-                                      side="right"), weights.size - 1)
-    arrival = rng.standard_normal(n_photons)
-    arrival *= sigmas[line]
-    arrival += means[line]
+    # Uniform clocks and normals, each line's photons a slice: its clocks sorted (so the
+    # sweep's time sort gets them nearly in order), its normals at its mean and width.
+    emit = rng.integers(lo, hi, sum(n_photons))
+    arrival = rng.standard_normal(emit.size)
+    ends = np.cumsum(n_photons)
+    for (_, mean, sigma), start, end in zip(lines, ends - n_photons, ends):
+        emit[start:end].sort()
+        arrival[start:end] *= sigma
+        arrival[start:end] += mean
     gate = np.rint(arrival / period)  # float until kept: none past int64 is cast
     with np.errstate(invalid="ignore"):  # infinite arrivals: NaN offsets, never kept
-        offset = arrival - gate * period
+        arrival -= gate * period  # in place: the offset from the nearest gate
     gate += emit
-    keep = (np.abs(offset) <= half_window) & (gate >= 0) & (gate < n_pulses)
-    emit, offset = emit[keep], offset[keep]
+    keep = np.flatnonzero((np.abs(arrival) <= 0.5 * window) & (gate >= 0) & (gate < n_pulses))
     gate = gate[keep].astype(np.int64)
+    ts, mix_emit = center + arrival[keep], _clock_mix(key, emit[keep])
+    del emit, arrival, keep  # freed before the routing allocates its columns
 
     # Interferometer routing against Bob's phase in the gate where the
     # photon is actually detected, tabulated on the code bit·8 + basis·4 +
-    # flip·2 + Bob's basis (rows: each code's four bits, high to low).
+    # flip·2 + Bob's basis (rows: each code's four bits, high to low); two
+    # shifts move the mix bits of Alice's bit and basis and Bob's basis in.
     p_detector_a = protocol.detector_a_probability(
         *(np.arange(16) >> np.arange(3, -1, -1)[:, None] & 1), receiver.visibility)
-    mix_emit = _clock_mix(key, emit)
     flip = _mismodulated(mix_emit, receiver.mismodulation_error)
-    code = (_mix_bit(mix_emit, ALICE_BIT) << 3 | _mix_bit(mix_emit, ALICE_BASIS) << 2
-            | flip.view(np.uint8) << 1 | _mix_bit(_clock_mix(key, gate), BOB_BASIS))
-    to_a = rng.random(gate.size) < p_detector_a[code]
-    ts = center + offset
-    pieces = [(DETECTOR_A, gate[to_a], ts[to_a]), (DETECTOR_B, gate[~to_a], ts[~to_a])]
+    to_a = rng.random(gate.size) < p_detector_a[
+        mix_emit >> np.uint64(ALICE_BASIS - 2) & np.uint64(0b1100) | flip << np.uint64(1)
+        | _clock_mix(key, gate) >> np.uint64(BOB_BASIS) & np.uint64(1)]
+    a, b = np.flatnonzero(to_a), np.flatnonzero(~to_a)
+    pieces = [(DETECTOR_A, gate[a], ts[a]), (DETECTOR_B, gate[b], ts[b])]
 
     # --- dark counts: distinct uniform gates per detector ------------------
     for det_id, k in zip((DETECTOR_A, DETECTOR_B), n_darks):
@@ -437,9 +443,10 @@ def simulate(
     the per-clock bit and basis columns are evaluated only at emitting
     clocks, detection gates and, later, tagged clocks, so the run costs
     O(events) in time and memory, whatever ``n_pulses`` is.  Each
-    segment's photon and dark counts are charged against ``_MAX_EVENTS``
-    before its per-event arrays are allocated, and each afterpulse
-    generation's spawn total before its delays and offsets.
+    segment's photon counts (one per spectral line) and dark counts are
+    charged against ``_MAX_EVENTS`` before its per-event arrays are
+    allocated, and each afterpulse generation's one Poisson spawn total
+    before its parents, delays and offsets.
     ``meta["events_generated"]`` counts photons, darks and every drawn
     potential afterpulse, including those of blocked candidates.
 
@@ -511,8 +518,10 @@ def simulate(
             "SeedSequence(seed).generate_state(1, uint64); bits 63, 62, 61, 60: "
             "Alice's bit, Alice's basis, Bob's basis, squash keeps A; low 53 "
             "bits < ceil(m * 2**53): mis-modulated; Philox streams spawned "
-            "from the seed: the run's afterpulses, then one per segment for "
-            "its candidates"
+            "from the seed: the run's afterpulses (per detector and generation: "
+            "a Poisson total, sorted uniform parents, delays, offsets), then one "
+            "per segment for its candidates (a Poisson count per spectral line, "
+            "dark counts, clocks, normals, routing, dark gates and offsets)"
         ),
         "events_generated": budget.used,
     }

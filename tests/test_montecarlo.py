@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 from scipy.special import erf
-from scipy.stats import chi2_contingency, power_divergence
+from scipy.stats import chi2_contingency, chisquare, power_divergence
 
 from qkdlink import keyrate, linkbudget, montecarlo
 from qkdlink.cli import main
@@ -357,21 +357,27 @@ class TestCandidateLaw:
     N = 50_000
 
     def test_photon_count_is_poisson(self, cfg):
-        """Also over segments: every counted photon belongs to the run."""
-        config = with_detector(cfg.at_length(5.6), dark_prob=0.0, afterpulse_total=0.0)
-        det = config.receiver.detector
-        m = (
-            config.source.mu
-            * linkbudget.transmittance(config.channel.length, config.channel.attenuation)
-            * det.efficiency
-        )
-        lam = m * self.N
-        for segments in (1, 4):
-            counts = [
-                simulate(config, self.N, seed=s, segments=segments).meta["events_generated"]
-                for s in self.SEEDS
-            ]
-            _assert_count_law(counts, lam, lam, lam * (1.0 + 3.0 * lam))
+        """Also over segments: every counted photon belongs to the run.  A
+        compensated link has one spectral line; the uncompensated one has
+        two (the side mode), each with its own Poisson count, and their sum
+        is the Poisson(lam) photon count."""
+        for compensated, lines in ((True, 1), (False, 2)):
+            config = with_detector(cfg.at_length(5.6, compensated), dark_prob=0.0,
+                                   afterpulse_total=0.0)
+            assert len(linkbudget.temporal_components(
+                config.source, config.channel, config.receiver)) == lines
+            m = (
+                config.source.mu
+                * linkbudget.transmittance(config.channel.length, config.channel.attenuation)
+                * config.receiver.detector.efficiency
+            )
+            lam = m * self.N
+            for segments in (1, 4):
+                counts = [
+                    simulate(config, self.N, seed=s, segments=segments).meta["events_generated"]
+                    for s in self.SEEDS
+                ]
+                _assert_count_law(counts, lam, lam, lam * (1.0 + 3.0 * lam))
 
     def test_dark_count_is_binomial(self, cfg):
         p = 1e-3
@@ -488,10 +494,10 @@ class TestStreamLayout:
 
     # (dump, sifted key) SHA-256 per ``--segments`` value.
     DIGESTS = {
-        1: ("e5c14253d1ca109db607cf0610c6c375f73f0b902d5d2a34d07b1f6fb84565e0",
-            "4f0c33bff6ba43063dbb6965fee74e072c07b15e604efef0000958d615807c5e"),
-        4: ("b779bf4f02c5e0e9b99e6b378ddcfa0ab6ad939251187b2c2b905175baa578cb",
-            "121be9860bb501d01a1ac5e2bd424911151fd81bae4d7d48abe64321f33a2dbf"),
+        1: ("5acaf7bf257cbfc49e1e2370be76e993e51b769269df6125de178574fb06a6da",
+            "cef8867612e20452ac75d916698e28f41e2a4906f0c27f58bbaebd6936365484"),
+        4: ("13c6c3f093ac718b044143ccd6c0280c0369bf625cd006d1619b06ab582d7322",
+            "ba9478bc5865f54db907c6350321ddd8dd7eac1a6c3dd6345346f375a95353db"),
     }
 
     def test_fixed_seed_output_digests(self, tmp_path):
@@ -513,16 +519,16 @@ class TestZeroCaseLayout:
     columns."""
 
     CASES = {
-        ("mu", 1): (49, 49, "4a8c9fd2c1cc360e0753e6d48139c03b4d14db16033ecd883159517495a8781a"),
-        ("mu", 3): (50, 52, "8805c174432f1103a50fcf131c7d8e60ddf6a79f35146b46a2445331c182c7d6"),
+        ("mu", 1): (48, 48, "7fdb6eda41329fb57b0f809b1e58a3dda290fcb69696e8382555b7580af9d509"),
+        ("mu", 3): (52, 52, "f0a2e518f10b2fba44bbf66366a00ae8247db4e7b3c0972d7126a9af29989063"),
         ("afterpulse_total", 1): (
-            27_116, 28_149, "89543f8c7f674577491daaa4e8d0abef1809ed0a978d70f28331bdeb28fb5b3a"),
+            27_128, 28_216, "c306b88c3a26fcc40c634bf9916cc3fc0b7ed2e4918d331b0794a06893e7c7f4"),
         ("afterpulse_total", 3): (
-            27_042, 28_139, "df2cbcc0b74198539b51661650cfc7ef01b7209c5538bf98f9e8c41ea8ccc9e0"),
+            27_089, 28_184, "bb9612249be75ec9f5bd6a2d5f034c97bc35899bf3f9c8690fdb04290064a0b4"),
         ("dark_prob", 1): (
-            28_592, 29_878, "ec6af25f5203645c557f063fe78ab2ffa080f8cd98b0579ac19ee7bcfdc25dba"),
+            28_701, 30_013, "4ed4ac0c08b71e0415a77f97d7521fbb1569dd82cb3b84700752ced92b8ba844"),
         ("dark_prob", 3): (
-            28_558, 29_875, "47883445e359c1ccdf05983694f0cf5d76657a04b94bfbf10a4fbf7a3f651e54"),
+            28_647, 29_960, "c66f3f80d9f8cb6eb103f6ab37fefdfcbbdeeb0153e22913242f85314815cca6"),
     }
 
     @pytest.mark.parametrize("zero, segments", list(CASES))
@@ -626,6 +632,67 @@ class TestSweepBoundaries:
             gates, _ = _sweep(det, [0], [0.5 * PERIOD], rng, 1, budget=budget)
             assert gates.tolist() == [0]
         assert budget.used > 100  # drawn and charged, then dropped
+
+
+class TestAfterpulseSpawn:
+    """Each generation of the afterpulse tree draws one Poisson(pa * N)
+    total and spreads it over uniformly drawn parents, which gives every
+    node iid Poisson(pa) children.  Seen on the candidates, the first
+    generation, of trees whose children are never dropped: the shipped
+    hold-off puts every release at least one gate after its parent, and a
+    2**40-gate run has room for all of them."""
+
+    SEEDS = range(20)
+    N_CANDIDATES = 20_000
+    BINS = 50
+    N_GATES = 2**40
+
+    @staticmethod
+    def candidates(det, n):
+        """``n`` candidates in distinct gates, in time order."""
+        offsets = CENTER + (np.random.default_rng(0).random(n) - 0.5) * det.gate_window
+        return 3 * np.arange(n, dtype=np.int64), offsets
+
+    @pytest.mark.parametrize("pa", [0.06, 0.5])
+    def test_children_per_node_are_iid_poisson(self, cfg, pa):
+        det = dataclasses.replace(cfg.receiver.detector, afterpulse_total=pa)
+        assert det.dead_time_ps - 0.5 * det.gate_window > 0.5 * PERIOD  # every step > 0
+        gates, offsets = self.candidates(det, self.N_CANDIDATES)
+        counts = []
+        for s in self.SEEDS:
+            _, _, parent = montecarlo._afterpulse_tree(
+                gates, offsets, det, np.random.default_rng(s), PERIOD, self.N_GATES,
+                montecarlo._EventBudget(10**7))
+            # The candidates keep their order; each one's children, in it.
+            counts.append(np.bincount(parent[parent >= 0], minlength=parent.size)[parent < 0])
+        counts = np.concatenate(counts)
+        n = counts.size
+        z_mean = (counts.mean() - pa) / math.sqrt(pa / n)
+        # Index of dispersion: (n - 1) var / mean is chi-square(n - 1) for Poisson counts.
+        dispersion = counts.var(ddof=1) / counts.mean()
+        z_dispersion = (dispersion - 1.0) / math.sqrt(2.0 / (n - 1))
+        assert abs(z_mean) < 5.0, f"mean {counts.mean():.5f} vs {pa} ({z_mean:+.2f} sigma)"
+        assert abs(z_dispersion) < 5.0, f"dispersion {dispersion:.4f} ({z_dispersion:+.2f} sigma)"
+        # Parents uniform over nodes: children per bin of consecutive candidates.
+        _, p = chisquare(counts.reshape(len(self.SEEDS), self.BINS, -1).sum(axis=(0, 2)))
+        assert p > 1e-4, f"children per node bin: p = {p:.2e}"
+
+    def test_budget_charged_before_the_children(self, cfg):
+        """A first generation over budget raises before any per-child
+        array exists: the peak stays below one int64 per would-be child."""
+        pa, n = 0.5, 200_000
+        det = dataclasses.replace(cfg.receiver.detector, afterpulse_total=pa)
+        gates, offsets = self.candidates(det, n)
+        limit = int(0.8 * pa * n)  # 40 sigma below the Poisson(pa * n) total
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                montecarlo._afterpulse_tree(gates, offsets, det, np.random.default_rng(0), PERIOD,
+                                            self.N_GATES, montecarlo._EventBudget(limit))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * limit, peak
 
 
 def _oracle_detector(gates, offsets, det, rng, period, n_gates):

@@ -236,7 +236,7 @@ class TestCli:
         assert main(["histogram", "--length", "0", "--pulses", "100000", "--seed", "2",
                      "--bin-ps", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "dbc18fd3e4dc68780592a7016ecd96ab1551b9f44a932e12b58c4dedf968b6c3"
+            "cf4e75837cfc446fe76d802ec7bc485fec0df7e08bf17ad2c633371efaf3146f"
         )
 
     def test_mc_distance_csv_digest(self, tmp_path):
@@ -246,7 +246,7 @@ class TestCli:
         assert main(["sweep-distance", "--engine", "mc", "--pulses", "200000", "--seed", "3",
                      "--lengths", "5.6,65.5", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "0f29ffec1e3481c349d81c5822f08a40cd9f1106c59bf132c7c686f44c5cfea5"
+            "d9c517a2a7525096a87fb98a1fdddc1a7579582df6e7508fb96566e8b1570914"
         )
 
     def test_histogram_command(self, tmp_path):
