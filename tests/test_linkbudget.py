@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, seed, settings, strategies as st
 
 from qkdlink import keyrate, linkbudget
 from qkdlink.linkbudget import (
@@ -221,6 +221,90 @@ class TestDeadTimeBlocking:
         det = replace(cfg.receiver.detector, dead_time=0.0)
         receiver = replace(cfg.receiver, detector=det)
         assert effective_blocked_gates(cfg.source, cfg.channel, receiver) == 0.0
+
+
+def _reference_blocked_gates(components, window, period, dead, p_signal, p_dark):
+    """The blocked-gate kernel written with one temporary per step and
+    ``np.trapezoid``: the oracle :func:`linkbudget._blocked_gates` must match
+    to the bit."""
+    k_always, grid, du, lookups = linkbudget._holdoff(window, period, dead)
+    density = np.zeros_like(grid)
+    for weight, mean, sigma in components:
+        for k, _ in linkbudget._window_masses(mean, sigma, period, window):
+            center = k * period
+            density += (
+                weight
+                * p_signal
+                * np.exp(-0.5 * ((grid + center - mean) / sigma) ** 2)
+                / (sigma * math.sqrt(2.0 * math.pi))
+            )
+    density += p_dark / window
+
+    total = np.trapezoid(density, grid)
+    if total <= 0.0:
+        return float(k_always) + 0.5 * len(lookups)
+    density = density / total
+    weights = density * du
+    cdf = np.concatenate(([0.0], np.cumsum(weights)))
+
+    blocked = float(k_always)
+    for index in lookups:
+        blocked += float(np.sum(weights * (1.0 - cdf[index])))
+    return blocked
+
+
+@st.composite
+def _holdoff_cases(draw):
+    """``(_blocked_gates arguments, partial gates)``: one or two lines, or a
+    compensated link's one, each over 1-5 windows (or none, when a narrow line
+    falls between two), and a dead time that leaves 0, 1 or 2 partially
+    blocked gates after ``always`` blocked ones."""
+    period = draw(st.floats(500.0, 2000.0))
+    partial = draw(st.sampled_from((0, 1, 2)))
+    always = draw(st.integers(0, 8))
+    # Gate k is partial when (dead - window) / period < k < (dead + window) / period.
+    if partial == 2:  # only a window over half a period spans two
+        window = period * draw(st.floats(0.55, 0.95))
+        low, high = (always + 2) * period - window, (always + 1) * period + window
+    else:
+        window = period * draw(st.floats(0.1, 0.45))
+        low, high = (always + 1) * period - window, (always + 1) * period + window
+        if partial == 0:
+            low, high = 0.0, period - window
+    dead = low + draw(st.floats(0.05, 0.95)) * (high - low)
+
+    # A line reaches 8 sigma beyond each window edge, so sigma = s * period / 16
+    # covers about s + window / period windows.
+    def line():
+        sigma = period / 16.0 * draw(st.floats(0.01, 3.5))
+        return draw(st.floats(-2.0, 2.0)) * period, sigma
+
+    shape = draw(st.sampled_from(("compensated", "one line", "two lines")))
+    if shape == "compensated":
+        sigma0, jitter = (period / 16.0 * draw(st.floats(0.01, 2.0)) for _ in range(2))
+        components = linkbudget._components(sigma0, 0.1, 0.1, 0.7, 17.0, 50.0, True, jitter)
+    elif shape == "one line":
+        components = ((1.0, *line()),)
+    else:
+        side = draw(st.floats(1e-6, 0.5))
+        components = ((1.0 - side, *line()), (side, *line()))
+    clicks = draw(st.one_of(st.just((0.0, 0.0)),
+                            st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 1e-3))))
+    for _, mean, sigma in components:
+        event(f"{len(linkbudget._window_masses(mean, sigma, period, window))} windows")
+    event(f"{shape}, {partial} partial gates")
+    return (components, window, period, dead, *clicks), partial
+
+
+class TestBlockedGatesKernel:
+    @seed(2049)
+    @settings(max_examples=400, deadline=None)
+    @given(_holdoff_cases())
+    def test_bit_identical_to_the_reference(self, case):
+        args, partial = case
+        _, window, period, dead, _, _ = args
+        assert len(linkbudget._holdoff(window, period, dead)[3]) == partial
+        assert linkbudget._blocked_gates(*args) == _reference_blocked_gates(*args)
 
 
 class TestRawRate:
