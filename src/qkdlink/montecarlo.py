@@ -23,12 +23,12 @@ takes the general path, whose empty draws take nothing from the streams.
 The stateful part (hold-off and afterpulse feedback) runs once per
 detector over the whole run: every candidate's potential afterpulse tree
 is drawn up front, a generation at a time (one Poisson total spread over
-uniform parents), and a chronological sweep over the tree decides which
-nodes fire, in numpy wherever no earlier click can interfere and in a short
-loop over the clustered rest.  A run may split
-its clocks into contiguous segments whose candidates are drawn from
-independent random streams; the sweep then sees every segment's
-candidates at once, so the output is exact in law for any segment count.
+uniform parents).  One sweep sorts the tree and settles in numpy every
+free node (one no earlier node can block) that is a candidate or a child
+of a node fired so, and every node the numpy click before it blocks; a
+short loop settles the clustered rest.  Segments draw their candidates
+from independent streams; the sweep sees them all at once, so the output
+is exact in law for any segment count.
 """
 
 from __future__ import annotations
@@ -235,56 +235,60 @@ def _afterpulse_tree(gates, offsets, det, ap_rng, period, n_gates, budget):
     ``budget`` before any per-child array, then as many sorted uniform node
     indices as parents (iid Poisson(pa) per node), delays and offsets.  A
     child with ``step == 0`` would always merge with its parent's click, and
-    one past the run never fires, so both are dropped.  Returns the nodes in
-    time order (see :func:`_time_order`).
+    one past the run never fires, so both are dropped (its gate is a float
+    until then, so none past int64 is cast).  Returns the nodes' gates and
+    offsets in draw order, the candidates and then each generation, and
+    each generation's parents as indices into that order.
     """
     pa = det.afterpulse_total
     center = 0.5 * period
     gen_gate = np.asarray(gates, dtype=np.int64)
     gen_off = np.asarray(offsets, dtype=np.float64)
-    node_gate, node_off, node_parent = [gen_gate], [gen_off], []
+    node_gate, node_off, parents = [gen_gate], [gen_off], []
     first = 0
     while gen_gate.size:
         n_children = int(ap_rng.poisson(pa * gen_gate.size))
         budget.charge(n_children)
+        if not n_children:  # no draw of size 0 takes from the stream
+            break
         parent = np.sort(ap_rng.integers(0, gen_gate.size, n_children))
         release = gen_off[parent] - center + det.dead_time_ps
         release += ap_rng.exponential(det.afterpulse_decay_ps, parent.size)
-        step = np.rint(release / period).astype(np.int64)
+        step = np.rint(release / period)
         child_gate = gen_gate[parent] + step
         child_off = center + (ap_rng.random(parent.size) - 0.5) * det.gate_window
         keep = np.flatnonzero((step > 0) & (child_gate < n_gates))
-        node_parent.append(parent[keep] + first)
+        parents.append(parent[keep] + first)
         first += gen_gate.size
-        gen_gate, gen_off = child_gate[keep], child_off[keep]
+        gen_gate, gen_off = child_gate[keep].astype(np.int64), child_off[keep]
         node_gate.append(gen_gate)
         node_off.append(gen_off)
-    node_parent.insert(0, np.full(node_gate[0].size, -1))
-    return _time_order(*(np.concatenate(c) for c in (node_gate, node_off, node_parent)), period)
+    return np.concatenate(node_gate), np.concatenate(node_off), parents
 
 
-def _time_order(gate, off, parent, period):
-    """Afterpulse-tree nodes, given candidates first and each child after
-    its parent (``parent`` = -1 for a candidate), sorted by ``(gate,
-    offset)`` with candidates first on a tie.  Returns ``(gate, offset,
-    parent)``, ``parent`` re-indexed.
+def _time_order(gate, off, n_candidates, period, dead):
+    """Draw-order tree nodes (candidates first, each child after its
+    parent) sorted by ``(gate, offset)``, candidates first on a tie:
+    ``(order, gate, offset, free)``, the last three in time order.
 
-    ``gate * period + offset`` is only a sort key.  Equal pairs have equal
-    keys, so a stable sort keeps candidates first; but the key's rounding
-    can tie distinct offsets in a gate out of order, or move a time across
-    a gate.  The sorted pairs are checked, and if they decrease anywhere,
-    the three-key sort on ``(gate, offset, parent >= 0)`` replaces it.
+    ``gate * period + offset`` is only a sort key.  A stable sort keeps
+    equal pairs in draw order, but rounding can swap distinct offsets in a
+    gate or move a time across a gate; if the sorted pairs' differences
+    show a decrease, a stable sort on ``(gate, offset, child)`` mends it.
+    The differences then give ``free``: in a later gate than the node
+    before and at least ``dead`` after it.
     """
     order = np.argsort(gate * period + off, kind="stable")
-    g, o = gate[order], off[order]
-    d_gate = np.diff(g)
-    if np.any((d_gate < 0) | (d_gate == 0) & (np.diff(o) < 0)):
-        order = np.lexsort((parent >= 0, off, gate))
-        g, o = gate[order], off[order]
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(order.size)
-    parent = parent[order]
-    return g, o, np.where(parent >= 0, rank[parent], -1)
+    gate, off = gate[order], off[order]
+    d_gate, d_off = np.diff(gate), np.diff(off)
+    if np.any((d_gate < 0) | (d_gate == 0) & (d_off < 0)):
+        fix = np.lexsort((order >= n_candidates, off, gate))
+        order, gate, off = order[fix], gate[fix], off[fix]
+        d_gate, d_off = np.diff(gate), np.diff(off)
+    free = np.ones(gate.size, dtype=bool)
+    d_off += d_gate * period
+    free[1:] = (d_gate != 0) & (d_off >= dead)
+    return order, gate, off, free
 
 
 def _sweep_detector(gates, offsets, det, ap_rng, period, n_gates, budget):
@@ -295,25 +299,36 @@ def _sweep_detector(gates, offsets, det, ap_rng, period, n_gates, budget):
     its gate (a gate yields at most one avalanche) or less than the hold-off
     earlier, ``Δgate * period + Δoffset``.  The tree's draws do not depend
     on the history, so using them only for nodes that fire keeps the law of
-    drawing per click.  A node at least the hold-off after its predecessor,
-    in another gate, cannot be blocked: such candidates fire in numpy, and
-    a loop settles the rest.  The loop reads lists of only the rest and of
-    each one's anchor, the last numpy click before it (the first node is a
-    candidate and always fires), and the fired flags through a byte buffer.
-    Returns the clicks' gates and offsets in time order.
+    drawing per click.  The sweep sorts the tree (:func:`_time_order`); a
+    free node cannot be blocked, so every free candidate fires in numpy, and
+    then, a generation at a time, every free child of a node fired so.  A
+    node that the numpy click just before it blocks never fires.  A loop
+    settles the rest from lists of them, their parents and the last numpy
+    click before each, with the fired flags in a byte buffer.  Returns the
+    clicks' gates and offsets in time order.
     """
     dead = det.dead_time_ps
-    gate, off, parent = _afterpulse_tree(gates, offsets, det, ap_rng, period, n_gates, budget)
-    d_gate = np.diff(gate)
-    fired = np.ones(gate.size, dtype=bool)
-    fired[1:] = (d_gate * period + np.diff(off) >= dead) & (d_gate != 0)
-    fired &= parent < 0
-    rest = np.flatnonzero(~fired)
-    anchor = np.maximum.accumulate(np.where(fired, np.arange(gate.size), -1))[rest]
+    gate, off, parents = _afterpulse_tree(gates, offsets, det, ap_rng, period, n_gates, budget)
+    first = len(gates)
+    order, gate, off, free = _time_order(gate, off, first, period, dead)
+    rank = np.empty_like(order)  # each draw-order node's place in time order
+    rank[order] = np.arange(order.size)
+    up = np.full(gate.size, -1)  # each child's parent, in time order
+    fired = free.copy()
+    for parent in parents:
+        child = rank[first:first + parent.size]
+        first += parent.size
+        up[child] = parent = rank[parent]
+        fired[child] &= fired[parent]
+    rest = ~fired  # less the nodes blocked by the numpy click before them
+    rest[1:] &= free[1:] | rest[:-1]
+    rest = np.flatnonzero(rest)
+    clicks = np.flatnonzero(fired)  # the first node is a candidate and fires
+    anchor = clicks[np.searchsorted(clicks, rest) - 1]
     flags = bytearray(fired)
     last = last_gate = last_off = -1
     for j, p, g, o, a, a_gate, a_off in zip(
-        rest.tolist(), parent[rest].tolist(), gate[rest].tolist(), off[rest].tolist(),
+        rest.tolist(), up[rest].tolist(), gate[rest].tolist(), off[rest].tolist(),
         anchor.tolist(), gate[anchor].tolist(), off[anchor].tolist(),
     ):
         if p >= 0 and not flags[p]:
@@ -499,8 +514,8 @@ def simulate(
     # --- hold-off and afterpulses over the whole run, detector A first -----
     clicks = [
         _sweep_detector(
-            np.concatenate(cand_gates[det_id]),
-            np.concatenate(cand_offsets[det_id]),
+            np.concatenate(cand_gates.pop(det_id)),  # popped: freed once swept
+            np.concatenate(cand_offsets.pop(det_id)),
             det, ap_rng, period, n_pulses, budget,
         )
         for det_id in (DETECTOR_A, DETECTOR_B)

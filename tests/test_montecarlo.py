@@ -633,6 +633,33 @@ class TestSweepBoundaries:
             assert gates.tolist() == [0]
         assert budget.used > 100  # drawn and charged, then dropped
 
+    # A hold-off of (2**63 - 4096) periods, whose children's gates would wrap
+    # negative as int64, and one too far to cast at all.
+    @pytest.mark.parametrize("dead_ns", [8.902868761442829e18, 1e300])
+    def test_hold_off_past_int64_keeps_the_first_click(self, cfg, dead_ns):
+        det = self.det(cfg, afterpulse_total=0.9, dead_time=dead_ns)
+        layout = np.random.default_rng(5)
+        gates = np.sort(layout.integers(0, 100_000, 200))  # most step past 2**63
+        offsets = CENTER + (layout.random(200) - 0.5) * det.gate_window
+        budget = montecarlo._EventBudget(10**6)
+        clicks, click_offsets = _sweep(det, gates, offsets, np.random.default_rng(0), 2**53,
+                                       budget=budget)
+        assert budget.used > 100  # children drawn, none of them in the run
+        first = np.lexsort((offsets, gates))[0]
+        assert (clicks.tolist(), click_offsets.tolist()) == ([gates[first]], [offsets[first]])
+        # Each detector's first candidate fires, once, in a whole run.
+        result = simulate(with_detector(cfg, dead_time=dead_ns).at_length(0.0), 1_000_000, seed=3)
+        assert np.bincount(result.tags.detector_id, minlength=2).tolist() == [1, 1]
+
+    def test_decay_past_int64_drops_the_afterpulses(self, cfg):
+        det = self.det(cfg, afterpulse_total=0.9, afterpulse_decay=8.902868761442829e18)
+        layout = np.random.default_rng(6)
+        gates = np.sort(layout.integers(0, 1000, 200))
+        offsets = CENTER + (layout.random(200) - 0.5) * det.gate_window
+        want = _sweep(self.det(cfg), gates, offsets, np.random.default_rng(0), 2000)
+        got = _sweep(det, gates, offsets, np.random.default_rng(0), 2000)
+        assert [column.tolist() for column in got] == [column.tolist() for column in want]
+
 
 class TestAfterpulseSpawn:
     """Each generation of the afterpulse tree draws one Poisson(pa * N)
@@ -660,11 +687,11 @@ class TestAfterpulseSpawn:
         gates, offsets = self.candidates(det, self.N_CANDIDATES)
         counts = []
         for s in self.SEEDS:
-            _, _, parent = montecarlo._afterpulse_tree(
+            _, _, parents = montecarlo._afterpulse_tree(
                 gates, offsets, det, np.random.default_rng(s), PERIOD, self.N_GATES,
                 montecarlo._EventBudget(10**7))
-            # The candidates keep their order; each one's children, in it.
-            counts.append(np.bincount(parent[parent >= 0], minlength=parent.size)[parent < 0])
+            # The first generation's parents index the candidates, in their order.
+            counts.append(np.bincount(parents[0], minlength=self.N_CANDIDATES))
         counts = np.concatenate(counts)
         n = counts.size
         z_mean = (counts.mean() - pa) / math.sqrt(pa / n)
@@ -790,40 +817,78 @@ def _walk_tree(gate, offset, parent, dead, period):
     return np.array(fired, dtype=bool)
 
 
+def _parent_column(tree):
+    """An afterpulse tree's nodes in draw order, with one parent column:
+    -1 for a candidate, else the parent's draw-order index."""
+    gate, off, parents = tree
+    n_candidates = gate.size - sum(p.size for p in parents)
+    return gate, off, np.concatenate([np.full(n_candidates, -1), *parents])
+
+
 def test_vectorized_resolution_is_exact(cfg):
     """On the same pre-drawn trees, the sweep fires exactly the nodes a
-    node-by-node walk fires."""
+    node-by-node walk of the three-key time order fires.  Spread and
+    clustered candidates, and afterpulse probabilities up to 0.95, take
+    every path of the sweep: children fired in numpy (free, with a parent
+    fired so), children the loop fires, free children of blocked parents
+    and grandchildren."""
     layout = np.random.default_rng(99)
-    for trial in range(30):
+    seen = collections.Counter()
+    for trial in range(40):
         det = dataclasses.replace(
             cfg.receiver.detector,
-            afterpulse_total=float(layout.uniform(0.0, 0.9)),
+            afterpulse_total=float(layout.uniform(0.0, 0.95)),
             dead_time=float(layout.choice([0.0, 0.3, 1.0, 2.0, 7.7, 20.0])),
         )
+        dead = det.dead_time_ps
         n_gates = int(layout.integers(50, 600))
         k = int(layout.integers(0, 150))
-        gates = layout.integers(0, n_gates, k)
+        if trial % 2:  # bursts of candidates a few gates wide
+            starts = layout.integers(0, n_gates - 8, 4)
+            gates = starts[layout.integers(0, 4, k)] + layout.integers(0, 8, k)
+        else:
+            gates = layout.integers(0, n_gates, k)
         offsets = 0.5 * PERIOD + (layout.random(k) - 0.5) * det.gate_window
         offsets[: k // 10] = 0.5 * PERIOD  # exact ties inside shared gates
 
         budget = montecarlo._EventBudget(10**7)
-        gate, offset, parent = montecarlo._afterpulse_tree(
+        nodes = _parent_column(montecarlo._afterpulse_tree(
             gates, offsets, det, np.random.default_rng(trial), PERIOD, n_gates, budget
-        )
-        assert np.all(parent < np.arange(parent.size))
-        # (gate, offset) does not decrease.
-        assert np.all((np.diff(gate) > 0) | (np.diff(gate) == 0) & (np.diff(offset) >= 0.0))
-        fired = _walk_tree(gate, offset, parent, det.dead_time_ps, PERIOD)
+        ))
+        assert np.all(nodes[2] < np.arange(nodes[2].size))
+        gate, offset, parent = _lexsort_order(*nodes)
+        fired = _walk_tree(gate, offset, parent, dead, PERIOD)
 
         clicks, click_offsets = _sweep(det, gates, offsets, np.random.default_rng(trial), n_gates)
         assert clicks.tolist() == gate[fired].tolist()
         assert click_offsets.tolist() == offset[fired].tolist()
+
+        # Which path settles each child: numpy fires a free one (in a later
+        # gate and at least the hold-off after the node before it) whose
+        # parent numpy fired, and the loop settles the rest.
+        d_gate = np.diff(gate)
+        free = np.r_[True, (d_gate != 0) & (d_gate * PERIOD + np.diff(offset) >= dead)]
+        in_numpy = []
+        for node, p in enumerate(parent.tolist()):
+            in_numpy.append(bool(free[node]) and (p < 0 or in_numpy[p]))
+        in_numpy = np.array(in_numpy, dtype=bool)
+        child = parent >= 0  # masks the candidates' parent index -1 below
+        seen["child fired in numpy"] += np.sum(child & in_numpy)
+        seen["child fired by the loop"] += np.sum(child & fired & ~in_numpy)
+        seen["free child of a blocked parent"] += np.sum(child & free & ~fired[parent])
+        seen["grandchild fired"] += np.sum(child & fired & (parent[parent] >= 0))
+    assert len(seen) == 4 and min(seen.values()) > 0, seen
 
 
 def _lexsort_order(gate, off, parent):
     """The three-key ``(gate, offset, parent >= 0)`` order, as the oracle
     of the one-key time sort."""
     order = np.lexsort((parent >= 0, off, gate))
+    return _in_order(order, gate, off, parent)
+
+
+def _in_order(order, gate, off, parent):
+    """Nodes permuted by ``order``, ``parent`` re-indexed."""
     rank = np.empty(order.size, dtype=np.int64)
     rank[order] = np.arange(order.size)
     parent = parent[order]
@@ -860,12 +925,21 @@ def _node_arrays(draw):
 
 
 class TestTimeOrder:
-    """The one-key time sort of the afterpulse tree gives the three-key
-    order it replaced, ties and rounding ties included."""
+    """The sweep's one-key time sort of the afterpulse tree gives the
+    three-key order it replaced, ties and rounding ties included."""
 
     @staticmethod
     def assert_same(got, want):
         assert [column.tolist() for column in got] == [column.tolist() for column in want]
+
+    @staticmethod
+    def time_order(gate, off, parent):
+        """The sweep's order, applied to the nodes, and its sorted columns."""
+        order, sorted_gate, sorted_off, _ = montecarlo._time_order(
+            gate, off, np.count_nonzero(parent < 0), PERIOD, 0.0)
+        nodes = _in_order(order, gate, off, parent)
+        assert [sorted_gate.tolist(), sorted_off.tolist()] == [nodes[0].tolist(), nodes[1].tolist()]
+        return nodes
 
     # Two offsets one ulp apart, in node order against time order, that
     # round to the same time in gate 5.
@@ -874,7 +948,7 @@ class TestTimeOrder:
     @settings(max_examples=50, deadline=None)
     @given(_node_arrays())
     def test_matches_the_three_key_order(self, nodes):
-        self.assert_same(montecarlo._time_order(*nodes, PERIOD), _lexsort_order(*nodes))
+        self.assert_same(self.time_order(*nodes), _lexsort_order(*nodes))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -888,13 +962,12 @@ class TestTimeOrder:
                                   dead_time=dead_ns, afterpulse_decay=3.0)
         gates = np.array([g for g, _ in cands], dtype=np.int64)
         offsets = np.array([o for _, o in cands], dtype=np.float64)
-        drawn = []
-        time_order = montecarlo._time_order
-        with mock.patch.object(montecarlo, "_time_order",
-                               side_effect=lambda *a: drawn.append(a) or time_order(*a)):
-            tree = montecarlo._afterpulse_tree(gates, offsets, det, np.random.default_rng(seed),
-                                               PERIOD, 60, montecarlo._EventBudget(10**6))
-        self.assert_same(tree, _lexsort_order(*drawn[0][:3]))
+        nodes = _parent_column(montecarlo._afterpulse_tree(
+            gates, offsets, det, np.random.default_rng(seed), PERIOD, 60,
+            montecarlo._EventBudget(10**6)))
+        assert nodes[0][: gates.size].tolist() == gates.tolist()
+        tree = self.time_order(*nodes)
+        self.assert_same(tree, _lexsort_order(*nodes))
         gate, _, parent = tree
         children = np.flatnonzero(parent >= 0)
         assert np.all(parent[children] < children)
@@ -923,7 +996,7 @@ class TestClockTranslation:
                 gates + shift, offsets, det, np.random.default_rng(3), PERIOD, n_gates + shift,
                 montecarlo._EventBudget(10**7))
             clicks = _sweep(det, gates + shift, offsets, np.random.default_rng(3), n_gates + shift)
-            return [tree[0] - shift, *tree[1:], clicks[0] - shift, clicks[1]]
+            return [tree[0] - shift, tree[1], *tree[2], clicks[0] - shift, clicks[1]]
 
         want = [column.tolist() for column in run(0)]
         for shift in (2**40, 2**46, 2**50):
