@@ -9,6 +9,8 @@ model couplings are fitted to measured link anchors by
 :mod:`qkdlink.calibrate`.
 """
 
+import types as _types
+
 from .calibrate import CalibrationAnchors, ConvergenceError, FitReport, calibrate
 from .config import ConfigError, default_config, load_config, save_config
 from .keyrate import (
@@ -57,50 +59,7 @@ from .sweeps import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "AliceLog",
-    "CalibrationAnchors",
-    "CalibrationParams",
-    "ChannelParams",
-    "ClickProbabilities",
-    "ConfigError",
-    "ConvergenceError",
-    "DetectorParams",
-    "FitReport",
-    "HistogramResult",
-    "ParameterError",
-    "ProtocolConstants",
-    "ProtocolError",
-    "QberBreakdown",
-    "RateResult",
-    "ReceiverParams",
-    "ResourceLimitError",
-    "SiftedKey",
-    "SimulationResult",
-    "SourceParams",
-    "SweepRow",
-    "SweepTable",
-    "SystemConfig",
-    "TimeTagStream",
-    "binary_entropy",
-    "calibrate",
-    "click_probabilities",
-    "default_config",
-    "emit_csv",
-    "evaluate_point",
-    "histogram",
-    "load_config",
-    "qber_breakdown",
-    "qber_threshold",
-    "raw_rate",
-    "run_bias_sweep",
-    "run_distance_sweep",
-    "run_histogram",
-    "save_config",
-    "secure_key_length",
-    "secure_rate",
-    "sift",
-    "simulate",
-    "transmittance",
-]
+# Every public name imported above, so the list cannot drift from the imports.
+__all__ = ["__version__", *sorted(name for name, value in globals().items()
+                                  if not name.startswith("_")
+                                  and not isinstance(value, _types.ModuleType))]

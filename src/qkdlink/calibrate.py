@@ -28,9 +28,11 @@ and raises :class:`ConvergenceError` with the residuals gathered so far.
 
 Trials run on plain floats through the :mod:`linkbudget` kernels: a stage
 reads once per sweep what its trial value cannot move and recomputes per
-trial only what it moves, range-checking each moved value like the field
-that holds it.  The residual report reads the anchors through the same
-functions; validated objects appear only in the start config and the result.
+trial only what it moves.  A coupling is range-checked like its field when
+it is set; every bad sweep start, out of range or failing a stage, reruns
+from the last sweep's output.  The residual report reads the anchors
+through the same functions; validated objects appear only in the start
+config and the result.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import keyrate, linkbudget
-from .params import (_RANGES, SIFT_FACTOR, ParameterError, SystemConfig, _afterpulse_at,
-                     _check_range, _dark_at)
+from .params import (SIFT_FACTOR, ParameterError, SystemConfig, _afterpulse_at, _check_range,
+                     _dark_at)
 
 __all__ = ["CalibrationAnchors", "ConvergenceError", "FitReport", "calibrate"]
 
@@ -79,8 +81,17 @@ class CalibrationAnchors:
     dark_ceiling: float = 3.3e-5
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if not _all_finite(value):
+        # The side mode meets two wrong-clock points, the secure rates fit a
+        # slope and the dark slope sums its compensated QBER misfits.
+        for name, fewest, most in (("interclock", 2, 2), ("secure", 2, math.inf),
+                                   ("compensated_qber", 1, math.inf)):
+            points = getattr(self, name)
+            if not fewest <= len(points) <= most or any(len(p) != 2 for p in points):
+                bound = "exactly" if most == fewest else "at least"
+                raise ParameterError(f"anchor {name} must hold {bound} {fewest} "
+                                     f"(length, value) pairs, got {points}")
+        for name, value in vars(self).items():  # regular arrays, by the shapes above
+            if not np.isfinite(value).all():
                 raise ParameterError(f"anchor {name} must be finite, got {value}")
         # The bias exponent is a log-ratio over the two biases and the dark
         # slope a difference quotient over the two lengths.
@@ -88,12 +99,6 @@ class CalibrationAnchors:
             raise ParameterError("anchor qber_low_eta must differ from operating_eta")
         if self.slope_lengths[0] == self.slope_lengths[1]:
             raise ParameterError("anchor slope_lengths must be two different lengths")
-
-
-def _all_finite(value) -> bool:
-    if isinstance(value, tuple):
-        return all(_all_finite(item) for item in value)
-    return math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -171,16 +176,14 @@ class _Fitter:
     # -- the model on plain floats under the current state ------------------
 
     def _move(self, name: str, value: float) -> None:
-        """Set one coupling to a trial value, range-checked like its field."""
+        """Set one coupling, range-checked like its field, so ``state`` holds only valid values."""
         _check_range(f"{_OWNER[name]}.{name}", value)
         self.state[name] = value
 
     def _noise(self, eta: float) -> tuple[float, float]:
-        """Dark-count and afterpulse probability at bias ``eta``, after the
-        range checks that building the fitted config biased to ``eta`` makes."""
+        """Dark-count and afterpulse probability at bias ``eta``, range-checked like
+        the fitted config biased to ``eta``; the couplings were checked when set."""
         s, cal, pa_ref_eta = self.state, self.base.calibration, self.anchors.operating_eta
-        for name in _STATE_FIELDS:
-            _check_range(f"{_OWNER[name]}.{name}", s[name])
         _check_range("calibration.pa_ref_eta", pa_ref_eta)
         dark = _dark_at(cal.dark_floor, cal.dark_floor_eta, s["dark_slope"], eta)
         afterpulse = _afterpulse_at(s["pa_ref"], pa_ref_eta, s["gamma"], eta)
@@ -262,13 +265,15 @@ class _Fitter:
         After the first sweep it brackets from ``x0·(1 ± h)``, ``x0`` the
         coupling ``name`` at the stage's start and ``h`` the last sweep's
         change, widened 8× at a time until that holds a sign change or is
-        [lo, hi].  ``fixed`` reads the stage's fixed parts, so a range check
-        failing there is reported like one failing in a trial."""
+        [lo, hi].  It sets ``name`` to each trial and then to the root.
+        ``fixed`` reads the stage's fixed parts, so a range check failing
+        there is reported like one failing in a trial."""
         x0 = self.state[name]
         try:
             args = fixed()
 
             def f(x):
+                self._move(name, x)
                 return residual(x, *args)
 
             if self.change is None or not lo < x0 < hi:
@@ -281,7 +286,9 @@ class _Fitter:
                     if fa * fb <= 0.0 or (a, b) == (lo, hi):
                         break
                     h *= 8.0
-            return keyrate._brentq(f, a, b, fa, fb, 1e-13, self.rtol, 200)
+            root = keyrate._brentq(f, a, b, fa, fb, 1e-13, self.rtol, 200)
+            self._move(name, root)
+            return root
         except ValueError as exc:
             raise ConvergenceError(
                 f"{label}: no solution in [{lo}, {hi}] ({exc}); "
@@ -293,14 +300,11 @@ class _Fitter:
         target = self.anchors.slope_db_per_km
 
         def residual(width, dark):
-            self._move("spectral_width", width)
             r1, r2 = self._slope_rates(dark)
             return 10.0 * math.log10(r1 / r2) / (l2 - l1) - target
 
-        self.state["spectral_width"] = self._solve(
-            residual, lambda: self._noise(self.anchors.operating_eta)[:1], 1e-3, 1.0,
-            "spectral width vs raw-rate slope", "spectral_width",
-        )
+        self._solve(residual, lambda: self._noise(self.anchors.operating_eta)[:1], 1e-3, 1.0,
+                    "spectral width vs raw-rate slope", "spectral_width")
 
     def _side_weight(self, length: float, target: float):
         """The side-mode weight at which the mix meets the wrong-clock error
@@ -332,7 +336,6 @@ class _Fitter:
     def stage_side_mode(self) -> None:
         # Each anchor's error condition is linear in the weight, so the pair
         # that meets both is an offset where both ask for the same weight.
-        self._noise(self.anchors.operating_eta)  # only for its range checks
         near, far = (self._side_weight(*anchor) for anchor in self.anchors.interclock)
         failure = "side mode: wrong-clock anchors admit no (weight, offset) pair"
         offset = self._solve(lambda offset: near(offset)[0] - far(offset)[0], tuple,
@@ -340,23 +343,20 @@ class _Fitter:
         (weight, near_ok), (_, far_ok) = near(offset), far(offset)
         if not (near_ok and far_ok):
             raise ConvergenceError(f"{failure}; residuals so far: {self.residuals()}")
-        self.state.update(side_mode_offset=offset, side_mode_weight=weight)
+        self._move("side_mode_weight", weight)
 
     def stage_dark_slope(self) -> None:
         eta = self.anchors.operating_eta
 
         def residual(slope, totals):
-            self._move("dark_slope", slope)
             total = 0.0
             for qber, (_, target) in zip(totals(*self._noise(eta)),
                                          self.anchors.compensated_qber):
                 total += qber - target
             return total
 
-        self.state["dark_slope"] = self._solve(
-            residual, lambda: (self._compensated_qber(),), 0.0, 80.0,
-            "dark-count bias coupling vs compensated QBER", "dark_slope",
-        )
+        self._solve(residual, lambda: (self._compensated_qber(),), 0.0, 80.0,
+                    "dark-count bias coupling vs compensated QBER", "dark_slope")
 
     def stage_afterpulse_ref(self) -> None:
         # The least sum of squared relative secure-rate misfits, as the root
@@ -366,7 +366,6 @@ class _Fitter:
         protocol = self.base.protocol
 
         def residual(pa_ref, points):
-            self._move("pa_ref", pa_ref)
             total = 0.0
             for (raw, e), (_, target) in zip(points(self._noise(self.anchors.operating_eta)[1]),
                                              self.anchors.secure):
@@ -374,10 +373,8 @@ class _Fitter:
                 total -= (rate - target) / target**2 * raw * math.log2((1.0 - e) / e)
             return total
 
-        self.state["pa_ref"] = self._solve(
-            residual, lambda: (self._secure_points(),), 1e-4, 0.25,
-            "afterpulse reference vs secure rates", "pa_ref",
-        )
+        self._solve(residual, lambda: (self._secure_points(),), 1e-4, 0.25,
+                    "afterpulse reference vs secure rates", "pa_ref")
 
     def stage_gamma(self) -> None:
         a = self.anchors
@@ -390,13 +387,16 @@ class _Fitter:
                 f"bias exponent: low-bias QBER anchor implies afterpulse "
                 f"probability {pa_low:.3e} outside (0, pa_ref)"
             )
-        self.state["gamma"] = math.log(self.state["pa_ref"] / pa_low) / math.log(
-            a.operating_eta / a.qber_low_eta
-        )
+        try:
+            self._move("gamma", math.log(self.state["pa_ref"] / pa_low)
+                       / math.log(a.operating_eta / a.qber_low_eta))
+        except ParameterError as exc:
+            raise ConvergenceError(f"bias exponent: {exc}") from exc
 
     def sweep(self, start) -> np.ndarray:
         """Run the five stages once from ``start``; return the couplings they end at."""
-        self.state.update(zip(_STATE_FIELDS, map(float, start)))
+        for name, value in zip(_STATE_FIELDS, start):
+            self._move(name, float(value))
         self.stage_spectral_width()
         self.stage_side_mode()
         self.stage_dark_slope()
@@ -457,15 +457,13 @@ class _Fitter:
 def _anderson(history: list) -> np.ndarray:
     """Where the next sweep starts, from the last sweeps' ``(G(x), r)`` pairs
     (``r`` the scaled residual): Anderson's mix, or the plain step ``G(x)``
-    when the columns are rank-deficient or non-finite, or the mix is out of range."""
+    when the columns are rank-deficient or non-finite."""
     g, r = (np.array(column).T for column in zip(*history))
     dg, dr = np.diff(g), np.diff(r)
     if not (dr.size and np.isfinite(dr).all()):
         return history[-1][0]
     weights, _, rank, _ = np.linalg.lstsq(dr, r[:, -1])
-    mixed = g[:, -1] - dg @ weights
-    valid = [_RANGES[f"{_OWNER[name]}.{name}"][0](v) for name, v in zip(_STATE_FIELDS, mixed)]
-    return mixed if rank == dr.shape[1] and all(valid) else history[-1][0]
+    return g[:, -1] - dg @ weights if rank == dr.shape[1] else history[-1][0]
 
 
 def calibrate(config: SystemConfig,

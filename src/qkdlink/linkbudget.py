@@ -21,9 +21,9 @@ calibration fitter calls directly, so a fit trial builds no validated
 object.  The fitter recomputes per trial only what the trial moves, so the
 one memoized kernel is ``_holdoff`` (128 entries), keyed on what a
 detector fixes, (window, period, dead time): its 2,049-point offset grid
-and lookups take about 45 us to build and serve every trial of a fit.  A
-fit calls the blocked-gate kernel 152 times with 147 distinct arguments, so
-memoizing the per-trial kernels would cost key hashing for rare hits.
+and lookups serve every trial of a fit.  A fit's blocked-gate arguments
+almost never repeat, so memoizing the per-trial kernels would cost key
+hashing for rare hits.
 """
 
 from __future__ import annotations

@@ -399,12 +399,13 @@ def _candidates(config, lo, hi, n_pulses, rng, budget, key):
     emit = rng.integers(lo, hi, sum(n_photons))
     arrival = rng.standard_normal(emit.size)
     ends = np.cumsum(n_photons)
-    for (_, mean, sigma), start, end in zip(lines, ends - n_photons, ends):
-        emit[start:end].sort()
-        arrival[start:end] *= sigma
-        arrival[start:end] += mean
-    gate = np.rint(arrival / period)  # float until kept: none past int64 is cast
-    with np.errstate(invalid="ignore"):  # infinite arrivals: NaN offsets, never kept
+    # An over-wide line's arrivals overflow to inf: NaN offsets, never kept.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (_, mean, sigma), start, end in zip(lines, ends - n_photons, ends):
+            emit[start:end].sort()
+            arrival[start:end] *= sigma
+            arrival[start:end] += mean
+        gate = np.rint(arrival / period)  # float until kept: none past int64 is cast
         arrival -= gate * period  # in place: the offset from the nearest gate
     gate += emit
     keep = np.flatnonzero((np.abs(arrival) <= 0.5 * window) & (gate >= 0) & (gate < n_pulses))

@@ -82,11 +82,14 @@ def _check_range(name: str, value: float) -> None:
     _check(valid(value), name, message)
 
 
-def _check_fields(obj, prefix: str) -> None:
+def _check_fields(obj, prefix: str, derived=()) -> None:
     for field in fields(obj):
         name = f"{prefix}.{field.name}"
         if name in _RANGES:
             _check_range(name, getattr(obj, field.name))
+    # A finite field can overflow when converted to another unit.
+    for name in derived:
+        _check(math.isfinite(getattr(obj, name)), f"{prefix}.{name}", "must be finite")
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,7 @@ class SourceParams:
     wavelength: float = 1550.0
 
     def __post_init__(self) -> None:
-        _check_fields(self, "source")
+        _check_fields(self, "source", ("gate_period",))
 
     @property
     def gate_period(self) -> float:
@@ -175,7 +178,7 @@ class DetectorParams:
     jitter_fwhm: float
 
     def __post_init__(self) -> None:
-        _check_fields(self, "detector")
+        _check_fields(self, "detector", ("dead_time_ps", "afterpulse_decay_ps"))
 
     @property
     def jitter_sigma(self) -> float:

@@ -147,11 +147,22 @@ class TestInputValidation:
             dataclasses.replace(CalibrationAnchors(), **{field: value})
 
     @pytest.mark.parametrize(
-        "field,value", [("qber_low_eta", 0.06), ("slope_lengths", (5.6, 5.6))]
+        "field,value",
+        [
+            ("qber_low_eta", 0.06),
+            ("slope_lengths", (5.6, 5.6)),
+            ("interclock", ((65.5, 0.021), (75.8, 0.105), (80.0, 0.2))),
+            ("interclock", ((65.5, 0.021),)),
+            ("interclock", ((65.5, 0.021), (75.8,))),
+            ("secure", ((5.6, 2.37e6),)),
+            ("compensated_qber", ()),
+        ],
     )
     def test_degenerate_anchor_rejected(self, field, value):
         # Equal biases or equal lengths leave the bias exponent or the dark
-        # slope undetermined; the fit would divide by zero.
+        # slope undetermined; the fit would divide by zero.  The side mode
+        # meets exactly two wrong-clock points, a slope needs two secure
+        # rates and the dark slope at least one compensated QBER.
         with pytest.raises(ParameterError, match=field):
             dataclasses.replace(CalibrationAnchors(), **{field: value})
 
@@ -267,10 +278,18 @@ class TestMixingSafeguard:
         assert mixed is not history[-1][0]
         assert mixed[_STATE_FIELDS.index("gamma")] == pytest.approx(0.6)
 
-    def test_mix_outside_a_coupling_range_takes_the_plain_step(self):
-        # The same secant from 1.0 -> 0.4 would make the bias exponent negative.
+    def test_mix_outside_a_coupling_range_takes_the_plain_step(self, cfg):
+        # The same secant from 1.0 -> 0.4 makes the bias exponent negative.
+        # A sweep from that mix fails as it loads its start, naming the
+        # field, before any stage runs, so the fit's loop takes the plain
+        # step; the state never holds the out-of-range value.
         history = _history((1.0, 0.4), (1.0, 0.5))
-        assert _anderson(history) is history[-1][0]
+        mixed = _anderson(history)
+        assert mixed[_STATE_FIELDS.index("gamma")] == pytest.approx(-0.2)
+        fitter = _Fitter(cfg, CalibrationAnchors())
+        with pytest.raises(ParameterError, match="^calibration.gamma must be"):
+            fitter.sweep(mixed)
+        assert fitter.state["gamma"] == cfg.calibration.gamma
 
     @pytest.mark.parametrize("residuals", [(1.0, 0.5, 0.0), (1.0, math.nan, 0.5)])
     def test_degenerate_columns_take_the_plain_step(self, residuals):
@@ -306,11 +325,20 @@ class TestMixingSafeguard:
     def test_fit_takes_the_plain_step_when_every_mix_leaves_the_ranges(
             self, cfg, monkeypatch, sweeps, reference):
         # Weights this large throw every mix far outside some coupling's range.
+        # Each such sweep fails as it loads its start, naming the field, and
+        # the fit reruns it from the last sweep's output.
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda a, b: (np.full(a.shape[1], 1e12), None, a.shape[1], None))
         _, report = calibrate(perturbed(cfg, *START))
-        assert len(sweeps) == report.iterations > 15
-        for (_, end), (start, _) in zip(sweeps, sweeps[1:]):
+        done = [(start, end) for start, end in sweeps if isinstance(end, np.ndarray)]
+        failed = [error for _, error in sweeps if not isinstance(error, np.ndarray)]
+        assert len(done) == report.iterations > 15
+        # Every sweep from the third on was first tried from a mix.
+        assert len(failed) == report.iterations - 2
+        fields = {f"{owner}.{name}" for name, owner in fit_module._OWNER.items()}
+        for error in failed:
+            assert type(error) is ParameterError and str(error).split()[0] in fields
+        for (_, end), (start, _) in zip(done, done[1:]):
             assert start is end
         for name, value in reference.items():
             assert report.fitted[name] == pytest.approx(value, rel=1e-8), name
@@ -559,6 +587,19 @@ class TestNoRepeatedWork:
                             lambda *args: calls.append(args) or timing(*args))
         calibrate(perturbed(cfg, *START))
         assert len(calls) <= 420
+
+
+class TestRangeCheckBudget:
+    def test_fit_range_check_budget(self, cfg, monkeypatch):
+        # Each coupling is checked once, when it is set.  Re-checking all six
+        # on every model read, as the fit once did, took 2,131 checks for
+        # this fit; checking each when it is set takes 1,138.
+        calls = []
+        check = fit_module._check_range
+        monkeypatch.setattr(fit_module, "_check_range",
+                            lambda *args: calls.append(args) or check(*args))
+        calibrate(perturbed(cfg, *START))
+        assert len(calls) <= 1250
 
 
 class TestWarmBracket:

@@ -119,6 +119,16 @@ class TestSimulate:
         assert result.meta["events_generated"] > 1000
         assert len(result.tags) == 0
 
+    def test_over_wide_pulse_detects_nothing_without_a_warning(self, cfg):
+        # Each line's normals scaled by a 1e308 ps pulse width overflow to
+        # inf: every photon is dropped, and the overflow does not warn.
+        wide = dataclasses.replace(cfg, source=dataclasses.replace(cfg.source,
+                                                                   pulse_sigma0=1e308))
+        config = with_detector(wide, dark_prob=0.0, afterpulse_total=0.0)
+        result = simulate(config, 200_000, seed=1)
+        assert result.meta["events_generated"] > 1000
+        assert len(result.tags) == 0
+
     def test_columns_follow_the_global_clock_across_segments(self, cfg):
         """One seed gives the same per-clock bits at any segment count,
         on both sides of every segment boundary."""

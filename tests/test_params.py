@@ -87,6 +87,20 @@ class TestDetectorParams:
             make_detector(**{field: value})
 
 
+class TestDerivedTimes:
+    """A finite field can overflow once converted to ps; the object rejects
+    it instead of handing an infinite time to the engines."""
+
+    @pytest.mark.parametrize("make,field,value,derived", [
+        (make_source, "clock_rate", 1e-300, "source.gate_period"),
+        (make_detector, "dead_time", 1e306, "detector.dead_time_ps"),
+        (make_detector, "afterpulse_decay", 1e306, "detector.afterpulse_decay_ps"),
+    ])
+    def test_infinite_derived_time_rejected(self, make, field, value, derived):
+        with pytest.raises(ParameterError, match=derived):
+            make(**{field: value})
+
+
 class TestReceiverParams:
     def test_optical_error_combines_visibility_and_modulator(self):
         rec = ReceiverParams(visibility=0.994, mismodulation_error=0.006,

@@ -28,6 +28,8 @@ EDITED_CFGS = {
     "<gamma.cfg>": {"calibration.gamma": "1000.0"},
     "<length-1e300.cfg>": {"channel.length_km": "1e300"},
     "<dead-time-inf.cfg>": {"detector_a.dead_time_ns": "inf", "detector_b.dead_time_ns": "inf"},
+    "<dead-time-1e306.cfg>": {"detector_a.dead_time_ns": "1e306",
+                              "detector_b.dead_time_ns": "1e306"},
     "<not-utf8.cfg>": b"\xff\xfesource.mu = 0.2\n",
 }
 
@@ -502,6 +504,12 @@ class TestCli:
                 ["sweep-distance", "--config", "<dead-time-inf.cfg>"], "detector.dead_time",
                 id="config-dead-time-inf",
             ),
+            # A finite hold-off whose conversion to ps overflows.
+            *(pytest.param([command, "--config", "<dead-time-1e306.cfg>", *extra],
+                           "detector.dead_time_ps", id=f"{command}-dead-time-1e306")
+              for command, extra in (("simulate", ["--pulses", "1000"]), ("sweep-distance", []),
+                                     ("sweep-bias", []), ("histogram", ["--pulses", "1000"]),
+                                     ("calibrate", []))),
             pytest.param(
                 ["simulate", "--config", "<not-utf8.cfg>", "--pulses", "1000"],
                 "edited.cfg: not UTF-8", id="config-not-utf8",
