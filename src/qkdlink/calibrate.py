@@ -97,8 +97,9 @@ class CalibrationAnchors:
         # slope a difference quotient over the two lengths.
         if self.qber_low_eta == self.operating_eta:
             raise ParameterError("anchor qber_low_eta must differ from operating_eta")
-        if self.slope_lengths[0] == self.slope_lengths[1]:
-            raise ParameterError("anchor slope_lengths must be two different lengths")
+        if len(self.slope_lengths) != 2 or self.slope_lengths[0] == self.slope_lengths[1]:
+            raise ParameterError(f"anchor slope_lengths must be two different lengths, "
+                                 f"got {self.slope_lengths}")
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,8 @@ class _Fitter:
     change = None  # the last sweep's largest relative coupling change; None in the first
 
     @property
-    def rtol(self) -> float:  # the solves' relative tolerance, loosened with the change
-        return max(4 * np.finfo(float).eps, 1e-5 * (self.change or 0.0))
+    def rtol(self) -> float:  # the solves' relative tolerance, loosened with a change up to 1
+        return max(4 * np.finfo(float).eps, 1e-5 * min(self.change or 0.0, 1.0))
 
     def __init__(self, config: SystemConfig, anchors: CalibrationAnchors):
         self.base = config
@@ -489,7 +490,8 @@ def calibrate(config: SystemConfig,
                 raise
             start = plain
             end = fitter.sweep(start)
-        residual = (end - start) / np.maximum(np.abs(end), 1e-12)
+        with np.errstate(over="ignore"):  # an infinite change is only "not settled"
+            residual = (end - start) / np.maximum(np.abs(end), 1e-12)
         change = float(np.max(np.abs(residual)))
         trace.append(change)
         if change < _TOL:

@@ -9,14 +9,12 @@ detector gate periods are derived from the source clock rather than stored.
 
 One table, :data:`_TABLE`, declares the format: a row per file line holding
 the key and the ``object.field`` it stores, where ``detector`` is the
-receiver's one matched :class:`~qkdlink.params.DetectorParams` and ``params``
-is the :mod:`qkdlink.params` module.  Parsing, building, the copy checks and
-:func:`dumps_config` all walk it, so they cannot disagree.
+receiver's one matched :class:`~qkdlink.params.DetectorParams`.  Parsing,
+building, the copy checks and :func:`dumps_config` all walk it, so they
+cannot disagree.
 
-The keys in :data:`_COPIES` can only copy a value another row already holds:
-the seven ``detector_b.*`` keys copy ``detector_a.*`` (the receiver has one
-matched detector pair), ``receiver.eta_bob`` copies the detector efficiency
-and ``protocol.sift_factor`` is always :data:`~qkdlink.params.SIFT_FACTOR`.
+The keys in :data:`_COPIES`, the seven ``detector_b.*`` keys, can only copy
+their ``detector_a.*`` key: the receiver has one matched detector pair.
 Building ignores them, parsing rejects any that differs from the value read
 back from the built config, and :func:`dumps_config` writes that value, so
 the parameter objects hold every value once.
@@ -35,7 +33,6 @@ __all__ = ["ConfigError", "load_config", "parse_config", "save_config", "default
 _TABLE = (
     ("source.clock_rate_hz", "source.clock_rate"),
     ("source.mu", "source.mu"),
-    ("source.wavelength_nm", "source.wavelength"),
     ("source.pulse_sigma0_ps", "source.pulse_sigma0"),
     ("source.spectral_width_nm", "source.spectral_width"),
     ("source.side_mode_weight", "source.side_mode_weight"),
@@ -46,7 +43,6 @@ _TABLE = (
     ("channel.dispersion_ps_per_nm_km", "channel.dispersion"),
     ("channel.compensated", "channel.compensated"),
     None,
-    ("receiver.eta_bob", "detector.efficiency"),
     ("receiver.visibility", "receiver.visibility"),
     ("receiver.mismodulation_error", "receiver.mismodulation_error"),
     *(row for prefix in ("detector_a", "detector_b") for row in (
@@ -61,7 +57,6 @@ _TABLE = (
     )),
     None,
     ("protocol.f_ec", "protocol.f_ec"),
-    ("protocol.sift_factor", "params.SIFT_FACTOR"),
     None,
     ("calibration.pa_ref", "calibration.pa_ref"),
     ("calibration.pa_ref_eta", "calibration.pa_ref_eta"),
@@ -72,11 +67,7 @@ _TABLE = (
 )
 _KEYS = dict(row for row in _TABLE if row is not None)
 _BOOL_KEYS = frozenset({"channel.compensated"})
-_COPIES = frozenset({
-    *(key for key in _KEYS if key.startswith("detector_b.")),
-    "receiver.eta_bob",
-    "protocol.sift_factor",
-})
+_COPIES = frozenset(key for key in _KEYS if key.startswith("detector_b."))
 # The key each held field is read from; a copy names it in its error.
 _HOLDERS = {target: key for key, target in _KEYS.items() if key not in _COPIES}
 # Each object's constructor, in build order: the receiver holds the detector.
@@ -155,14 +146,14 @@ def _build(values: dict) -> SystemConfig:
     objects = _objects(config)
     for key, target in _KEYS.items():
         if key in _COPIES and values[key] != (expected := _read(objects, target)):
-            raise ConfigError(f"{key} must equal {_HOLDERS.get(target, target)} "
+            raise ConfigError(f"{key} must equal {_HOLDERS[target]} "
                               f"({expected!r}), got {values[key]!r}")
     return config
 
 
 def _objects(config: SystemConfig) -> dict:
     """The objects the table's ``object.field`` targets name."""
-    return {**vars(config), "detector": config.receiver.detector, "params": params}
+    return {**vars(config), "detector": config.receiver.detector}
 
 
 def _read(objects: dict, target: str):

@@ -324,7 +324,10 @@ def raw_rate(
 
 def _renewal_rate(clock_rate, p_total, blocked_gates):
     # Symmetric split of the combined no-click probability between the two
-    # detectors; exact, since the pair is matched and routing is balanced.
+    # detectors, treating their clicks as independent.  In a matched basis a
+    # pulse's photons all go, up to visibility, to one detector, so the
+    # pair's clicks are anti-correlated; that matters only at high rates
+    # (the event engine's raw rate is 0.36% below this at mu 20, 1.1 ns hold-off).
     q = 1.0 - math.sqrt(1.0 - p_total)
     a = q / (1.0 + q * blocked_gates)
     return clock_rate * (a + a - a * a)

@@ -11,8 +11,8 @@ form a matched pair, so :class:`ReceiverParams` holds the one
 :class:`DetectorParams` they share, whose efficiency is also Bob's
 detection efficiency; the detector gates run on the source clock period;
 and the sift factor is the constant :data:`SIFT_FACTOR`.  The config file
-still stores these copies; :mod:`qkdlink.config` reads them back from these
-objects to check and write them.
+still stores the second detector's copy of the shared response;
+:mod:`qkdlink.config` reads it back from these objects to check and write it.
 
 Units follow the conventions used throughout the package: rates in Hz,
 times in ps unless a field name says otherwise (``dead_time`` and
@@ -58,7 +58,7 @@ def _check(condition: bool, name: str, message: str) -> None:
 # comparisons reject NaN, and inf where the range is finite.
 _RANGES = {name: (valid, message) for valid, message, names in (
     (lambda v: 0.0 < v < math.inf, "must be finite and positive",
-     "source.clock_rate source.pulse_sigma0 source.wavelength detector.afterpulse_decay "
+     "source.clock_rate source.pulse_sigma0 detector.afterpulse_decay "
      "calibration.gamma"),
     (lambda v: 0.0 <= v < math.inf, "must be finite and non-negative",
      "source.mu source.spectral_width source.side_mode_offset channel.length "
@@ -112,8 +112,6 @@ class SourceParams:
         side mode of the laser.  Zero disables the side mode.
     side_mode_offset:
         Wavelength offset of the side mode from the main line, nm.
-    wavelength:
-        Center wavelength, nm (bookkeeping only).
     """
 
     clock_rate: float
@@ -122,7 +120,6 @@ class SourceParams:
     spectral_width: float
     side_mode_weight: float = 0.0
     side_mode_offset: float = 0.0
-    wavelength: float = 1550.0
 
     def __post_init__(self) -> None:
         _check_fields(self, "source", ("gate_period",))

@@ -129,7 +129,8 @@ def secure_key_length(n_sifted: int, qber: float, consts: ProtocolConstants) -> 
     """
     if n_sifted < 0:
         raise ParameterError("n_sifted must be non-negative")
-    return max(0, math.floor(n_sifted * key_yield(qber, consts)))
+    # Clamped before the floor: a large f_ec can drive the product to -inf.
+    return math.floor(max(0.0, n_sifted * key_yield(qber, consts)))
 
 
 def _int_rows(*columns) -> str:

@@ -19,7 +19,7 @@ from qkdlink.calibrate import (
     calibrate,
 )
 from qkdlink.cli import main
-from qkdlink.config import save_config
+from qkdlink.config import load_config, save_config
 from qkdlink.params import ParameterError
 
 # The package exports the function under the module's name.
@@ -156,13 +156,16 @@ class TestInputValidation:
             ("interclock", ((65.5, 0.021), (75.8,))),
             ("secure", ((5.6, 2.37e6),)),
             ("compensated_qber", ()),
+            ("slope_lengths", (5.6,)),
+            ("slope_lengths", (5.6, 25.3, 65.5)),
         ],
     )
     def test_degenerate_anchor_rejected(self, field, value):
         # Equal biases or equal lengths leave the bias exponent or the dark
         # slope undetermined; the fit would divide by zero.  The side mode
-        # meets exactly two wrong-clock points, a slope needs two secure
-        # rates and the dark slope at least one compensated QBER.
+        # meets exactly two wrong-clock points, the raw-rate slope spans
+        # exactly two lengths, a slope needs two secure rates and the dark
+        # slope at least one compensated QBER.
         with pytest.raises(ParameterError, match=field):
             dataclasses.replace(CalibrationAnchors(), **{field: value})
 
@@ -239,6 +242,18 @@ class TestConvergenceRate:
         _, report = calibrate(perturbed(cfg, *factors))
         assert len(solves) >= 4 * report.iterations
         assert all(solves)
+
+    @pytest.mark.parametrize("width", [1.7976931348623157e308, 1e10])
+    def test_far_spectral_width_start_converges(self, cfg, width, tmp_path, capsys):
+        # The first sweep's change is inf or about 6e10: it means only "not
+        # settled", and the solves loosen no further than a change of 1 sets.
+        start, refit = tmp_path / "start.cfg", tmp_path / "refit.cfg"
+        save_config(dataclasses.replace(
+            cfg, source=dataclasses.replace(cfg.source, spectral_width=width)), start)
+        assert main(["calibrate", "--config", str(start), "--out", str(refit)]) == 0
+        capsys.readouterr()
+        shipped = cfg.source.spectral_width
+        assert load_config(refit).source.spectral_width == pytest.approx(shipped, rel=1e-9)
 
     def test_shipped_config_refit_is_the_plain_one(self, fitted):
         # The first sweep is neither mixed nor loosened, so refitting the
@@ -392,10 +407,14 @@ class TestAnalyticOutputPin:
     weight difference, warm-bracketed like the other solves, instead of a
     grid scan and a root of the far residual: the same fixed point, but
     each sweep's offset solve stops at another point inside its tolerance.
+    Only ``refit.cfg`` was re-pinned a fifth time, when the config format
+    lost ``source.wavelength_nm``, ``receiver.eta_bob`` and
+    ``protocol.sift_factor``: the file lost those three lines, and no
+    value in it moved.
     """
 
     DIGESTS = {
-        "refit.cfg": "d10538507cb8d8a0106647d5d882032170dbf95f11dbd9973a46ff36cc4e1142",
+        "refit.cfg": "782d97dd9b1058a23e8f5a22a3e36f766740e199f843ebe9fc39531aa2c6b431",
         "distance.csv": "7b9b36679827a36abf899ba3058731642e68ca1b1b3b9cf8110f73c9e607c6fd",
         "bias.csv": "2551ec7c1248264b15ccd3c2671c7be6d9a8a297c7a66cf8d6b2c7bf436e6639",
     }

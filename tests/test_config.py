@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from qkdlink.cli import main
 from qkdlink.config import (
     ConfigError,
     default_config,
@@ -20,13 +21,13 @@ SHIPPED = resources.files("qkdlink.data").joinpath("default.cfg").read_text("utf
 KEYS = [line.split(" = ")[0] for line in SHIPPED.splitlines() if line]
 
 # Each copy key and the key whose value it must repeat.
-COPY_OF = {
-    **{key.replace("detector_a.", "detector_b."): key
-       for key in KEYS if key.startswith("detector_a.")},
-    "receiver.eta_bob": "detector_a.efficiency",
-}
+COPY_OF = {key.replace("detector_a.", "detector_b."): key
+           for key in KEYS if key.startswith("detector_a.")}
 # The keys that hold a value of their own: all but the copies.
-HELD = [key for key in KEYS if key not in COPY_OF and key != "protocol.sift_factor"]
+HELD = [key for key in KEYS if key not in COPY_OF]
+# Lines of keys the format no longer has: one nothing read, two copies.
+REMOVED = ["source.wavelength_nm = 1550.0", "receiver.eta_bob = 0.06",
+           "protocol.sift_factor = 0.5"]
 
 
 def edit(text, key, value):
@@ -145,11 +146,13 @@ class TestSemanticValidation:
         with pytest.raises(ConfigError, match=re.escape(f"{key} must equal {original}")):
             parse_config(edit(text, key, "0.7"))
 
-    def test_sift_factor_is_pinned(self, text):
-        bad = text.replace("protocol.sift_factor = 0.5", "protocol.sift_factor = 0.7")
-        assert bad != text
-        with pytest.raises(ConfigError, match="sift_factor"):
-            parse_config(bad)
+    @pytest.mark.parametrize("line", REMOVED, ids=[line.split(" = ")[0] for line in REMOVED])
+    def test_removed_key_is_unknown(self, text, line, tmp_path, capsys):
+        # A file written before the key was removed fails like any unknown key.
+        path = tmp_path / "old.cfg"
+        path.write_text(text + line + "\n")
+        assert main(["simulate", "--config", str(path), "--pulses", "1000"]) == 2
+        assert f"unknown key '{line.split(' = ')[0]}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", [k for k in HELD if k != "channel.compensated"])
     def test_infinite_value_rejected(self, text, leaf_of, key):

@@ -53,7 +53,6 @@ class TestSourceParams:
             ("side_mode_weight", 1.0),
             ("side_mode_weight", -0.1),
             ("side_mode_offset", -0.5),
-            ("wavelength", 0.0),
         ],
     )
     def test_rejects_bad_values(self, field, value):

@@ -164,6 +164,8 @@ class TestKeyAccounting:
     def test_secure_key_length_clamps_at_zero(self):
         assert secure_key_length(1000, 0.2, CONSTS) == 0
         assert secure_key_length(0, 0.01, CONSTS) == 0
+        # The largest f_ec the config accepts drives the product to -inf.
+        assert secure_key_length(1000, 0.01, ProtocolConstants(f_ec=1.7976931348623157e308)) == 0
 
     def test_secure_key_length_validation(self):
         with pytest.raises(ParameterError):

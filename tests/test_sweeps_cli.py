@@ -223,6 +223,19 @@ class TestCli:
         assert set(np.unique(det)) <= {0, 1}
         assert "# n_sifted" in key_path.read_text()
 
+    def test_sifted_key_at_the_largest_f_ec_has_no_secure_bits(self, cfg, tmp_path, capsys):
+        config, key_path = tmp_path / "f_ec.cfg", tmp_path / "key.txt"
+        save_config(dataclasses.replace(
+            cfg, protocol=dataclasses.replace(cfg.protocol, f_ec=1.7976931348623157e308)),
+            config)
+        rc = main(["simulate", "--config", str(config), "--pulses", "50000", "--seed", "9",
+                   "--sifted-key", str(key_path)])
+        capsys.readouterr()
+        assert rc == 0
+        tail = key_path.read_text().splitlines()[-3:]
+        assert not tail[1].endswith("= 0.0")  # some error, so the yield is -1.8e308
+        assert tail[2] == "# secure_bits = 0"
+
     def test_simulate_csv_dump(self, tmp_path):
         out = tmp_path / "tags.csv"
         rc = main([
