@@ -24,7 +24,8 @@ weight difference; and the afterpulse reference is the root of the
 derivative of its secure-rate least squares.
 After the first sweep every root brackets near the last sweep's root; no
 sign change over a stage's whole range means its anchors are unreachable
-and raises :class:`ConvergenceError` with the residuals gathered so far.
+and raises :class:`ConvergenceError` naming the stage, its bracket and the
+cause.
 
 Trials run on plain floats through the :mod:`linkbudget` kernels: a stage
 reads once per sweep what its trial value cannot move and recomputes per
@@ -93,6 +94,9 @@ class CalibrationAnchors:
         for name, value in vars(self).items():  # regular arrays, by the shapes above
             if not np.isfinite(value).all():
                 raise ParameterError(f"anchor {name} must be finite, got {value}")
+        # The secure-rate misfits are relative to their targets.
+        if not all(rate > 0.0 for _, rate in self.secure):
+            raise ParameterError(f"anchor secure rates must be positive, got {self.secure}")
         # The bias exponent is a log-ratio over the two biases and the dark
         # slope a difference quotient over the two lengths.
         if self.qber_low_eta == self.operating_eta:
@@ -225,6 +229,14 @@ class _Fitter:
         eta = self.anchors.operating_eta
         return [self._raw_rate(a, self._clicks(a, eta, dark)) for a in arrivals]
 
+    def _slope_misfit(self, dark: float) -> float:
+        """The raw-rate slope between the slope lengths less its anchor;
+        ``ValueError`` when a slope length has no clicks."""
+        (l1, l2), (r1, r2) = self.anchors.slope_lengths, self._slope_rates(dark)
+        if not (r1 > 0.0 and r2 > 0.0):
+            raise ValueError(f"no clicks at a slope length, raw rates {r1} and {r2} Hz")
+        return 10.0 * math.log10(r1 / r2) / (l2 - l1) - self.anchors.slope_db_per_km
+
     def _interclock(self, length: float) -> float:
         return self._arrival(length)[2]
 
@@ -291,20 +303,11 @@ class _Fitter:
             self._move(name, root)
             return root
         except ValueError as exc:
-            raise ConvergenceError(
-                f"{label}: no solution in [{lo}, {hi}] ({exc}); "
-                f"residuals so far: {self.residuals()}"
-            ) from exc
+            raise ConvergenceError(f"{label}: no solution in [{lo}, {hi}] ({exc})") from exc
 
     def stage_spectral_width(self) -> None:
-        l1, l2 = self.anchors.slope_lengths
-        target = self.anchors.slope_db_per_km
-
-        def residual(width, dark):
-            r1, r2 = self._slope_rates(dark)
-            return 10.0 * math.log10(r1 / r2) / (l2 - l1) - target
-
-        self._solve(residual, lambda: self._noise(self.anchors.operating_eta)[:1], 1e-3, 1.0,
+        self._solve(lambda width, dark: self._slope_misfit(dark),
+                    lambda: self._noise(self.anchors.operating_eta)[:1], 1e-3, 1.0,
                     "spectral width vs raw-rate slope", "spectral_width")
 
     def _side_weight(self, length: float, target: float):
@@ -343,7 +346,7 @@ class _Fitter:
                              0.56, 0.95, failure, "side_mode_offset")
         (weight, near_ok), (_, far_ok) = near(offset), far(offset)
         if not (near_ok and far_ok):
-            raise ConvergenceError(f"{failure}; residuals so far: {self.residuals()}")
+            raise ConvergenceError(failure)
         self._move("side_mode_weight", weight)
 
     def stage_dark_slope(self) -> None:
@@ -410,34 +413,29 @@ class _Fitter:
     def residuals(self) -> dict:
         """Each anchor's misfit, read through the functions the stages solve."""
         a = self.anchors
-        out: dict[str, float] = {}
-        try:
-            dark, afterpulse = self._noise(a.operating_eta)
-            l1, l2 = a.slope_lengths
-            r1, r2 = self._slope_rates(dark)
-            out["slope_db_per_km"] = 10.0 * math.log10(r1 / r2) / (l2 - l1) - a.slope_db_per_km
-            secure = self._secure_points()(afterpulse)
-            fit = np.polyfit([length for length, _ in a.secure],
-                             [-10.0 * math.log10(raw) for raw, _ in secure], 1)
-            out["slope_regression_db_per_km"] = float(fit[0]) - a.slope_db_per_km
-            for length, target in a.interclock:
-                out[f"interclock_{length}km"] = self._interclock(length) - target
-            for (length, target), qber in zip(a.compensated_qber,
-                                              self._compensated_qber()(dark, afterpulse)):
-                out[f"qber_compensated_{length}km"] = qber - target
-            for (length, target), (raw, qber) in zip(a.secure, secure):
-                rate = keyrate.secure_rate(raw, qber, self.base.protocol)
-                out[f"secure_rel_{length}km"] = (rate - target) / target
-            out["qber_low_bias"] = self._low_bias_errors()[4] - a.qber_low
-        except Exception:  # partial state mid-fit; report what we can
-            out["evaluation_error"] = float("nan")
+        dark, afterpulse = self._noise(a.operating_eta)
+        out = {"slope_db_per_km": self._slope_misfit(dark)}
+        secure = self._secure_points()(afterpulse)
+        fit = np.polyfit([length for length, _ in a.secure],
+                         [-10.0 * math.log10(raw) for raw, _ in secure], 1)
+        out["slope_regression_db_per_km"] = float(fit[0]) - a.slope_db_per_km
+        for length, target in a.interclock:
+            out[f"interclock_{length}km"] = self._interclock(length) - target
+        for (length, target), qber in zip(a.compensated_qber,
+                                          self._compensated_qber()(dark, afterpulse)):
+            out[f"qber_compensated_{length}km"] = qber - target
+        for (length, target), (raw, qber) in zip(a.secure, secure):
+            rate = keyrate.secure_rate(raw, qber, self.base.protocol)
+            out[f"secure_rel_{length}km"] = (rate - target) / target
+        out["qber_low_bias"] = self._low_bias_errors()[4] - a.qber_low
         return out
 
-    def diagnostics(self) -> tuple[tuple, dict]:
-        a = self.anchors
-        cal = self.fitted().calibration
-        pa_high = cal.afterpulse_at(a.pa_ceiling_eta)
-        dark_high = cal.dark_at(a.pa_ceiling_eta)
+    def diagnostics(self) -> tuple:
+        """Warnings for couplings that extrapolate past the device ceilings."""
+        s, a, cal = self.state, self.anchors, self.base.calibration
+        pa_high = _afterpulse_at(s["pa_ref"], a.operating_eta, s["gamma"], a.pa_ceiling_eta)
+        dark_high = _dark_at(cal.dark_floor, cal.dark_floor_eta, s["dark_slope"],
+                             a.pa_ceiling_eta)
         warnings = []
         if pa_high >= a.pa_ceiling:
             warnings.append(
@@ -452,7 +450,7 @@ class _Fitter:
                 f"d({a.pa_ceiling_eta:.2f}) = {dark_high:.3e}, above the "
                 f"device ceiling {a.dark_ceiling:.3e}"
             )
-        return tuple(warnings), {"pa_at_ceiling_eta": pa_high, "dark_at_ceiling_eta": dark_high}
+        return tuple(warnings)
 
 
 def _anderson(history: list) -> np.ndarray:
@@ -509,6 +507,5 @@ def calibrate(config: SystemConfig,
     # at the config's own bias point.
     fitted_config = fitter.fitted().at_bias(config.receiver.detector.efficiency)
 
-    warnings, extras = fitter.diagnostics()
-    residuals = {**fitter.residuals(), **extras}
-    return fitted_config, FitReport(dict(fitter.state), residuals, warnings, tuple(trace))
+    return fitted_config, FitReport(dict(fitter.state), fitter.residuals(),
+                                    fitter.diagnostics(), tuple(trace))

@@ -81,18 +81,13 @@ class ClickProbabilities:
 @dataclass(frozen=True)
 class QberBreakdown:
     """Additive error-rate contributions; ``total`` is their sum, in the
-    order :func:`_error_budget` adds them."""
+    order :func:`_error_budget` adds them.  Neither a term nor the total is
+    bounded by 1/2: ``e_opt`` alone passes it with a mis-modulation of 0.5."""
 
     e_opt: float
     e_afterpulse: float
     e_dark: float
     e_interclock: float
-
-    def __post_init__(self) -> None:
-        for name in ("e_opt", "e_afterpulse", "e_dark", "e_interclock"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 0.5:
-                raise ParameterError(f"{name} must lie in [0, 0.5], got {value}")
 
     @property
     def total(self) -> float:

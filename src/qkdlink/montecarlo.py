@@ -487,8 +487,8 @@ def simulate(
     SimulationResult
         Alice's log and Bob's basis record (lazy :class:`ClockBits`
         columns, ``n_pulses`` long, read at clock arrays) and the squashed
-        time-tag stream.  ``result.meta`` records the seed and stream
-        layout.
+        time-tag stream.  ``result.meta`` records the seed, segments,
+        ``n_pulses``, gate period and window, and ``events_generated``.
     """
     if not 1 <= n_pulses <= 2**53:
         raise ParameterError(f"n_pulses must lie in [1, 2**53], got {n_pulses}")
@@ -529,16 +529,6 @@ def simulate(
         "n_pulses": int(n_pulses),
         "gate_period_ps": period,
         "gate_window_ps": det.gate_window,
-        "rng": (
-            "per-clock coins: SplitMix64 of (clock + 1) * golden + key, key = "
-            "SeedSequence(seed).generate_state(1, uint64); bits 63, 62, 61, 60: "
-            "Alice's bit, Alice's basis, Bob's basis, squash keeps A; low 53 "
-            "bits < ceil(m * 2**53): mis-modulated; Philox streams spawned "
-            "from the seed: the run's afterpulses (per detector and generation: "
-            "a Poisson total, sorted uniform parents, delays, offsets), then one "
-            "per segment for its candidates (a Poisson count per spectral line, "
-            "dark counts, clocks, normals, routing, dark gates and offsets)"
-        ),
         "events_generated": budget.used,
     }
     alice = AliceLog(

@@ -71,7 +71,9 @@ _RANGES = {name: (valid, message) for valid, message, names in (
      "calibration.dark_floor"),
     (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]",
      "calibration.pa_ref_eta calibration.dark_floor_eta"),
-    (lambda v: v > 0.0, "must be positive", "detector.gate_window"),
+    # The hold-off grid's step (window / 2048) stays a normal float and a dark
+    # density (p / window) finite; inf is caught against the clock period.
+    (lambda v: v >= 1e-300, "must be at least 1e-300 ps", "detector.gate_window"),
     (lambda v: 1.0 <= v < math.inf, "must be finite and >= 1", "protocol.f_ec"),
 ) for name in names.split()}
 

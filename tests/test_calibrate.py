@@ -86,6 +86,16 @@ class TestResiduals:
         _, report = fitted
         assert abs(report.residuals["slope_regression_db_per_km"]) < 0.005
 
+    def test_residuals_are_the_anchor_misfits_alone(self, fitted):
+        _, report = fitted
+        assert list(report.residuals) == [
+            "slope_db_per_km", "slope_regression_db_per_km",
+            "interclock_65.5km", "interclock_75.8km",
+            "qber_compensated_75.8km", "qber_compensated_101.1km",
+            "secure_rel_5.6km", "secure_rel_25.3km", "secure_rel_65.5km",
+            "qber_low_bias",
+        ]
+
 
 class TestDiagnostics:
     def test_high_bias_afterpulse_warning(self, fitted):
@@ -158,6 +168,7 @@ class TestInputValidation:
             ("compensated_qber", ()),
             ("slope_lengths", (5.6,)),
             ("slope_lengths", (5.6, 25.3, 65.5)),
+            ("secure", ((5.6, 0.0), (25.3, 6.84e5), (65.5, 2.79e4))),
         ],
     )
     def test_degenerate_anchor_rejected(self, field, value):
@@ -165,7 +176,8 @@ class TestInputValidation:
         # slope undetermined; the fit would divide by zero.  The side mode
         # meets exactly two wrong-clock points, the raw-rate slope spans
         # exactly two lengths, a slope needs two secure rates and the dark
-        # slope at least one compensated QBER.
+        # slope at least one compensated QBER.  The secure-rate misfits are
+        # relative, so a secure rate must be positive.
         with pytest.raises(ParameterError, match=field):
             dataclasses.replace(CalibrationAnchors(), **{field: value})
 

@@ -9,7 +9,6 @@ from hypothesis import event, given, seed, settings, strategies as st
 from qkdlink import keyrate, linkbudget
 from qkdlink.linkbudget import (
     ClickProbabilities,
-    QberBreakdown,
     click_probabilities,
     effective_blocked_gates,
     link_timing,
@@ -356,10 +355,6 @@ class TestQberBreakdown:
         fixed = qber_breakdown(cfg.source, replace(channel, compensated=True), cfg.receiver)
         assert plain.e_interclock > 0.10
         assert fixed.e_interclock == 0.0
-
-    def test_validation_rejects_out_of_range_component(self):
-        with pytest.raises(ParameterError, match="e_dark"):
-            QberBreakdown(e_opt=0.01, e_afterpulse=0.0, e_dark=0.6, e_interclock=0.0)
 
 
 def _kernel_caches():

@@ -202,6 +202,13 @@ class TestSimulate:
             scan_stream_invariants(a, config)
             assert a.meta["segments"] == segments
 
+    def test_meta_records_the_run_alone(self, cfg):
+        # The stream layout is the module's documentation, not a per-run value.
+        meta = simulate(cfg, 1000, seed=3, segments=2).meta
+        assert list(meta) == ["seed", "segments", "n_pulses", "gate_period_ps",
+                              "gate_window_ps", "events_generated"]
+        assert (meta["seed"], meta["segments"], meta["n_pulses"]) == (3, 2, 1000)
+
     def test_dark_counts_only_when_source_off(self, cfg):
         dim = dataclasses.replace(
             cfg, source=dataclasses.replace(cfg.source, mu=0.0)

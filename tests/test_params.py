@@ -79,7 +79,7 @@ class TestDetectorParams:
         "field,value",
         [("efficiency", -0.01), ("efficiency", 1.5), ("dark_prob", -1e-9),
          ("afterpulse_total", 1.0), ("gate_window", 0.0), ("dead_time", -1.0),
-         ("jitter_fwhm", -1.0)],
+         ("jitter_fwhm", -1.0), ("gate_window", math.nextafter(1e-300, 0.0))],
     )
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ParameterError):

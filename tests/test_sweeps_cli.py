@@ -1,20 +1,22 @@
 """Tests for the sweep runners, CSV emitters, and the command-line tool."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qkdlink
-from qkdlink import montecarlo, sweeps
+from qkdlink import cli, montecarlo, sweeps
 from qkdlink.cli import main
-from qkdlink.config import save_config
+from qkdlink.config import default_config, dumps_config, save_config
 from qkdlink.keyrate import RateResult
 from qkdlink.linkbudget import QberBreakdown
 from qkdlink.montecarlo import read_binary_dump
@@ -31,7 +33,44 @@ EDITED_CFGS = {
     "<dead-time-1e306.cfg>": {"detector_a.dead_time_ns": "1e306",
                               "detector_b.dead_time_ns": "1e306"},
     "<not-utf8.cfg>": b"\xff\xfesource.mu = 0.2\n",
+    **{f"<gate-window-{value}.cfg>": {"detector_a.gate_window_ps": value,
+                                      "detector_b.gate_window_ps": value}
+       for value in ("5e-324", "1e-310", "1e-300")},
+    "<mismodulation-0.6.cfg>": {"receiver.mismodulation_error": "0.6"},
+    "<no-clicks.cfg>": {"source.mu": "0.0", "calibration.dark_floor": "0.0"},
 }
+
+
+def write_edited(cfg, edits, path):
+    """Write ``cfg`` to ``path`` with the values of the keys in ``edits``
+    replaced, or write ``edits`` itself when it is raw bytes."""
+    if isinstance(edits, bytes):
+        path.write_bytes(edits)
+        return path
+    lines = dumps_config(cfg).splitlines()
+    keys = [line.split(" = ")[0] for line in lines]
+    assert edits.keys() <= set(keys)
+    path.write_text("\n".join(f"{key} = {edits[key]}" if key in edits else line
+                              for key, line in zip(keys, lines)) + "\n")
+    return path
+
+
+# The boundary-value grid: each numeric key of the packaged config, a
+# detector_b.* copy set together with its detector_a.* key, at each value,
+# through every command on a small run.
+GRID_KEYS = [line.split(" = ")[0] for line in dumps_config(default_config()).splitlines()
+             if " = " in line and not line.startswith("detector_b.")
+             and line.split(" = ")[1] not in ("true", "false")]
+GRID_VALUES = ("0", "5e-324", "1e-300", "1e-12", "1e12", "1e300", repr(sys.float_info.max),
+               "-1", "nan", "inf")
+GRID_COMMANDS = (
+    ("simulate", "--pulses", "1000"),
+    ("sweep-distance", "--lengths", "5.6"),
+    ("sweep-distance", "--lengths", "5.6", "--engine", "mc", "--pulses", "1000"),
+    ("sweep-bias", "--etas", "0.02,0.12"),
+    ("histogram", "--pulses", "1000"),
+    ("calibrate",),
+)
 
 HEADER = "length_km,raw_hz,qber,e_opt,e_afterpulse,e_dark,e_interclock,secure_hz,compensated"
 
@@ -276,8 +315,6 @@ class TestCli:
         assert head[2].startswith("# fwhm_ps = ")
 
     def test_invalid_config_exits_2(self, cfg, tmp_path, capsys):
-        from qkdlink.config import dumps_config
-
         bad = tmp_path / "bad.cfg"
         bad.write_text(dumps_config(cfg).replace("source.mu = 0.2", "source.mu = -1.0"))
         rc = main(["sweep-distance", "--config", str(bad)])
@@ -411,6 +448,41 @@ class TestCli:
         assert rc == 3
         assert "fit error" in capsys.readouterr().err
 
+    def test_failed_stage_names_stage_bracket_and_cause(self, capsys):
+        # The trial the stage rejected is no state the fit reached, so the
+        # message reports no residuals read there.
+        assert main(["calibrate", "--slope-target", "0"]) == 3
+        assert capsys.readouterr().err == (
+            "fit error: spectral width vs raw-rate slope: no solution in [0.001, 1.0] "
+            "(f(a) and f(b) must have different signs)\n")
+
+    def test_fit_of_a_link_without_clicks_exits_3(self, cfg, tmp_path, capsys):
+        path = write_edited(cfg, EDITED_CFGS["<no-clicks.cfg>"], tmp_path / "dark.cfg")
+        assert main(["calibrate", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "no clicks at a slope length" in err
+        assert "Traceback" not in err
+
+    def test_gate_window_at_the_floor_runs(self, cfg, tmp_path, capsys):
+        # At 1e-300 ps the hold-off grid's step and a dark density stay finite
+        # and non-zero, so the run ends cleanly (the suite fails on a warning).
+        path = write_edited(cfg, EDITED_CFGS["<gate-window-1e-300.cfg>"], tmp_path / "w.cfg")
+        assert main(["sweep-distance", "--config", str(path), "--lengths", "5.6"]) == 0
+
+    @pytest.mark.parametrize("engine", ["analytic", "mc"])
+    def test_optical_error_past_half_is_reported(self, engine, cfg, tmp_path, capsys):
+        # A mis-modulation of 0.6 puts e_opt past 1/2: the rows report it and
+        # yield no key, as the event engine's measured QBER does.
+        path = write_edited(cfg, EDITED_CFGS["<mismodulation-0.6.cfg>"], tmp_path / "m.cfg")
+        common = ["--config", str(path), "--engine", engine, "--pulses", "2000"]
+        assert main(["sweep-distance", *common, "--lengths", "5.6"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        assert (values["e_opt"], values["secure_hz"]) == ("6.03e-01", "0.e+00")
+        assert main(["sweep-bias", *common, "--etas", "0.02,0.12"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[-2] for row in rows] == ["0.e+00", "0.e+00"]
+
     def test_calibrate_writes_config(self, tmp_path, capsys):
         out = tmp_path / "refit.cfg"
         rc = main(["calibrate", "--out", str(out)])
@@ -420,7 +492,7 @@ class TestCli:
         # Pins the report's bytes, residuals included, ahead of the path line.
         report = text[:text.index("calibrated config written to")]
         assert hashlib.sha256(report.encode()).hexdigest() == (
-            "1591a0c3695b5053acc056e7dbf13ab114d459de01cd1b6e9060a8d59e526ed4"
+            "3b6f819c009d0708af9d40fb2244e5327fcc4bef2630f722f2dfd2e78c93d5bc"
         )
         assert out.exists()
         from qkdlink.config import load_config
@@ -523,6 +595,11 @@ class TestCli:
               for command, extra in (("simulate", ["--pulses", "1000"]), ("sweep-distance", []),
                                      ("sweep-bias", []), ("histogram", ["--pulses", "1000"]),
                                      ("calibrate", []))),
+            # Windows whose hold-off grid or dark density would not be finite.
+            *(pytest.param(["sweep-distance", "--config", f"<gate-window-{value}.cfg>",
+                            "--lengths", "5.6"], "detector.gate_window",
+                           id=f"sweep-distance-gate-window-{value}")
+              for value in ("5e-324", "1e-310")),
             pytest.param(
                 ["simulate", "--config", "<not-utf8.cfg>", "--pulses", "1000"],
                 "edited.cfg: not UTF-8", id="config-not-utf8",
@@ -547,25 +624,43 @@ class TestCli:
     )
     def test_invalid_input_exits_2_without_traceback(self, argv, message, cfg, tmp_path,
                                                      capsys):
-        for i, arg in enumerate(argv):
-            if arg in EDITED_CFGS:
-                from qkdlink.config import dumps_config
-
-                edits = EDITED_CFGS[arg]
-                path = tmp_path / "edited.cfg"
-                if isinstance(edits, bytes):
-                    path.write_bytes(edits)
-                else:
-                    lines = dumps_config(cfg).splitlines()
-                    keys = [line.split(" = ")[0] for line in lines]
-                    assert edits.keys() <= set(keys)
-                    edited = [f"{key} = {edits[key]}" if key in edits else line
-                              for key, line in zip(keys, lines)]
-                    path.write_text("\n".join(edited) + "\n")
-                argv = [*argv[:i], str(path), *argv[i + 1:]]
+        argv = [str(write_edited(cfg, EDITED_CFGS[arg], tmp_path / "edited.cfg"))
+                if arg in EDITED_CFGS else arg for arg in argv]
         rc = main(argv)
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("error: ")
         assert message in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestBoundaryGrid:
+    """Every value the grid gives a key ends in exit 0, 2 or 3, with no
+    traceback and no warning."""
+
+    def test_grid_covers_every_numeric_key(self):
+        assert len(GRID_KEYS) == 25
+
+    @pytest.mark.parametrize("key", GRID_KEYS)
+    def test_boundary_values_end_in_a_documented_exit_code(self, key, cfg, tmp_path, capsys,
+                                                           monkeypatch):
+        # Every run builds the same parser; building it once per key group
+        # halves the grid's time.
+        monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+        bad = []
+        for value in GRID_VALUES:
+            edits = {key: value}
+            if key.startswith("detector_a."):
+                edits["detector_b." + key.removeprefix("detector_a.")] = value
+            path = str(write_edited(cfg, edits, tmp_path / "grid.cfg"))
+            for command in GRID_COMMANDS:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        rc = main([command[0], "--config", path, *command[1:]])
+                    except Exception as exc:  # a traceback, or a warning raised as one
+                        rc = f"{type(exc).__name__}: {exc}"
+                capsys.readouterr()
+                if rc not in (0, 2, 3):
+                    bad.append((value, " ".join(command), rc))
+        assert bad == []
