@@ -87,23 +87,34 @@ class CalibrationAnchors:
         for name, fewest, most in (("interclock", 2, 2), ("secure", 2, math.inf),
                                    ("compensated_qber", 1, math.inf)):
             points = getattr(self, name)
-            if not fewest <= len(points) <= most or any(len(p) != 2 for p in points):
+            if not fewest <= len(points) <= most or any(len(p) != 2 or p[0] < 0.0 for p in points):
                 bound = "exactly" if most == fewest else "at least"
-                raise ParameterError(f"anchor {name} must hold {bound} {fewest} "
-                                     f"(length, value) pairs, got {points}")
+                raise ParameterError(f"anchor {name} must hold {bound} {fewest} (length, value) "
+                                     f"pairs, no length negative, got {points}")
         for name, value in vars(self).items():  # regular arrays, by the shapes above
             if not np.isfinite(value).all():
                 raise ParameterError(f"anchor {name} must be finite, got {value}")
-        # The secure-rate misfits are relative to their targets.
-        if not all(rate > 0.0 for _, rate in self.secure):
-            raise ParameterError(f"anchor secure rates must be positive, got {self.secure}")
+        # The secure-rate misfits are relative, and their slope regression
+        # needs one rate per length.
+        lengths, rates = zip(*self.secure)
+        if min(rates) <= 0.0 or len(set(lengths)) < len(lengths):
+            raise ParameterError(f"anchor secure must hold positive rates at distinct lengths, "
+                                 f"got {self.secure}")
         # The bias exponent is a log-ratio over the two biases and the dark
         # slope a difference quotient over the two lengths.
         if self.qber_low_eta == self.operating_eta:
             raise ParameterError("anchor qber_low_eta must differ from operating_eta")
-        if len(self.slope_lengths) != 2 or self.slope_lengths[0] == self.slope_lengths[1]:
-            raise ParameterError(f"anchor slope_lengths must be two different lengths, "
-                                 f"got {self.slope_lengths}")
+        slope = self.slope_lengths
+        if len(slope) != 2 or not 0.0 <= min(slope) < max(slope):
+            raise ParameterError(f"anchor slope_lengths must be two different non-negative "
+                                 f"lengths, got {slope}")
+        if self.qber_low_length < 0.0:
+            raise ParameterError(f"anchor qber_low_length must be non-negative, "
+                                 f"got {self.qber_low_length}")
+        # Biases are detector efficiencies.
+        for name in ("operating_eta", "qber_low_eta", "pa_ceiling_eta"):
+            if not 0.0 < (eta := getattr(self, name)) <= 1.0:
+                raise ParameterError(f"anchor {name} must lie in (0, 1], got {eta}")
 
 
 @dataclass(frozen=True)
@@ -187,14 +198,13 @@ class _Fitter:
 
     def _noise(self, eta: float) -> tuple[float, float]:
         """Dark-count and afterpulse probability at bias ``eta``, range-checked like
-        the fitted config biased to ``eta``; the couplings were checked when set."""
-        s, cal, pa_ref_eta = self.state, self.base.calibration, self.anchors.operating_eta
-        _check_range("calibration.pa_ref_eta", pa_ref_eta)
+        the fitted config biased to ``eta``; the couplings were checked when set
+        and the biases when the anchors were built."""
+        s, cal = self.state, self.base.calibration
         dark = _dark_at(cal.dark_floor, cal.dark_floor_eta, s["dark_slope"], eta)
-        afterpulse = _afterpulse_at(s["pa_ref"], pa_ref_eta, s["gamma"], eta)
-        for name, value in zip(("efficiency", "dark_prob", "afterpulse_total"),
-                               (eta, dark, afterpulse)):
-            _check_range(f"detector.{name}", value)
+        afterpulse = _afterpulse_at(s["pa_ref"], self.anchors.operating_eta, s["gamma"], eta)
+        _check_range("detector.dark_prob", dark)
+        _check_range("detector.afterpulse_total", afterpulse)
         return dark, afterpulse
 
     def _arrival(self, length: float, compensated: bool = False):

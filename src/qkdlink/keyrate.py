@@ -41,12 +41,6 @@ class RateResult:
     qber: float
     secure_rate: float
 
-    def __post_init__(self) -> None:
-        if self.secure_rate < 0.0:
-            raise ParameterError("secure_rate must be non-negative")
-        if self.secure_rate > 0.5 * self.raw_rate + 1e-9:
-            raise ParameterError("secure_rate cannot exceed half the raw rate")
-
 
 def binary_entropy(e: float) -> float:
     """Binary Shannon entropy H(e) in bits, with H(0) = H(1) = 0."""

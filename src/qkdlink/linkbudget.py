@@ -80,18 +80,15 @@ class ClickProbabilities:
 
 @dataclass(frozen=True)
 class QberBreakdown:
-    """Additive error-rate contributions; ``total`` is their sum, in the
-    order :func:`_error_budget` adds them.  Neither a term nor the total is
-    bounded by 1/2: ``e_opt`` alone passes it with a mis-modulation of 0.5."""
+    """Additive error-rate contributions and ``total``, their sum as
+    :func:`_error_budget` forms it.  Neither a term nor the total is bounded
+    by 1/2: ``e_opt`` alone passes it with a mis-modulation of 0.5."""
 
     e_opt: float
     e_afterpulse: float
     e_dark: float
     e_interclock: float
-
-    @property
-    def total(self) -> float:
-        return self.e_opt + self.e_afterpulse + self.e_dark + self.e_interclock
+    total: float
 
 
 def transmittance(length: float, attenuation: float) -> float:
@@ -250,21 +247,25 @@ def _holdoff(window: float, period: float, dead: float):
     grid = np.linspace(-half, half, 2049)
     du = grid[1] - grid[0]
     lookups = []
-    k = k_always + 1
-    while k * period < dead + window:
+    # Exact arithmetic admits ceil(2 * window / period) partial gates, rounding one more at
+    # each end; the count ends the loop, as k * period stops moving with k past 2^53 periods.
+    for k in range(k_always + 1, k_always + 3 + math.ceil(2.0 * window / period)):
+        if not k * period < dead + window:
+            break
         lookups.append(np.searchsorted(grid, grid - (dead - k * period), side="right"))
-        k += 1
     for array in (grid, *lookups):
         array.flags.writeable = False
     return k_always, grid, du, tuple(lookups)
 
 
+@np.errstate(over="ignore")
 def _blocked_gates(components, window, period, dead, p_signal, p_dark) -> float:
     """Blocked gates from the offset density of signal and dark clicks.
 
     Terms, normalization and lookups run in place, each step in the order of
     the plain expression, and the trapezoid rule in ``np.trapezoid``'s
-    order, so the result matches those expressions to the bit.
+    order, so the result matches those expressions to the bit.  A line so
+    narrow that its ``z**2`` passes the float range adds its exact 0 there.
     """
     k_always, grid, du, lookups = _holdoff(window, period, dead)
     density = np.zeros(grid.size)
@@ -345,7 +346,7 @@ def qber_breakdown(
     _, e_interclock = link_timing(source, channel, receiver)
     return QberBreakdown(*_error_budget(receiver.optical_error,
                                         receiver.detector.afterpulse_total,
-                                        clicks.p_dark, clicks.p_total, e_interclock)[:4])
+                                        clicks.p_dark, clicks.p_total, e_interclock))
 
 
 def _error_budget(e_opt, afterpulse_total, p_dark, p_total, e_interclock):

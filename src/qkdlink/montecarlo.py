@@ -266,6 +266,7 @@ def _afterpulse_tree(gates, offsets, det, ap_rng, period, n_gates, budget):
     return np.concatenate(node_gate), np.concatenate(node_off), parents
 
 
+@np.errstate(over="ignore")
 def _time_order(gate, off, n_candidates, period, dead):
     """Draw-order tree nodes (candidates first, each child after its
     parent) sorted by ``(gate, offset)``, candidates first on a tie:
@@ -276,7 +277,7 @@ def _time_order(gate, off, n_candidates, period, dead):
     gate or move a time across a gate; if the sorted pairs' differences
     show a decrease, a stable sort on ``(gate, offset, child)`` mends it.
     The differences then give ``free``: in a later gate than the node
-    before and at least ``dead`` after it.
+    before and at least ``dead`` after it.  Times past the float range read inf.
     """
     order = np.argsort(gate * period + off, kind="stable")
     gate, off = gate[order], off[order]

@@ -66,13 +66,6 @@ class SweepTable:
     key_name: str
     rows: tuple
 
-    def __post_init__(self) -> None:
-        xs = [row.x for row in self.rows]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ParameterError(
-                f"sweep variable {self.key_name!r} must be strictly increasing"
-            )
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -104,22 +97,26 @@ def _measured_point(config: SystemConfig, n_pulses: int, seed: int):
     return rate, breakdown
 
 
-def _resolve_point(config, engine, n_pulses, seed):
-    if engine == "analytic":
-        return keyrate.evaluate_point(config)
-    if engine == "mc":
-        return _measured_point(config, n_pulses, seed)
-    raise ParameterError(f"unknown engine {engine!r} (expected 'analytic' or 'mc')")
+def _grid(values, name: str) -> list[float]:
+    """A sweep's grid: ``values`` as floats in ascending order, none repeated."""
+    grid = sorted(float(value) for value in values)
+    if not grid:
+        raise ParameterError(f"{name} must not be empty")
+    for a, b in zip(grid, grid[1:]):
+        if a == b:
+            raise ParameterError(f"{name} must not repeat a value, got {a} twice")
+    return grid
 
 
 def _sweep(key_name: str, points, engine, n_pulses, seed) -> SweepTable:
     """Resolve ``(x, config)`` points in order; row ``i`` uses ``seed + i``."""
+    if engine not in ("analytic", "mc"):
+        raise ParameterError(f"unknown engine {engine!r} (expected 'analytic' or 'mc')")
     rows = []
     for i, (x, point) in enumerate(points):
-        rate, qber = _resolve_point(point, engine, n_pulses, seed + i)
-        rows.append(
-            SweepRow(x=x, rate=rate, qber=qber, compensated=point.channel.compensated)
-        )
+        rate, qber = (keyrate.evaluate_point(point) if engine == "analytic"
+                      else _measured_point(point, n_pulses, seed + i))
+        rows.append(SweepRow(x=x, rate=rate, qber=qber, compensated=point.channel.compensated))
     return SweepTable(key_name=key_name, rows=tuple(rows))
 
 
@@ -133,14 +130,11 @@ def run_distance_sweep(
 ) -> SweepTable:
     """Rates and error budget across fiber lengths.
 
-    Every row keeps the config's dispersion-compensation flag.  Event-engine
-    rows use seed + row index, so the whole table is reproducible from one
-    seed.
+    The lengths run ascending, none repeated, each row keeping the config's
+    dispersion-compensation flag.  Event-engine rows use seed + row index,
+    so the whole table is reproducible from one seed.
     """
-    lengths = [float(length) for length in lengths]
-    if not lengths:
-        raise ParameterError("lengths must not be empty")
-    points = [(x, config.at_length(x)) for x in lengths]
+    points = [(x, config.at_length(x)) for x in _grid(lengths, "lengths")]
     return _sweep("length_km", points, engine, n_pulses, seed)
 
 
@@ -154,14 +148,12 @@ def run_bias_sweep(
 ) -> SweepTable:
     """Rates and error budget across detector bias (efficiency) settings.
 
-    The grid is sorted ascending.  Every point re-derives the coupled
+    The grid runs ascending, none repeated.  Every point re-derives the coupled
     detector figures (efficiency, dark counts, afterpulsing) through the
     calibrated bias laws (:meth:`SystemConfig.at_bias`) before either engine
     runs.  Event-engine rows use seed + row index.
     """
-    etas = sorted(float(e) for e in eta_grid)
-    if not etas:
-        raise ParameterError("eta_grid must not be empty")
+    etas = _grid(eta_grid, "eta_grid")
     for eta in etas:
         if not 0.0 < eta <= 1.0:
             raise ParameterError(f"eta grid values must lie in (0, 1], got {eta}")

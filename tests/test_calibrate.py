@@ -169,6 +169,16 @@ class TestInputValidation:
             ("slope_lengths", (5.6,)),
             ("slope_lengths", (5.6, 25.3, 65.5)),
             ("secure", ((5.6, 0.0), (25.3, 6.84e5), (65.5, 2.79e4))),
+            ("operating_eta", 0.0),
+            ("operating_eta", 2.0),
+            ("qber_low_eta", -0.02),
+            ("pa_ceiling_eta", -0.1),
+            ("slope_lengths", (-5.6, 65.5)),
+            ("qber_low_length", -5.6),
+            ("interclock", ((-65.5, 0.021), (75.8, 0.105))),
+            ("compensated_qber", ((75.8, 0.063), (-101.1, 0.078))),
+            ("secure", ((5.6, 2.37e6), (-25.3, 6.84e5), (65.5, 2.79e4))),
+            ("secure", ((25.3, 6.84e5), (25.3, 6.84e5))),
         ],
     )
     def test_degenerate_anchor_rejected(self, field, value):
@@ -177,7 +187,9 @@ class TestInputValidation:
         # meets exactly two wrong-clock points, the raw-rate slope spans
         # exactly two lengths, a slope needs two secure rates and the dark
         # slope at least one compensated QBER.  The secure-rate misfits are
-        # relative, so a secure rate must be positive.
+        # relative, so a secure rate must be positive.  Biases are detector
+        # efficiencies in (0, 1], lengths are never negative, and the
+        # secure rates' slope regression needs one rate per length.
         with pytest.raises(ParameterError, match=field):
             dataclasses.replace(CalibrationAnchors(), **{field: value})
 
@@ -622,15 +634,19 @@ class TestNoRepeatedWork:
 
 class TestRangeCheckBudget:
     def test_fit_range_check_budget(self, cfg, monkeypatch):
-        # Each coupling is checked once, when it is set.  Re-checking all six
-        # on every model read, as the fit once did, took 2,131 checks for
-        # this fit; checking each when it is set takes 1,138.
+        # Each coupling is checked once, when it is set, and each anchor when
+        # the anchors are built.  Re-checking all six couplings on every
+        # model read, as the fit once did, took 2,131 checks for this fit;
+        # checking each when it is set took 1,138, of which 364 re-checked
+        # the anchors' biases; without those it takes 774.
         calls = []
         check = fit_module._check_range
         monkeypatch.setattr(fit_module, "_check_range",
                             lambda *args: calls.append(args) or check(*args))
         calibrate(perturbed(cfg, *START))
-        assert len(calls) <= 1250
+        assert len(calls) <= 800
+        assert not {name for name, _ in calls} & {"calibration.pa_ref_eta",
+                                                  "detector.efficiency"}
 
 
 class TestWarmBracket:
@@ -712,7 +728,6 @@ class TestErrorPaths:
             ({"operating_eta": 0.9}, ConvergenceError, "detector.dark_prob"),
             ({"operating_eta": 0.5}, ConvergenceError, "no solution"),
             ({"qber_low_eta": 0.9}, ParameterError, "detector.dark_prob"),
-            ({"operating_eta": 0.0}, ConvergenceError, "calibration.pa_ref_eta"),
             ({"qber_low_eta": 0.5}, ParameterError, "detector.afterpulse_total"),
             # The first sweep's bias exponent comes out negative; the next
             # sweep rejects it.

@@ -194,14 +194,6 @@ class TestBrentPort:
 
 
 class TestRateResult:
-    def test_secure_rate_cannot_exceed_sifted_rate(self):
-        with pytest.raises(ParameterError):
-            RateResult(raw_rate=100.0, qber=0.0, secure_rate=60.0)
-
-    def test_negative_secure_rate_rejected(self):
-        with pytest.raises(ParameterError):
-            RateResult(raw_rate=100.0, qber=0.03, secure_rate=-1.0)
-
     def test_zero_secure_rate_accepted(self):
         # A link past the error threshold yields no key rather than failing.
         dead = RateResult(raw_rate=100.0, qber=0.2, secure_rate=0.0)

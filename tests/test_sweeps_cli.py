@@ -1,8 +1,10 @@
 """Tests for the sweep runners, CSV emitters, and the command-line tool."""
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, seed, settings, strategies as st
 
 import qkdlink
 from qkdlink import cli, montecarlo, sweeps
@@ -38,7 +41,18 @@ EDITED_CFGS = {
        for value in ("5e-324", "1e-310", "1e-300")},
     "<mismodulation-0.6.cfg>": {"receiver.mismodulation_error": "0.6"},
     "<no-clicks.cfg>": {"source.mu": "0.0", "calibration.dark_floor": "0.0"},
+    # A hold-off past 2^53 periods, a clock slow enough that event times
+    # pass the float range, and a side mode narrow enough that its Gaussian
+    # term does.
+    "<dead-time-1.07e183.cfg>": {"detector_a.dead_time_ns": "1.0712398992398632e+183",
+                                 "detector_b.dead_time_ns": "1.0712398992398632e+183"},
+    "<clock-rate-1.85e-294.cfg>": {"source.clock_rate_hz": "1.8525006282286652e-294"},
+    "<narrow-side-mode.cfg>": {"source.pulse_sigma0_ps": "1e-229",
+                               "detector_a.jitter_fwhm_ps": "5e-324",
+                               "detector_b.jitter_fwhm_ps": "5e-324"},
 }
+# Configs the boundary grid runs beside its key groups.
+GRID_CFGS = ("<dead-time-1.07e183.cfg>", "<clock-rate-1.85e-294.cfg>", "<narrow-side-mode.cfg>")
 
 
 def write_edited(cfg, edits, path):
@@ -72,6 +86,46 @@ GRID_COMMANDS = (
     ("calibrate",),
 )
 
+
+def grid_failures(path: str) -> list:
+    """``(command, outcome)`` of each of the ``GRID_COMMANDS`` on the config at
+    ``path`` that ends in an exit code other than 0, 2 or 3, in an
+    exception, or in a warning."""
+    bad = []
+    for command in GRID_COMMANDS:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error")
+            try:
+                rc = main([command[0], "--config", path, *command[1:]])
+            except Exception as exc:  # a traceback, or a warning raised as one
+                rc = f"{type(exc).__name__}: {exc}"
+        if rc not in (0, 2, 3):
+            bad.append((" ".join(command), rc))
+    return bad
+
+
+def grid_edits(key: str, value: str) -> dict:
+    """``key`` set to ``value``, with its detector_b.* copy for a detector_a.* key."""
+    edits = {key: value}
+    if key.startswith("detector_a."):
+        edits["detector_b." + key.removeprefix("detector_a.")] = value
+    return edits
+
+
+@st.composite
+def two_key_edits(draw):
+    """Two different key groups of the grid, each at a grid value or at a
+    log-uniform magnitude in [5e-324, the largest float] of either sign."""
+    magnitude = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                          st.integers(-1074, 1023))
+    value = st.one_of(st.sampled_from(GRID_VALUES),
+                      st.builds(lambda v, negative: repr(-v if negative else v),
+                                magnitude, st.booleans()))
+    keys = draw(st.lists(st.sampled_from(GRID_KEYS), min_size=2, max_size=2, unique=True))
+    return {k: v for key in keys for k, v in grid_edits(key, draw(value)).items()}
+
+
 HEADER = "length_km,raw_hz,qber,e_opt,e_afterpulse,e_dark,e_interclock,secure_hz,compensated"
 
 
@@ -86,11 +140,34 @@ def quiet_copy(config):
 
 
 class TestSweepTable:
-    def test_rows_must_increase(self, cfg):
-        table = sweeps.run_distance_sweep(cfg, [5.6, 25.3])
-        jumbled = (table.rows[1], table.rows[0])
-        with pytest.raises(ParameterError, match="strictly increasing"):
-            sweeps.SweepTable(key_name="length_km", rows=jumbled)
+    @pytest.mark.parametrize("engine", ["analytic", "mc"])
+    @pytest.mark.parametrize("command,flag,unsorted,ordered", [
+        ("sweep-distance", "--lengths", "65.5,5.6", "5.6,65.5"),
+        ("sweep-bias", "--etas", "0.05,0.03", "0.03,0.05"),
+    ])
+    def test_grid_is_sorted(self, engine, command, flag, unsorted, ordered, tmp_path):
+        # Both sweeps take their grid in any order and run it ascending,
+        # row i on seed + i.
+        outputs = []
+        for grid in (unsorted, ordered):
+            out = tmp_path / f"{grid}.csv"
+            assert main([command, flag, grid, "--engine", engine, "--pulses", "2000",
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("engine", ["analytic", "mc"])
+    @pytest.mark.parametrize("command,flag,grid,repeat", [
+        ("sweep-distance", "--lengths", "5.6,5.6", "5.6"),
+        ("sweep-bias", "--etas", "0.05,0.03,0.05", "0.05"),
+    ])
+    def test_repeated_value_exits_2_naming_it(self, engine, command, flag, grid, repeat,
+                                               capsys):
+        rc = main([command, flag, grid, "--engine", engine, "--pulses", "2000"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"must not repeat a value, got {repeat} twice" in captured.err
+        assert captured.out == ""
 
     def test_column_accessor(self, cfg):
         table = sweeps.run_distance_sweep(cfg, [5.6, 65.5])
@@ -641,26 +718,29 @@ class TestBoundaryGrid:
     def test_grid_covers_every_numeric_key(self):
         assert len(GRID_KEYS) == 25
 
-    @pytest.mark.parametrize("key", GRID_KEYS)
-    def test_boundary_values_end_in_a_documented_exit_code(self, key, cfg, tmp_path, capsys,
+    @pytest.mark.parametrize("case", [*GRID_KEYS, *GRID_CFGS])
+    def test_boundary_values_end_in_a_documented_exit_code(self, case, cfg, tmp_path,
                                                            monkeypatch):
         # Every run builds the same parser; building it once per key group
         # halves the grid's time.
         monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
         bad = []
-        for value in GRID_VALUES:
-            edits = {key: value}
-            if key.startswith("detector_a."):
-                edits["detector_b." + key.removeprefix("detector_a.")] = value
+        for edits in ([EDITED_CFGS[case]] if case in EDITED_CFGS
+                      else [grid_edits(case, value) for value in GRID_VALUES]):
             path = str(write_edited(cfg, edits, tmp_path / "grid.cfg"))
-            for command in GRID_COMMANDS:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    try:
-                        rc = main([command[0], "--config", path, *command[1:]])
-                    except Exception as exc:  # a traceback, or a warning raised as one
-                        rc = f"{type(exc).__name__}: {exc}"
-                capsys.readouterr()
-                if rc not in (0, 2, 3):
-                    bad.append((value, " ".join(command), rc))
+            bad += [(edits, *failure) for failure in grid_failures(path)]
         assert bad == []
+
+    # The fixtures hold nothing an example changes: the config file is
+    # rewritten by each one.
+    @seed(14)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(edits=EDITED_CFGS["<dead-time-1.07e183.cfg>"])
+    @example(edits=EDITED_CFGS["<clock-rate-1.85e-294.cfg>"])
+    @example(edits=EDITED_CFGS["<narrow-side-mode.cfg>"])
+    @given(edits=two_key_edits())
+    def test_two_key_values_end_in_a_documented_exit_code(self, edits, cfg, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+        assert grid_failures(str(write_edited(cfg, edits, tmp_path / "pair.cfg"))) == []
