@@ -58,8 +58,7 @@ def _check(condition: bool, name: str, message: str) -> None:
 # comparisons reject NaN, and inf where the range is finite.
 _RANGES = {name: (valid, message) for valid, message, names in (
     (lambda v: 0.0 < v < math.inf, "must be finite and positive",
-     "source.clock_rate source.pulse_sigma0 detector.afterpulse_decay "
-     "calibration.gamma"),
+     "source.clock_rate detector.afterpulse_decay calibration.gamma"),
     (lambda v: 0.0 <= v < math.inf, "must be finite and non-negative",
      "source.mu source.spectral_width source.side_mode_offset channel.length "
      "channel.attenuation channel.dispersion detector.dead_time detector.jitter_fwhm "
@@ -74,6 +73,9 @@ _RANGES = {name: (valid, message) for valid, message, names in (
     # The hold-off grid's step (window / 2048) stays a normal float and a dark
     # density (p / window) finite; inf is caught against the clock period.
     (lambda v: v >= 1e-300, "must be at least 1e-300 ps", "detector.gate_window"),
+    # Every line is at least this wide, so its peak density w*p/(sigma*sqrt(2pi)) stays finite.
+    (lambda v: 1e-300 <= v < math.inf, "must be finite and at least 1e-300 ps",
+     "source.pulse_sigma0"),
     (lambda v: 1.0 <= v < math.inf, "must be finite and >= 1", "protocol.f_ec"),
 ) for name in names.split()}
 

@@ -619,6 +619,16 @@ class TestNoRepeatedWork:
         calibrate(perturbed(cfg, *START))
         assert len(calls) <= 175
 
+    def test_fit_window_mass_budget(self, cfg):
+        # Each line's window masses are memoized: the blocked-gate pass re-reads
+        # the windows its timing pass found, and the side line repeats over
+        # every spectral-width trial.  Unmemoized, this fit evaluated all 862
+        # lookups; memoized, it evaluates 341.
+        linkbudget._window_masses.cache_clear()
+        calibrate(perturbed(cfg, *START))
+        info = linkbudget._window_masses.cache_info()
+        assert info.misses <= 360 < info.hits + info.misses
+
     def test_fit_profile_budget(self, cfg, monkeypatch):
         # Solving the side-mode weight by brentq nested in the offset solve,
         # and reporting through evaluate_point, took 1,013 profiles for this

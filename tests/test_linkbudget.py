@@ -189,18 +189,19 @@ class TestDeadTimeBlocking:
         # 7.7 ns hold-off spans 7 full gates beyond the window plus one
         # partially covered boundary gate.
         det = cfg.receiver.detector
-        k_always, _, _, lookups = linkbudget._holdoff(det.gate_window, cfg.source.gate_period,
-                                                      det.dead_time_ps)
+        k_always, _, _, lookups, _ = linkbudget._holdoff(det.gate_window, cfg.source.gate_period,
+                                                         det.dead_time_ps)
         # The partial gates follow the always-blocked ones, one table each.
         partial = list(range(k_always + 1, k_always + 1 + len(lookups)))
         assert (k_always, partial) == (7, [8])
 
     def test_holdoff_key_holds_each_input(self, cfg):
         def as_lists(holdoff):
-            k_always, grid, du, lookups = holdoff
+            k_always, grid, du, lookups, spacings = holdoff
             partial = range(k_always + 1, k_always + 1 + len(lookups))
             return [k_always, grid.tolist(), du,
-                    [(k, index.tolist()) for k, index in zip(partial, lookups)]]
+                    [(k, index.tolist()) for k, index in zip(partial, lookups)],
+                    spacings.tolist()]
 
         det = cfg.receiver.detector
         window, period, dead = det.gate_window, cfg.source.gate_period, det.dead_time_ps
@@ -226,7 +227,7 @@ def _reference_blocked_gates(components, window, period, dead, p_signal, p_dark)
     """The blocked-gate kernel written with one temporary per step and
     ``np.trapezoid``: the oracle :func:`linkbudget._blocked_gates` must match
     to the bit."""
-    k_always, grid, du, lookups = linkbudget._holdoff(window, period, dead)
+    k_always, grid, du, lookups, _ = linkbudget._holdoff(window, period, dead)
     density = np.zeros_like(grid)
     for weight, mean, sigma in components:
         for k, _ in linkbudget._window_masses(mean, sigma, period, window):
@@ -444,8 +445,25 @@ class TestCacheKeys:
             depends = name.split("@")[0] in self.DEPENDS[function]
             assert (forward[name] != forward["base"]) == depends, name
 
+    def test_window_masses_are_immutable(self):
+        # A cached value is shared by every later caller.
+        masses = linkbudget._window_masses(0.0, 50.0, 965.0, 265.0)
+        assert isinstance(masses, tuple) and masses
+        assert all(isinstance(pair, tuple) for pair in masses)
+
+    def test_profile_past_the_window_cap_raises_on_every_call(self):
+        # An exception is not cached, so a repeated call raises again.
+        period, window = 965.0, 265.0
+        sigma = linkbudget._MAX_WINDOWS * period / 8.0
+        linkbudget._window_masses.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="gate periods"):
+                linkbudget._window_masses(0.0, sigma, period, window)
+        assert linkbudget._window_masses.cache_info().currsize == 0
+
     def test_every_cache_is_bounded(self):
         caches = _kernel_caches()
-        assert sorted(caches) == ["qkdlink.linkbudget._holdoff"]
+        assert sorted(caches) == ["qkdlink.linkbudget._holdoff",
+                                  "qkdlink.linkbudget._window_masses"]
         for name, kernel in caches.items():
             assert kernel.cache_info().maxsize is not None, name

@@ -49,6 +49,7 @@ class TestSourceParams:
             ("mu", math.inf),
             ("mu", math.nan),
             ("pulse_sigma0", 0.0),
+            ("pulse_sigma0", math.nextafter(1e-300, 0.0)),
             ("spectral_width", -1e-9),
             ("side_mode_weight", 1.0),
             ("side_mode_weight", -0.1),

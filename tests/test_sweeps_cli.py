@@ -50,9 +50,17 @@ EDITED_CFGS = {
     "<narrow-side-mode.cfg>": {"source.pulse_sigma0_ps": "1e-229",
                                "detector_a.jitter_fwhm_ps": "5e-324",
                                "detector_b.jitter_fwhm_ps": "5e-324"},
+    # A main line as narrow as the pulse itself, centered on a hold-off grid
+    # point: below the 1e-300 ps floor its peak density is infinite.
+    **{f"<sub-step-line-{value}.cfg>": {"source.pulse_sigma0_ps": value,
+                                        "detector_a.jitter_fwhm_ps": "0",
+                                        "detector_b.jitter_fwhm_ps": "0",
+                                        "source.spectral_width_nm": "0"}
+       for value in ("5e-324", "1e-300")},
 }
 # Configs the boundary grid runs beside its key groups.
-GRID_CFGS = ("<dead-time-1.07e183.cfg>", "<clock-rate-1.85e-294.cfg>", "<narrow-side-mode.cfg>")
+GRID_CFGS = ("<dead-time-1.07e183.cfg>", "<clock-rate-1.85e-294.cfg>", "<narrow-side-mode.cfg>",
+             "<sub-step-line-1e-300.cfg>")
 
 
 def write_edited(cfg, edits, path):
@@ -678,6 +686,10 @@ class TestCli:
                            id=f"sweep-distance-gate-window-{value}")
               for value in ("5e-324", "1e-310")),
             pytest.param(
+                ["sweep-distance", "--config", "<sub-step-line-5e-324.cfg>", "--lengths", "5.6"],
+                "source.pulse_sigma0", id="sweep-distance-sub-step-line",
+            ),
+            pytest.param(
                 ["simulate", "--config", "<not-utf8.cfg>", "--pulses", "1000"],
                 "edited.cfg: not UTF-8", id="config-not-utf8",
             ),
@@ -739,6 +751,7 @@ class TestBoundaryGrid:
     @example(edits=EDITED_CFGS["<dead-time-1.07e183.cfg>"])
     @example(edits=EDITED_CFGS["<clock-rate-1.85e-294.cfg>"])
     @example(edits=EDITED_CFGS["<narrow-side-mode.cfg>"])
+    @example(edits=EDITED_CFGS["<sub-step-line-5e-324.cfg>"])
     @given(edits=two_key_edits())
     def test_two_key_values_end_in_a_documented_exit_code(self, edits, cfg, tmp_path,
                                                           monkeypatch):
