@@ -101,12 +101,16 @@ def _clock_mix(key: int, clocks) -> np.ndarray:
     clock's value depends on nothing else, so any set of clocks costs
     O(its size) (a counter-based generator: Salmon et al., SC'11).
     """
-    z = (np.asarray(clocks).astype(np.uint64) + np.uint64(1)) * _GOLDEN + np.uint64(key)
-    z ^= z >> np.uint64(30)
+    z = np.asarray(clocks).astype(np.uint64)  # a copy: the caller's clocks stay as they are
+    z += np.uint64(1)
+    z *= _GOLDEN
+    z += np.uint64(key)
+    shifted = np.empty_like(z)  # the finalizer's one scratch array
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= _MIX_1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= _MIX_2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
 
 
@@ -410,20 +414,23 @@ def _candidates(config, lo, hi, n_pulses, rng, budget, key):
         arrival -= gate * period  # in place: the offset from the nearest gate
     gate += emit
     keep = np.flatnonzero((np.abs(arrival) <= 0.5 * window) & (gate >= 0) & (gate < n_pulses))
-    gate = gate[keep].astype(np.int64)
-    ts, mix_emit = center + arrival[keep], _clock_mix(key, emit[keep])
+    gate, emit = gate[keep].astype(np.int64), emit[keep]
+    ts, mix, moved = center + arrival[keep], _clock_mix(key, emit), np.flatnonzero(gate != emit)
     del emit, arrival, keep  # freed before the routing allocates its columns
 
     # Interferometer routing against Bob's phase in the gate where the
     # photon is actually detected, tabulated on the code bit·8 + basis·4 +
     # flip·2 + Bob's basis (rows: each code's four bits, high to low); two
     # shifts move the mix bits of Alice's bit and basis and Bob's basis in.
+    # A photon detected in its emitting clock reads Bob's basis from the mix
+    # already made there; only one detected in another clock mixes its gate.
     p_detector_a = protocol.detector_a_probability(
         *(np.arange(16) >> np.arange(3, -1, -1)[:, None] & 1), receiver.visibility)
-    flip = _mismodulated(mix_emit, receiver.mismodulation_error)
-    to_a = rng.random(gate.size) < p_detector_a[
-        mix_emit >> np.uint64(ALICE_BASIS - 2) & np.uint64(0b1100) | flip << np.uint64(1)
-        | _clock_mix(key, gate) >> np.uint64(BOB_BASIS) & np.uint64(1)]
+    code = mix >> np.uint64(ALICE_BASIS - 2) & np.uint64(0b1100)
+    code |= _mismodulated(mix, receiver.mismodulation_error) << np.uint64(1)
+    mix[moved] = _clock_mix(key, gate[moved])
+    code |= mix >> np.uint64(BOB_BASIS) & np.uint64(1)
+    to_a = rng.random(gate.size) < p_detector_a[code]
     a, b = np.flatnonzero(to_a), np.flatnonzero(~to_a)
     pieces = [(DETECTOR_A, gate[a], ts[a]), (DETECTOR_B, gate[b], ts[b])]
 
@@ -535,13 +542,21 @@ def simulate(
     alice = AliceLog(
         bit=ClockBits(key, ALICE_BIT, n_pulses), basis=ClockBits(key, ALICE_BASIS, n_pulses)
     )
-    tags = TimeTagStream(detector_id=det_col, clock_index=gate_col, timestamp=ts_col, meta=meta)
+    tags = TimeTagStream(det_col, gate_col.view(np.uint64), ts_col, meta)  # gates >= 0: no copy
     return SimulationResult(alice=alice, tags=tags, bob_bases=ClockBits(key, BOB_BASIS, n_pulses))
 
 
 # ---------------------------------------------------------------------------
 # Timing analysis of tag streams.
 # ---------------------------------------------------------------------------
+
+
+def _folded(timestamps: np.ndarray, period: float) -> np.ndarray:
+    """``np.mod(timestamps, period)``, run only on the stamps outside ``(0, period)``
+    (every engine tag lies inside, where the fold returns the stamp; ±0.0 goes
+    through the fold, which makes it +0.0)."""
+    outside = ~((timestamps > 0.0) & (timestamps < period))
+    return np.mod(timestamps, period, out=timestamps.copy(), where=outside)
 
 
 def histogram(tags: TimeTagStream, bin_ps: float):
@@ -560,7 +575,7 @@ def histogram(tags: TimeTagStream, bin_ps: float):
             f"bin_ps = {bin_ps} splits the {period} ps period into more than "
             f"{_MAX_BINS} bins"
         )
-    folded = np.mod(tags.timestamp, period)
+    folded = _folded(tags.timestamp, period)
     if bin_ps >= period:
         edges = np.array([0.0, period])
     else:
@@ -603,7 +618,7 @@ def largest_empty_span(tags: TimeTagStream) -> float | None:
     period = tags.meta["gate_period_ps"]
     if len(tags) == 0:
         return None
-    folded = np.sort(np.mod(tags.timestamp, period))
+    folded = np.sort(_folded(tags.timestamp, period))
     gaps = np.diff(folded)
     wrap = folded[0] + period - folded[-1]
     if gaps.size == 0:
@@ -616,18 +631,21 @@ def mean_peak_spacing(tags: TimeTagStream) -> float | None:
 
     Each consecutive tag pair contributes its absolute time difference
     divided by the number of clock cycles between them; detections many
-    cycles apart therefore still estimate the single-period spacing.
+    cycles apart therefore still estimate the single-period spacing.  Pairs
+    whose clock does not advance are skipped; None when none advances.
     """
     if len(tags) < 2:
         return None
-    times = tags.absolute_times()
     clocks = tags.clock_index.astype(np.float64)
-    dt = np.diff(times)
     dn = np.diff(clocks)
     valid = dn > 0
     if not np.any(valid):
         return None
-    return float(np.mean(dt[valid] / dn[valid]))
+    clocks *= tags.meta["gate_period_ps"]
+    clocks += tags.timestamp  # in place: the absolute times
+    dt = np.diff(clocks)
+    np.divide(dt, dn, out=dt, where=valid)
+    return float(np.mean(dt if valid.all() else dt[valid]))
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,31 @@ class TestClockMix:
         assert z.dtype == np.uint64
         assert z.tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
+    @staticmethod
+    def out_of_place_mix(key, clocks):
+        """The finalizer written with a new array per step, as the reference."""
+        z = (np.asarray(clocks).astype(np.uint64) + np.uint64(1)) * np.uint64(
+            0x9E3779B97F4A7C15) + np.uint64(key)
+        z = z ^ (z >> np.uint64(30))
+        z = z * np.uint64(0xBF58476D1CE4E5B9)
+        z = z ^ (z >> np.uint64(27))
+        z = z * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    @example([0, 2**53], 2**64 - 1, np.uint64)
+    @example([2**53, 5, 5, 0], 0, np.int64)
+    @seed(36)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**53), max_size=40), st.integers(0, 2**64 - 1),
+           st.sampled_from([np.int64, np.uint64]))
+    def test_matches_the_out_of_place_reference(self, clocks, key, dtype):
+        clocks = np.array(clocks, dtype=dtype)
+        before = clocks.copy()
+        z = montecarlo._clock_mix(key, clocks)
+        assert z.dtype == np.uint64
+        assert z.tolist() == self.out_of_place_mix(key, before).tolist()
+        assert clocks.dtype == dtype and clocks.tobytes() == before.tobytes()
+
     def test_columns_are_balanced_and_independent(self, cfg):
         """Over 2**20 clocks of one run, each column, each pairwise XOR of
         columns and each column's lag-1 XOR is balanced within 5 sigma.  The
@@ -525,6 +550,20 @@ class TestStreamLayout:
             assert main(argv) == 0
             assert hashlib.sha256(dump.read_bytes()).hexdigest() == digests[0], segments
             assert hashlib.sha256(key.read_bytes()).hexdigest() == digests[1], segments
+
+    # (dump, sifted key) SHA-256 at 65.5 km, where the side mode arrives 809 ps
+    # late: about 4% of the kept photons are detected one clock after the one
+    # that emitted them, so Bob's basis comes from the mix at another clock.
+    WALKED_OFF = ("e115e621cbb5190fcccbbb5a37cf506a8aa3edd124f57516b274de15114a2cfc",
+                  "a329b4b1c1a853f68504b39774badbb7624b8820b317dc38d092e5fb891f2ed0")
+
+    def test_walked_off_photons_digests(self, tmp_path):
+        dump, key = tmp_path / "tags.bin", tmp_path / "key.txt"
+        argv = ["simulate", "--pulses", "30000000", "--seed", "3", "--length", "65.5",
+                "--out", str(dump), "--sifted-key", str(key)]
+        assert main(argv) == 0
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.WALKED_OFF[0]
+        assert hashlib.sha256(key.read_bytes()).hexdigest() == self.WALKED_OFF[1]
 
 
 class TestZeroCaseLayout:
@@ -1125,6 +1164,47 @@ class TestHistogramAnalysis:
         assert mean_peak_spacing(synthetic_stream([0], [0], [1.0])) is None
         # Two tags in one clock span no clock cycle.
         assert mean_peak_spacing(synthetic_stream([3, 3], [0, 1], [1.0, 2.0])) is None
+
+    @example([(0, 0.0), (0, -0.0), (1, PERIOD), (0, -PERIOD), (2, 3 * PERIOD)], 1.0)
+    @example([(5, 0.5 * PERIOD), (5, -0.0), (3, PERIOD)], 2 * PERIOD)
+    @seed(36)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 40), st.one_of(
+            st.sampled_from([0.0, -0.0, PERIOD]), st.floats(-2 * PERIOD, 3 * PERIOD))),
+            max_size=30),
+        st.sampled_from([1.0, 37.5, 2 * PERIOD]),
+    )
+    def test_figures_match_a_plain_fold(self, tags, bin_ps):
+        """Repeating and decreasing clocks, stamps anywhere in [-2P, 3P]:
+        each figure equals its plain expression over ``np.mod``."""
+        clocks = np.array([c for c, _ in tags], dtype=np.uint64)
+        stamps = np.array([t for _, t in tags], dtype=np.float64)
+        stream = synthetic_stream(clocks, np.zeros(clocks.size), stamps)
+        folded = np.mod(stamps, PERIOD)
+        edges = (np.array([0.0, PERIOD]) if bin_ps >= PERIOD
+                 else np.arange(0.0, PERIOD + bin_ps, bin_ps))
+        want = np.histogram(folded, bins=edges)
+        got = histogram(stream, bin_ps)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+        def hexed(value):
+            return None if value is None else float.hex(value)
+
+        span = None
+        if folded.size:
+            folded = np.sort(folded)
+            span = float(max(np.diff(folded).max(), folded[0] + PERIOD - folded[-1])
+                         if folded.size > 1 else PERIOD)
+        assert hexed(largest_empty_span(stream)) == hexed(span)
+
+        spacing = None
+        steps = np.diff(clocks.astype(np.float64))
+        valid = steps > 0
+        if clocks.size > 1 and valid.any():
+            times = clocks.astype(np.float64) * PERIOD + stamps
+            spacing = float(np.mean(np.diff(times)[valid] / steps[valid]))
+        assert hexed(mean_peak_spacing(stream)) == hexed(spacing)
 
 
 class TestEventDumps:
