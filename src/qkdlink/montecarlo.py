@@ -102,9 +102,8 @@ def _clock_mix(key: int, clocks) -> np.ndarray:
     O(its size) (a counter-based generator: Salmon et al., SC'11).
     """
     z = np.asarray(clocks).astype(np.uint64)  # a copy: the caller's clocks stay as they are
-    z += np.uint64(1)
     z *= _GOLDEN
-    z += np.uint64(key)
+    z += np.uint64((int(_GOLDEN) + key) % 2**64)  # clock * golden + (golden + key), mod 2**64
     shifted = np.empty_like(z)  # the finalizer's one scratch array
     z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= _MIX_1
@@ -116,7 +115,7 @@ def _clock_mix(key: int, clocks) -> np.ndarray:
 
 def _mix_bit(z: np.ndarray, bit: int) -> np.ndarray:
     """Bit ``bit`` of each mixed value, as uint8 0/1."""
-    return ((z >> np.uint64(bit)) & np.uint64(1)).astype(np.uint8)
+    return (z >> np.uint64(bit)).astype(np.uint8) & np.uint8(1)  # masked as bytes, not words
 
 
 def _mismodulated(z: np.ndarray, m: float) -> np.ndarray:
@@ -155,6 +154,16 @@ class ClockBits:
 
     def __array__(self, dtype=None, copy=None):
         raise TypeError("a clock column is evaluated at clocks; index it with a clock array")
+
+
+def _run_mix(clocks, *columns) -> np.ndarray | None:
+    """The mix at ``clocks`` (checked to lie in the run) that carries every column's bit,
+    if all are :class:`ClockBits` of one run (one key and length); else None."""
+    first = columns[0]
+    if all(isinstance(c, ClockBits) and (c.key, c.n_clocks) == (first.key, first.n_clocks)
+           for c in columns):
+        return _clock_mix(first.key, clocks)
+    return None
 
 
 @dataclass(frozen=True)
@@ -278,21 +287,23 @@ def _time_order(gate, off, n_candidates, period, dead):
 
     ``gate * period + offset`` is only a sort key.  A stable sort keeps
     equal pairs in draw order, but rounding can swap distinct offsets in a
-    gate or move a time across a gate; if the sorted pairs' differences
-    show a decrease, a stable sort on ``(gate, offset, child)`` mends it.
-    The differences then give ``free``: in a later gate than the node
-    before and at least ``dead`` after it.  Times past the float range read inf.
+    gate or move a time across a gate.  A pair's gate step times the period
+    is 0 in a gate and at least a period across, and offsets differ by at
+    most a window, less than a period: the pairs decrease where ``step +
+    Δoffset < 0``, and a stable sort on ``(gate, offset, child)`` mends them.
+    Free: a nonzero step and ``step + Δoffset >= dead``.  Times past the float range read inf.
     """
     order = np.argsort(gate * period + off, kind="stable")
     gate, off = gate[order], off[order]
-    d_gate, d_off = np.diff(gate), np.diff(off)
-    if np.any((d_gate < 0) | (d_gate == 0) & (d_off < 0)):
+    step, time = np.diff(gate) * period, np.diff(off)
+    time += step
+    if time.min(initial=0.0) < 0.0:
         fix = np.lexsort((order >= n_candidates, off, gate))
         order, gate, off = order[fix], gate[fix], off[fix]
-        d_gate, d_off = np.diff(gate), np.diff(off)
-    free = np.ones(gate.size, dtype=bool)
-    d_off += d_gate * period
-    free[1:] = (d_gate != 0) & (d_off >= dead)
+        step, time = np.diff(gate) * period, np.diff(off)
+        time += step
+    free = np.concatenate(([True], step != 0.0))[:gate.size]  # empty for an empty tree
+    free[1:] &= time >= dead
     return order, gate, off, free
 
 
@@ -344,7 +355,7 @@ def _sweep_detector(gates, offsets, det, ap_rng, period, n_gates, budget):
             continue
         flags[j] = 1
         last, last_gate, last_off = j, g, o
-    fired = np.flatnonzero(np.frombuffer(flags, dtype=bool))
+    fired = np.frombuffer(flags, dtype=bool)
     return gate[fired], off[fired]
 
 
@@ -430,7 +441,7 @@ def _candidates(config, lo, hi, n_pulses, rng, budget, key):
     code |= _mismodulated(mix, receiver.mismodulation_error) << np.uint64(1)
     mix[moved] = _clock_mix(key, gate[moved])
     code |= mix >> np.uint64(BOB_BASIS) & np.uint64(1)
-    to_a = rng.random(gate.size) < p_detector_a[code]
+    to_a = rng.random(gate.size) < p_detector_a[code.view(np.int64)]  # codes < 16: no index cast
     a, b = np.flatnonzero(to_a), np.flatnonzero(~to_a)
     pieces = [(DETECTOR_A, gate[a], ts[a]), (DETECTOR_B, gate[b], ts[b])]
 
@@ -448,10 +459,12 @@ def _squash(key, gates, offsets):
     gate's squash coin keeps A's (bit 1, so ``pair + bit`` is deleted)."""
     gate = np.concatenate(gates)
     order = np.argsort(gate, kind="stable")
-    pair = np.flatnonzero(np.diff(gate[order]) == 0)
-    order = np.delete(order, pair + _mix_bit(_clock_mix(key, gate[order[pair]]), SQUASH_A))
-    det = np.repeat(np.array([DETECTOR_A, DETECTOR_B], dtype=np.uint8), [g.size for g in gates])
-    return det[order], gate[order], np.concatenate(offsets)[order]
+    gate = gate[order]
+    pair = np.flatnonzero(np.diff(gate) == 0)
+    drop = pair + _mix_bit(_clock_mix(key, gate[pair]), SQUASH_A)
+    order = np.delete(order, drop)
+    det = (order >= gates[0].size).view(np.uint8)  # DETECTOR_B (1) at B's tags, else A (0)
+    return det, np.delete(gate, drop), np.concatenate(offsets)[order]
 
 
 def simulate(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import montecarlo  # imports this module: read only at call time
 from .keyrate import key_yield
 from .params import ParameterError, ProtocolConstants
 
@@ -97,12 +98,12 @@ def sift(alice, tags, bob_bases) -> SiftedKey:
     bob_bases:
         Bob's per-clock basis choices, an array aligned with ``alice``.
 
-    The three per-clock columns are only read at the tagged clocks, by
-    indexing with a clock array, so the event engine's lazy
-    ``montecarlo.ClockBits`` columns are evaluated there and nowhere else;
-    plain arrays work too.  Bob's bit is the identity of the detector that
-    fired.  Bit values are never inspected here; only bases and detector
-    identities decide what survives.
+    The three per-clock columns are only read at the tagged clocks.  A run's
+    lazy ``montecarlo.ClockBits`` columns (one key) are read with one clock
+    mix per tagged clock: the bases at every tag, Alice's bit where they
+    match.  Other columns, plain arrays too, are indexed with the clocks.
+    Bob's bit is the identity of the detector that fired.  Bit values are never
+    inspected here; only bases and detector identities decide what survives.
     """
     n_clocks = len(alice)
     if len(bob_bases) != n_clocks:
@@ -112,11 +113,17 @@ def sift(alice, tags, bob_bases) -> SiftedKey:
     if np.any(unknown):
         raise ProtocolError(f"tag references unknown clock index {tag_clocks[unknown][0]}")
     positions = tag_clocks.astype(np.intp)
-    matched = alice.basis[positions] == bob_bases[positions]
-    keep = np.flatnonzero(matched)
+    mix = montecarlo._run_mix(positions, alice.bit, alice.basis, bob_bases)
+    if mix is None:
+        keep = np.flatnonzero(alice.basis[positions] == bob_bases[positions])
+        alice_bits = alice.bit[positions[keep]]
+    else:
+        bit = montecarlo._mix_bit
+        keep = np.flatnonzero(bit(mix, alice.basis.bit) == bit(mix, bob_bases.bit))
+        alice_bits = bit(mix[keep], alice.bit.bit)
     return SiftedKey(
         clock_index=tag_clocks[keep],
-        alice_bits=alice.bit[positions[keep]].astype(np.uint8),
+        alice_bits=alice_bits.astype(np.uint8),
         bob_bits=np.asarray(tags.detector_id)[keep].astype(np.uint8),
     )
 
@@ -140,7 +147,9 @@ def _int_rows(*columns) -> str:
     its largest value, then a comma (a newline after the last column).
     Dropping every row's leading zeros (all but the last digit of a 0) and
     reading the rest row-major gives the bytes of formatting each record on
-    its own.  Single-digit columns have no leading zeros to drop.
+    its own.  Single-digit columns have no leading zeros to drop.  Each digit,
+    right to left, is ``rest - 10 * (rest // 10)``: NumPy divides by a
+    constant fast but takes ``%`` the slow way.
     """
     columns = [np.asarray(column) for column in columns]
     tops = [int(column.max()) if column.size else 0 for column in columns]
@@ -149,18 +158,21 @@ def _int_rows(*columns) -> str:
     keep = np.ones(rows.shape, dtype=bool)
     at = 0
     for column, top, width in zip(columns, tops, widths):
-        # Digits right to left; a digit is a leading zero once the rest is 0.
+        # A digit is a leading zero once the quotient is 0.
         rest = column.astype(np.min_scalar_type(top))
+        quotient = np.empty_like(rest)
         for k in range(at + width - 1, at, -1):
-            rows[:, k] = rest % 10
-            rest //= 10
-            np.not_equal(rest, 0, out=keep[:, k - 1])
+            np.floor_divide(rest, 10, out=quotient)
+            np.not_equal(quotient, 0, out=keep[:, k - 1])
+            rest -= quotient * 10
+            rows[:, k] = rest
+            rest, quotient = quotient, rest
         rows[:, at] = rest
         at += width + 1
     rows += ord("0")
     rows[:, np.cumsum(widths) + np.arange(len(widths))] = ord(",")
     rows[:, -1] = ord("\n")
-    return rows[keep].tobytes().decode("ascii")
+    return str(rows[keep].data, "ascii")
 
 
 def write_sifted_key(key: SiftedKey, path, consts: ProtocolConstants) -> None:

@@ -1029,6 +1029,28 @@ class TestTimeOrder:
         assert np.all(parent[children] < children)
         assert np.all(gate[parent[children]] < gate[children])
 
+    # The one-ulp rounding tie, and an empty tree with a hold-off.
+    @example((np.array([5, 5]), np.array([np.nextafter(CENTER, PERIOD), CENTER]),
+              np.array([-1, -1])), 0.0)
+    @example((np.array([], dtype=np.int64), np.array([]), np.array([], dtype=np.int64)), 300.0)
+    @seed(37)
+    @settings(max_examples=200, deadline=None)
+    @given(_node_arrays(), st.one_of(
+        st.sampled_from([0.0, 2 * HALF_WINDOW, 300.0, PERIOD, 7700.0]),
+        st.floats(0.0, 3 * PERIOD)))
+    def test_free_flags_match_the_per_pair_rule(self, nodes, dead):
+        # Free: in a later gate than the node before and at least the
+        # hold-off after it, for hold-offs inside and beyond a gate.
+        gate, off, parent = nodes
+        _, gate, off, free = montecarlo._time_order(
+            gate, off, np.count_nonzero(parent < 0), PERIOD, dead)
+        pairs = list(zip(gate.tolist(), off.tolist()))
+        want = [d_gate != 0 and d_gate * PERIOD + d_off >= dead
+                for d_gate, d_off in ((g1 - g0, o1 - o0)
+                                      for (g0, o0), (g1, o1) in zip(pairs, pairs[1:]))]
+        assert free.dtype == bool
+        assert free.tolist() == [True] * min(1, gate.size) + want
+
 
 class TestClockTranslation:
     """The detector rules read ``(gate, offset)`` pairs, never absolute ps:

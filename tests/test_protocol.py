@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
-from qkdlink import protocol
-from qkdlink.montecarlo import AliceLog, TimeTagStream
+from qkdlink import montecarlo, protocol
+from qkdlink.montecarlo import AliceLog, TimeTagStream, simulate
 from qkdlink.params import ParameterError, ProtocolConstants
 from qkdlink.protocol import (
     ProtocolError,
@@ -146,6 +146,44 @@ class TestSift:
         assert key.alice_bits.tolist() == [a for _, a, _ in expect]
         # Bob's bit is the detector identity, untouched by sifting.
         assert key.bob_bits.tolist() == [d for _, _, d in expect]
+
+
+class TestSiftOneMix:
+    """A run's three per-clock columns are read with one clock mix."""
+
+    def test_one_mix_over_the_tagged_clocks(self, cfg, monkeypatch):
+        result = simulate(cfg, 200_000, seed=5)
+        calls = []
+        mix = montecarlo._clock_mix
+        monkeypatch.setattr(montecarlo, "_clock_mix",
+                            lambda key, clocks: calls.append(len(clocks)) or mix(key, clocks))
+        key = sift(result.alice, result.tags, result.bob_bases)
+        assert 0 < key.n_sifted < len(result.tags)
+        assert calls == [len(result.tags)]
+
+    # Any of the three columns materialized as a plain uint8 array: all
+    # three lazy takes the one-mix read, any mix of the two indexes them.
+    @seed(37)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_pulses=st.integers(1, 20_000),
+        run_seed=st.integers(0, 2**32 - 1),
+        length=st.sampled_from([0.0, 5.6, 25.3]),
+        plain=st.sets(st.sampled_from(["bit", "basis", "bob"])),
+    )
+    def test_engine_columns_match_plain_arrays(self, cfg, n_pulses, run_seed, length, plain):
+        result = simulate(cfg.at_length(length), n_pulses, run_seed)
+        every_clock = np.arange(n_pulses)
+        columns = {"bit": result.alice.bit, "basis": result.alice.basis, "bob": result.bob_bases}
+        arrays = {name: column[every_clock] for name, column in columns.items()}
+        assert all(array.dtype == np.uint8 for array in arrays.values())
+        mixed = {name: arrays[name] if name in plain else columns[name] for name in columns}
+        got = sift(AliceLog(bit=mixed["bit"], basis=mixed["basis"]), result.tags, mixed["bob"])
+        want = sift(AliceLog(bit=arrays["bit"], basis=arrays["basis"]), result.tags, arrays["bob"])
+        for field in ("clock_index", "alice_bits", "bob_bits"):
+            got_column, want_column = getattr(got, field), getattr(want, field)
+            assert (got_column.dtype, got_column.tolist()) == (want_column.dtype,
+                                                               want_column.tolist()), field
 
 
 class TestKeyAccounting:
