@@ -28,12 +28,13 @@ and raises :class:`ConvergenceError` naming the stage, its bracket and the
 cause.
 
 Trials run on plain floats through the :mod:`linkbudget` kernels: a stage
-reads once per sweep what its trial value cannot move and recomputes per
-trial only what it moves.  A coupling is range-checked like its field when
-it is set; every bad sweep start, out of range or failing a stage, reruns
-from the last sweep's output.  The residual report reads the anchors
-through the same functions; validated objects appear only in the start
-config and the result.
+reads once per sweep what its trial value cannot move or, after the first
+sweep, moves only weakly (the slope lengths' blocked gates, held at the
+sweep's start and so, at a fixed point, at its root), and recomputes the
+rest per trial.  A coupling is range-checked like its field when it is set;
+every bad sweep start, out of range or failing a stage, reruns from the last
+sweep's output.  The residual report reads the anchors exactly, through the
+same functions; validated objects appear only in start config and result.
 """
 
 from __future__ import annotations
@@ -221,11 +222,14 @@ class _Fitter:
     def _clicks(self, arrival, eta: float, dark: float):
         return linkbudget._clicks(self.base.source.mu, arrival[3], eta, arrival[1], dark)
 
-    def _raw_rate(self, arrival, clicks) -> float:
+    def _blocked(self, arrival, clicks) -> float:
         period, window = self.timing
-        blocked = linkbudget._blocked_gates(arrival[0], window, period,
-                                            self.base.receiver.detector.dead_time_ps,
-                                            clicks[0], clicks[1])
+        return linkbudget._blocked_gates(arrival[0], window, period,
+                                         self.base.receiver.detector.dead_time_ps,
+                                         clicks[0], clicks[1])
+
+    def _raw_rate(self, arrival, clicks, blocked=None) -> float:  # by default its own count
+        blocked = self._blocked(arrival, clicks) if blocked is None else blocked
         return linkbudget._renewal_rate(self.base.source.clock_rate, clicks[2], blocked)
 
     def _errors(self, arrival, clicks, afterpulse: float):
@@ -233,16 +237,19 @@ class _Fitter:
         return linkbudget._error_budget(self.base.receiver.optical_error, afterpulse,
                                         clicks[1], clicks[2], arrival[2])
 
-    def _slope_rates(self, dark: float) -> list[float]:
-        """Raw rates at the two slope lengths at the operating bias."""
-        arrivals = [self._arrival(length) for length in self.anchors.slope_lengths]
-        eta = self.anchors.operating_eta
-        return [self._raw_rate(a, self._clicks(a, eta, dark)) for a in arrivals]
+    def _slope_points(self, dark: float):
+        """``(arrival, clicks)`` at the two slope lengths at the operating bias."""
+        eta, lengths = self.anchors.operating_eta, self.anchors.slope_lengths
+        return [(a, self._clicks(a, eta, dark)) for a in map(self._arrival, lengths)]
 
-    def _slope_misfit(self, dark: float) -> float:
+    def _slope_rates(self, dark: float, held=(None, None)) -> list[float]:
+        """Raw rates at the slope lengths, through the ``held`` blocked-gate counts if given."""
+        return [self._raw_rate(a, c, b) for (a, c), b in zip(self._slope_points(dark), held)]
+
+    def _slope_misfit(self, dark: float, held=(None, None)) -> float:
         """The raw-rate slope between the slope lengths less its anchor;
         ``ValueError`` when a slope length has no clicks."""
-        (l1, l2), (r1, r2) = self.anchors.slope_lengths, self._slope_rates(dark)
+        (l1, l2), (r1, r2) = self.anchors.slope_lengths, self._slope_rates(dark, held)
         if not (r1 > 0.0 and r2 > 0.0):
             raise ValueError(f"no clicks at a slope length, raw rates {r1} and {r2} Hz")
         return 10.0 * math.log10(r1 / r2) / (l2 - l1) - self.anchors.slope_db_per_km
@@ -283,6 +290,10 @@ class _Fitter:
 
     # -- stages --------------------------------------------------------------
 
+    def _warm(self, name: str, lo: float, hi: float) -> bool:
+        """Whether ``_solve`` brackets near ``name``'s value: after the first sweep, in range."""
+        return self.change is not None and lo < self.state[name] < hi
+
     def _solve(self, residual, fixed, lo, hi, label, name):
         """``keyrate._brentq``'s root in [lo, hi] (``lo >= 0``) of ``residual(x, *fixed())``.
         After the first sweep it brackets from ``x0·(1 ± h)``, ``x0`` the
@@ -299,7 +310,7 @@ class _Fitter:
                 self._move(name, x)
                 return residual(x, *args)
 
-            if self.change is None or not lo < x0 < hi:
+            if not self._warm(name, lo, hi):
                 a, b, fa, fb = lo, hi, f(lo), f(hi)
             else:
                 h = self.change
@@ -316,8 +327,17 @@ class _Fitter:
             raise ConvergenceError(f"{label}: no solution in [{lo}, {hi}] ({exc})") from exc
 
     def stage_spectral_width(self) -> None:
-        self._solve(lambda width, dark: self._slope_misfit(dark),
-                    lambda: self._noise(self.anchors.operating_eta)[:1], 1e-3, 1.0,
+        """The width for the raw-rate slope.  A warm solve holds the slope lengths'
+        blocked gates ``B`` at the sweep's start, which enter weakly, via ``q/(1 + q·B)``."""
+        lo, hi = 1e-3, 1.0
+
+        def fixed():
+            dark = self._noise(self.anchors.operating_eta)[0]
+            if not self._warm("spectral_width", lo, hi):
+                return dark, (None, None)
+            return dark, [self._blocked(a, c) for a, c in self._slope_points(dark)]
+
+        self._solve(lambda width, dark, held: self._slope_misfit(dark, held), fixed, lo, hi,
                     "spectral width vs raw-rate slope", "spectral_width")
 
     def _side_weight(self, length: float, target: float):

@@ -708,5 +708,5 @@ def write_csv_dump(tags: TimeTagStream, path) -> None:
     """The binary dump's records (:func:`_records`) as ``clock,detector,ps`` text lines."""
     records = _records(tags)
     text = protocol._int_rows(records["clock"], records["detector"], records["ps"])
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("clock_index,detector_id,timestamp_ps\n" + text)
+    with open(path, "wb") as handle:
+        handle.writelines((b"clock_index,detector_id,timestamp_ps\n", text))

@@ -140,8 +140,8 @@ def secure_key_length(n_sifted: int, qber: float, consts: ProtocolConstants) -> 
     return math.floor(max(0.0, n_sifted * key_yield(qber, consts)))
 
 
-def _int_rows(*columns) -> str:
-    """Comma-separated lines of unsigned integers, one per row of ``columns``.
+def _int_rows(*columns) -> memoryview:
+    """ASCII bytes of comma-separated lines of unsigned integers, one per row of ``columns``.
 
     A table holds each column's decimal digits right-aligned in the width of
     its largest value, then a comma (a newline after the last column).
@@ -172,7 +172,7 @@ def _int_rows(*columns) -> str:
     rows += ord("0")
     rows[:, np.cumsum(widths) + np.arange(len(widths))] = ord(",")
     rows[:, -1] = ord("\n")
-    return str(rows[keep].data, "ascii")
+    return rows[keep].data
 
 
 def write_sifted_key(key: SiftedKey, path, consts: ProtocolConstants) -> None:
@@ -195,7 +195,7 @@ def write_sifted_key(key: SiftedKey, path, consts: ProtocolConstants) -> None:
     else:
         secure_bits = 0
         qber_text = "undefined"
-    text = _int_rows(key.clock_index, alice, bob)
-    text += f"# n_sifted = {key.n_sifted}\n# qber = {qber_text}\n# secure_bits = {secure_bits}\n"
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(text)
+    records = _int_rows(key.clock_index, alice, bob)
+    summary = f"# n_sifted = {key.n_sifted}\n# qber = {qber_text}\n# secure_bits = {secure_bits}\n"
+    with open(path, "wb") as handle:
+        handle.writelines((records, summary.encode("ascii")))

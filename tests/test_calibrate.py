@@ -405,6 +405,35 @@ class TestMixingSafeguard:
         for name, value in reference.items():
             assert report.fitted[name] == pytest.approx(value, rel=1e-8), name
 
+    def test_fit_takes_the_plain_step_when_the_held_counts_fail(
+            self, cfg, monkeypatch, sweeps, reference):
+        # The first mix gets a spectral width whose arrival profile at the
+        # far slope length spans about 17.8 gate periods, past a limit of 15
+        # set from then on; the plain step's width spans about 3.3.  The
+        # width stage fails as it reads the held counts, before any trial.
+        poisoned = []
+
+        def anderson(history):
+            start = _anderson(history)
+            if not poisoned and start is not history[-1][0]:
+                start = start.copy()
+                start[_STATE_FIELDS.index("spectral_width")] = 0.95
+                poisoned.append(start)
+                monkeypatch.setattr(linkbudget, "_MAX_WINDOWS", 15)
+                linkbudget._window_masses.cache_clear()
+            return start
+
+        monkeypatch.setattr(fit_module, "_anderson", anderson)
+        _, report = calibrate(perturbed(cfg, *START))
+        k = next(i for i, (start, _) in enumerate(sweeps) if start is poisoned[0])
+        assert isinstance(sweeps[k][1], ConvergenceError)
+        assert str(sweeps[k][1]).startswith("spectral width vs raw-rate slope: no solution")
+        assert "spans more than 15 gate periods" in str(sweeps[k][1])
+        assert sweeps[k + 1][0] is sweeps[k - 1][1]
+        assert len(sweeps) == report.iterations + 1
+        for name, value in reference.items():
+            assert report.fitted[name] == pytest.approx(value, rel=1e-8), name
+
 
 class TestAnalyticOutputPin:
     """Byte pin of the analytic engine: refit from a perturbed start, then
@@ -434,13 +463,21 @@ class TestAnalyticOutputPin:
     Only ``refit.cfg`` was re-pinned a fifth time, when the config format
     lost ``source.wavelength_nm``, ``receiver.eta_bob`` and
     ``protocol.sift_factor``: the file lost those three lines, and no
-    value in it moved.
+    value in it moved.  All three were re-pinned a sixth time, the fifth
+    by design, when the spectral-width solve began holding the slope lengths'
+    blocked-gate counts at each sweep's start after the first sweep: a
+    sweep that ends where it started held its root's counts, so the fixed
+    point stays put, but each fit stops at another point inside ``tol``.
+    That moved the couplings from this start by at most 7.4e-12 relative
+    and the anchor residuals by at most 4.4e-12 absolute, with the same 10
+    sweeps; over perfbench's 64 starts (seeds 1-8) the couplings moved by
+    at most 2.2e-10 relative.
     """
 
     DIGESTS = {
-        "refit.cfg": "782d97dd9b1058a23e8f5a22a3e36f766740e199f843ebe9fc39531aa2c6b431",
-        "distance.csv": "7b9b36679827a36abf899ba3058731642e68ca1b1b3b9cf8110f73c9e607c6fd",
-        "bias.csv": "2551ec7c1248264b15ccd3c2671c7be6d9a8a297c7a66cf8d6b2c7bf436e6639",
+        "refit.cfg": "cc23eaec9b46e71ce4afcc459a7459e42e8ae80d131fcdab9c5f4244569c9300",
+        "distance.csv": "f910a31514b6a3fd9d33bb8a2243b0742e0e5bf399df6023466c17d1fcc66510",
+        "bias.csv": "d13471476c7f298e872c96c4afd5e555c37af040e26249b420854747781a26be",
     }
 
     def test_refit_and_sweep_digests(self, cfg, tmp_path, capsys):
@@ -611,13 +648,37 @@ class TestNoRepeatedWork:
     def test_fit_evaluation_budget(self, cfg, monkeypatch):
         # Blocked gates are most of a fit's cost.  With every solve on its
         # cold bracket this fit evaluates them 251 times; warm brackets after
-        # the first sweep bring that to 159.
+        # the first sweep bring that to 159, and holding the slope lengths'
+        # counts at each later sweep's start to 83.
         calls = []
         blocked = linkbudget._blocked_gates
         monkeypatch.setattr(linkbudget, "_blocked_gates",
                             lambda *args: calls.append(args) or blocked(*args))
         calibrate(perturbed(cfg, *START))
-        assert len(calls) <= 175
+        assert len(calls) <= 90
+
+    def test_later_sweeps_hold_the_slope_counts(self, cfg, monkeypatch):
+        # The first sweep evaluates blocked gates at both slope lengths on
+        # each of its 15 width trials, and at the 3 secure points.  Each
+        # later sweep reads the two slope counts once, at its start, and
+        # evaluates the 3 secure points.
+        calls, per_sweep = [], []
+        blocked, sweep = linkbudget._blocked_gates, _Fitter.sweep
+
+        def counting(fitter, start):
+            before = len(calls)
+            try:
+                return sweep(fitter, start)
+            finally:
+                per_sweep.append(len(calls) - before)
+
+        monkeypatch.setattr(linkbudget, "_blocked_gates",
+                            lambda *args: calls.append(args) or blocked(*args))
+        monkeypatch.setattr(_Fitter, "sweep", counting)
+        _, report = calibrate(perturbed(cfg, *START))
+        assert len(per_sweep) == report.iterations > 1
+        assert per_sweep[0] == 2 * 15 + 3
+        assert per_sweep[1:] == [2 + 3] * (report.iterations - 1)
 
     def test_fit_window_mass_budget(self, cfg):
         # Each line's window masses are memoized: the blocked-gate pass re-reads
@@ -726,6 +787,46 @@ class TestWarmBracket:
         assert cold <= set(sweeps[0])
         for brackets in sweeps[1:]:
             assert not cold & set(brackets)
+
+
+class TestHeldSlopeCounts:
+    """After the first sweep the spectral-width solve holds the slope lengths'
+    blocked-gate counts at the sweep's start; the exact slope equation, with
+    each trial's own counts, still has its root where the fit stops."""
+
+    @pytest.mark.parametrize("factors", CONVERGENCE_STARTS)
+    def test_fitted_width_brackets_the_exact_root(self, cfg, factors):
+        _, report = calibrate(perturbed(cfg, *factors))
+        fitter = _Fitter(cfg, CalibrationAnchors())
+        fitter.state.update(report.fitted)
+        dark, _ = fitter._noise(fitter.anchors.operating_eta)
+        width, tol = report.fitted["spectral_width"], fit_module._TOL
+
+        def exact(x):
+            fitter.state["spectral_width"] = x
+            return fitter._slope_misfit(dark)
+
+        assert exact(width * (1.0 - tol)) * exact(width * (1.0 + tol)) < 0.0
+
+    def test_failing_count_read_fails_the_stage_like_a_failing_trial(self, cfg, monkeypatch):
+        # Width 0.95 spans about 17.8 gate periods at 65.5 km, and 1.0 about
+        # 18.7.  Warm from 0.95, the stage fails as it reads the held counts,
+        # before any trial moves the width; cold, its trial at 1.0 fails.
+        monkeypatch.setattr(linkbudget, "_MAX_WINDOWS", 15)
+        linkbudget._window_masses.cache_clear()
+        errors = []
+        for change in (1e-3, None):
+            fitter = _Fitter(cfg, CalibrationAnchors())
+            fitter.change = change
+            fitter.state["spectral_width"] = 0.95
+            with pytest.raises(ConvergenceError) as caught:
+                fitter.stage_spectral_width()
+            errors.append(str(caught.value))
+            if change is not None:
+                assert fitter.state["spectral_width"] == 0.95
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("spectral width vs raw-rate slope: no solution in "
+                                    "[0.001, 1.0] (arrival profile spans more than 15 gate")
 
 
 class TestErrorPaths:

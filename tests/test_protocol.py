@@ -278,7 +278,7 @@ class TestSiftedKeyFile:
         # 2**64 - 1; the record list may be empty.
         n_columns, records = table
         columns = np.array(records, dtype=np.uint64).reshape(-1, n_columns)
-        text = protocol._int_rows(*columns.T)
+        text = str(protocol._int_rows(*columns.T), "ascii")
         assert text == "".join(",".join(f"{value}" for value in record) + "\n"
                                for record in records)
 
