@@ -29,7 +29,6 @@ from .linkbudget import (
     transmittance,
 )
 from .montecarlo import (
-    AliceLog,
     ResourceLimitError,
     SimulationResult,
     TimeTagStream,

@@ -15,7 +15,8 @@ normal per photon at its line's jitter-convolved width); they are routed
 through the interferometer and both gated detectors are run: window
 acceptance, dark counts, afterpulse release, hold-off (dead time) and
 double-click squashing.  The output is
-Alice's preparation log plus Bob's time-tagged detection stream,
+the run's clock record (both parties' per-clock choices) plus Bob's
+time-tagged detection stream,
 bit-reproducible for a fixed (config, n_pulses, seed).  A zero photon
 mean, dark probability or afterpulse probability is no special case: it
 takes the general path, whose empty draws take nothing from the streams.
@@ -42,8 +43,7 @@ from .params import ParameterError, SystemConfig
 
 __all__ = [
     "ResourceLimitError",
-    "ClockBits",
-    "AliceLog",
+    "ClockRecord",
     "TimeTagStream",
     "SimulationResult",
     "simulate",
@@ -125,64 +125,34 @@ def _mismodulated(z: np.ndarray, m: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ClockBits:
-    """One per-clock 0/1 column, evaluated only at the clocks it is read at.
+class ClockRecord:
+    """Both parties' per-clock choices in one run, evaluated only at the clocks read.
 
-    Entry ``i`` is bit ``bit`` of the run's clock mix at clock ``i``; the
-    column is ``n_clocks`` long but stores nothing per clock.  Index it
-    with a 1-D integer clock array.  A clock outside ``[0, n_clocks)``
-    raises :class:`IndexError`, and converting the whole column to an
-    array raises :class:`TypeError`.  Compare columns with ``==`` or
-    evaluated at a clock array: ``np.array_equal`` on two columns returns
-    False even for two same-seed runs, as it turns that error into False.
+    Clock ``i`` carries Alice's bit and basis and Bob's basis, three bits of
+    the run's clock mix at ``i``; the record is ``n_clocks`` long but stores
+    nothing per clock.  Two same-seed runs give equal records.
     """
 
     key: int
-    bit: int
     n_clocks: int
 
     def __len__(self) -> int:
         return self.n_clocks
 
-    def __getitem__(self, clocks) -> np.ndarray:
+    def at(self, clocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(alice_bit, alice_basis, bob_basis)`` uint8 0/1 columns at ``clocks``.
+
+        ``clocks`` is a 1-D integer array; any other index raises
+        :class:`TypeError`, and a clock outside ``[0, n_clocks)``
+        :class:`IndexError`.  One clock mix carries all three bits.
+        """
         clocks = np.asarray(clocks)
         if clocks.ndim != 1 or clocks.dtype.kind not in "iu":
-            raise TypeError("a clock column is indexed by a 1-D integer clock array")
+            raise TypeError("a clock record is read at a 1-D integer clock array")
         if clocks.size and (clocks.min() < 0 or clocks.max() >= self.n_clocks):
             raise IndexError(f"clock index outside the {self.n_clocks}-clock run")
-        return _mix_bit(_clock_mix(self.key, clocks), self.bit)
-
-    def __array__(self, dtype=None, copy=None):
-        raise TypeError("a clock column is evaluated at clocks; index it with a clock array")
-
-
-def _run_mix(clocks, *columns) -> np.ndarray | None:
-    """The mix at ``clocks`` (checked to lie in the run) that carries every column's bit,
-    if all are :class:`ClockBits` of one run (one key and length); else None."""
-    first = columns[0]
-    if all(isinstance(c, ClockBits) and (c.key, c.n_clocks) == (first.key, first.n_clocks)
-           for c in columns):
-        return _clock_mix(first.key, clocks)
-    return None
-
-
-@dataclass(frozen=True)
-class AliceLog:
-    """Alice's per-clock preparation record; entry ``i`` is clock ``i``.
-
-    The engine fills both fields with :class:`ClockBits`, read at clock
-    arrays; any equal-length arrays work too.
-    """
-
-    bit: ClockBits | np.ndarray
-    basis: ClockBits | np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.bit) != len(self.basis):
-            raise ParameterError("Alice log columns must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.bit)
+        z = _clock_mix(self.key, clocks)
+        return _mix_bit(z, ALICE_BIT), _mix_bit(z, ALICE_BASIS), _mix_bit(z, BOB_BASIS)
 
 
 class TimeTagStream:
@@ -190,33 +160,37 @@ class TimeTagStream:
 
     ``timestamp`` is the offset inside the clock period in ps; the gate is
     centered at half the period, so all tags fall inside
-    ``period/2 +- window/2``.
+    ``period/2 +- window/2``.  A detector id other than 0 or 1, or a clock
+    index that is negative or fractional, raises :class:`ParameterError`.
     """
 
     def __init__(self, detector_id, clock_index, timestamp, meta=None):
-        self.detector_id = np.asarray(detector_id, dtype=np.uint8)
-        self.clock_index = np.asarray(clock_index, dtype=np.uint64)
+        detector_id, clock_index = np.asarray(detector_id), np.asarray(clock_index)
         self.timestamp = np.asarray(timestamp, dtype=np.float64)
-        if not (len(self.detector_id) == len(self.clock_index) == len(self.timestamp)):
+        if not (len(detector_id) == len(clock_index) == len(self.timestamp)):
             raise ParameterError("time-tag columns must have equal length")
+        # Checked as given: the casts below would wrap or truncate silently.
+        if np.any((detector_id != DETECTOR_A) & (detector_id != DETECTOR_B)):
+            raise ParameterError("detector ids must be 0 or 1")
+        whole = clock_index.dtype.kind in "bu" or np.all(
+            (clock_index >= 0) & (clock_index < 2**64) & (np.trunc(clock_index) == clock_index))
+        if not whole:
+            raise ParameterError("clock indices must be non-negative integers")
+        self.detector_id = detector_id.astype(np.uint8, copy=False)
+        self.clock_index = clock_index.astype(np.uint64, copy=False)
         self.meta = dict(meta or {})
 
     def __len__(self) -> int:
         return len(self.clock_index)
 
-    def absolute_times(self) -> np.ndarray:
-        """Tag times on the global ps axis."""
-        period = self.meta["gate_period_ps"]
-        return self.clock_index.astype(np.float64) * period + self.timestamp
-
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Everything one run produces: both parties' records."""
+    """Everything one run produces: both parties' per-clock choices
+    (:class:`ClockRecord`) and Bob's time-tag stream."""
 
-    alice: AliceLog
+    record: ClockRecord
     tags: TimeTagStream
-    bob_bases: ClockBits
 
     @property
     def meta(self) -> dict:
@@ -506,9 +480,9 @@ def simulate(
     Returns
     -------
     SimulationResult
-        Alice's log and Bob's basis record (lazy :class:`ClockBits`
-        columns, ``n_pulses`` long, read at clock arrays) and the squashed
-        time-tag stream.  ``result.meta`` records the seed, segments,
+        The run's :class:`ClockRecord` (Alice's bit and basis and Bob's
+        basis, ``n_pulses`` clocks long, read at clock arrays) and the
+        squashed time-tag stream.  ``result.meta`` records the seed, segments,
         ``n_pulses``, gate period and window, and ``events_generated``.
     """
     if not 1 <= n_pulses <= 2**53:
@@ -552,11 +526,8 @@ def simulate(
         "gate_window_ps": det.gate_window,
         "events_generated": budget.used,
     }
-    alice = AliceLog(
-        bit=ClockBits(key, ALICE_BIT, n_pulses), basis=ClockBits(key, ALICE_BASIS, n_pulses)
-    )
     tags = TimeTagStream(det_col, gate_col.view(np.uint64), ts_col, meta)  # gates >= 0: no copy
-    return SimulationResult(alice=alice, tags=tags, bob_bases=ClockBits(key, BOB_BASIS, n_pulses))
+    return SimulationResult(record=ClockRecord(key, n_pulses), tags=tags)
 
 
 # ---------------------------------------------------------------------------

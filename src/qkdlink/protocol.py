@@ -5,7 +5,8 @@ interferometer routes each photon to one of two detectors according to the
 phase difference (:func:`detector_a_probability`, which the event engine
 calls for every detected photon).  Matched-basis detections form the sifted
 key, from which the error rate is estimated and the distillable key length
-computed.
+computed.  Sifting reads both parties' per-clock choices from the run's clock
+record (``montecarlo.ClockRecord``) at the tagged clocks only.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import montecarlo  # imports this module: read only at call time
 from .keyrate import key_yield
 from .params import ParameterError, ProtocolConstants
 
@@ -84,46 +84,33 @@ class SiftedKey:
         return float(np.count_nonzero(self.alice_bits != self.bob_bits)) / self.n_sifted
 
 
-def sift(alice, tags, bob_bases) -> SiftedKey:
+def sift(record, tags) -> SiftedKey:
     """Keep detections whose preparation and analysis bases agree.
 
     Parameters
     ----------
-    alice:
-        Per-clock preparation record (see ``montecarlo.AliceLog``); entry
-        ``i`` belongs to clock ``i``.
+    record:
+        The run's per-clock choices (``montecarlo.ClockRecord``): ``len`` is
+        its clock count, and ``record.at(clocks)`` returns Alice's bit, Alice's
+        basis and Bob's basis at a clock array as uint8 0/1 columns.
     tags:
         Detection record stream carrying ``clock_index`` and ``detector_id``
         columns.
-    bob_bases:
-        Bob's per-clock basis choices, an array aligned with ``alice``.
 
-    The three per-clock columns are only read at the tagged clocks.  A run's
-    lazy ``montecarlo.ClockBits`` columns (one key) are read with one clock
-    mix per tagged clock: the bases at every tag, Alice's bit where they
-    match.  Other columns, plain arrays too, are indexed with the clocks.
-    Bob's bit is the identity of the detector that fired.  Bit values are never
-    inspected here; only bases and detector identities decide what survives.
+    The record is read once, at the tagged clocks, so the cost follows the
+    detections, not the run's length.  Bob's bit is the identity of the
+    detector that fired.  Bit values are never inspected here; only bases and
+    detector identities decide what survives.
     """
-    n_clocks = len(alice)
-    if len(bob_bases) != n_clocks:
-        raise ProtocolError("bob_bases must align with Alice's clock record")
     tag_clocks = np.asarray(tags.clock_index, dtype=np.uint64)
-    unknown = tag_clocks >= n_clocks
+    unknown = tag_clocks >= len(record)
     if np.any(unknown):
         raise ProtocolError(f"tag references unknown clock index {tag_clocks[unknown][0]}")
-    positions = tag_clocks.astype(np.intp)
-    mix = montecarlo._run_mix(positions, alice.bit, alice.basis, bob_bases)
-    if mix is None:
-        keep = np.flatnonzero(alice.basis[positions] == bob_bases[positions])
-        alice_bits = alice.bit[positions[keep]]
-    else:
-        bit = montecarlo._mix_bit
-        keep = np.flatnonzero(bit(mix, alice.basis.bit) == bit(mix, bob_bases.bit))
-        alice_bits = bit(mix[keep], alice.bit.bit)
+    alice_bit, alice_basis, bob_basis = record.at(tag_clocks)
+    keep = np.flatnonzero(alice_basis == bob_basis)
     return SiftedKey(
         clock_index=tag_clocks[keep],
-        alice_bits=alice_bits.astype(np.uint8),
+        alice_bits=alice_bit[keep],
         bob_bits=np.asarray(tags.detector_id)[keep].astype(np.uint8),
     )
 
@@ -184,9 +171,9 @@ def write_sifted_key(key: SiftedKey, path, consts: ProtocolConstants) -> None:
     with the bytes of formatting each integer on its own; a bit other than
     0 or 1 raises :class:`ProtocolError` before anything is written.
     """
-    alice = np.asarray(key.alice_bits, dtype=np.uint8)
-    bob = np.asarray(key.bob_bits, dtype=np.uint8)
-    if np.any(alice > 1) or np.any(bob > 1):
+    alice, bob = np.asarray(key.alice_bits), np.asarray(key.bob_bits)
+    # Checked as given: _int_rows's cast would write 256 or 0.5 as the bit 0.
+    if np.any((alice != 0) & (alice != 1)) or np.any((bob != 0) & (bob != 1)):
         raise ProtocolError("sifted-key bits must be 0 or 1")
     if key.n_sifted > 0:
         qber = key.qber_estimate

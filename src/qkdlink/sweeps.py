@@ -84,7 +84,7 @@ def _read_run(config: SystemConfig, result, n_pulses: int):
     """``(raw_hz, key, qber)`` of an event-engine run: the tag rate, the
     sifted key and its error rate, NaN when nothing sifted."""
     raw = len(result.tags) * config.source.clock_rate / n_pulses
-    key = protocol.sift(result.alice, result.tags, result.bob_bases)
+    key = protocol.sift(result.record, result.tags)
     return raw, key, key.qber_estimate
 
 

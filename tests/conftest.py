@@ -25,8 +25,7 @@ def _scan_stream_invariants(result, config):
     half_window = 0.5 * det.gate_window
     center = 0.5 * period
 
-    n_pulses = len(result.alice)
-    assert len(result.bob_bases) == n_pulses
+    n_pulses = len(result.record)
     assert tags.clock_index.size == 0 or tags.clock_index.max() < n_pulses
 
     in_window = np.abs(tags.timestamp - center) <= half_window + 1e-6
@@ -35,7 +34,7 @@ def _scan_stream_invariants(result, config):
     clocks = tags.clock_index.astype(np.int64)
     assert np.all(np.diff(clocks) > 0), "more than one tag per clock cycle"
 
-    times = tags.absolute_times()
+    times = tags.clock_index.astype(np.float64) * tags.meta["gate_period_ps"] + tags.timestamp
     for det_id in (0, 1):
         mine = times[tags.detector_id == det_id]
         if mine.size > 1:

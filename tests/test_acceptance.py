@@ -194,7 +194,7 @@ def test_criterion_6_event_engine_matches_model(cfg, length):
             f"{expected_tags:.0f} ({z_raw:+.2f} sigma)"
         )
 
-        key = protocol.sift(result.alice, result.tags, result.bob_bases)
+        key = protocol.sift(result.record, result.tags)
         sigma_e = math.sqrt(e_expected * (1.0 - e_expected) / key.n_sifted)
         z_e = (key.qber_estimate - e_expected) / sigma_e
         assert abs(z_e) < n_sigma, (
@@ -238,7 +238,7 @@ def test_criterion_8_protocol_properties(cfg, scan_stream_invariants):
     result = _run(cfg.at_length(0.0), 95_000_000, seed=42, segments=8)
     n_tags = len(result.tags)
     assert n_tags >= 1_000_000
-    key = protocol.sift(result.alice, result.tags, result.bob_bases)
+    key = protocol.sift(result.record, result.tags)
     frac = key.n_sifted / n_tags
     sigma = 0.5 / math.sqrt(n_tags)
     assert abs(frac - 0.5) < 3.0 * sigma
@@ -252,7 +252,7 @@ def test_criterion_8_protocol_properties(cfg, scan_stream_invariants):
         ),
     )
     result_clean = _run(clean, 1_000_000, seed=5)
-    key_clean = protocol.sift(result_clean.alice, result_clean.tags, result_clean.bob_bases)
+    key_clean = protocol.sift(result_clean.record, result_clean.tags)
     assert key_clean.n_sifted > 1000
     assert key_clean.qber_estimate == 0.0
 
@@ -262,7 +262,7 @@ def test_criterion_8_protocol_properties(cfg, scan_stream_invariants):
     )
     contrast_only = dataclasses.replace(clean, receiver=dim)
     result_v = _run(contrast_only, 2_000_000, seed=6)
-    key_v = protocol.sift(result_v.alice, result_v.tags, result_v.bob_bases)
+    key_v = protocol.sift(result_v.record, result_v.tags)
     e_target = 0.5 * (1.0 - cfg.receiver.visibility)
     sigma_v = math.sqrt(e_target * (1.0 - e_target) / key_v.n_sifted)
     assert key_v.qber_estimate == pytest.approx(e_target, abs=3.0 * sigma_v)

@@ -63,3 +63,23 @@ def test_no_library_module_imports_scipy():
                 imported.append((path.name, node.module.split(".")[0]))
     assert ("keyrate.py", "math") in imported and ("calibrate.py", "numpy") in imported
     assert [item for item in imported if item[1] == "scipy"] == []
+
+
+def test_package_imports_form_no_cycle():
+    """The package's modules import one another without a cycle, so each
+    module's decisions sit below the modules that use them."""
+    package = Path(qkdlink.__file__).resolve().parent
+    imports = {}  # module -> the package modules it imports, at any depth of its code
+    for path in sorted(package.glob("*.py")):
+        imports[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imports[path.stem] |= {node.module} if node.module else {
+                    alias.name for alias in node.names}
+    assert {"linkbudget", "protocol"} <= imports["montecarlo"]
+    # Peel off modules whose imports are all peeled; what is left holds a cycle.
+    left = dict(imports)
+    while ready := [name for name, targets in left.items() if not targets & left.keys()]:
+        for name in ready:
+            del left[name]
+    assert left == {}, left

@@ -18,8 +18,7 @@ from scipy.stats import chi2_contingency, chisquare, power_divergence
 from qkdlink import keyrate, linkbudget, montecarlo
 from qkdlink.cli import main
 from qkdlink.montecarlo import (
-    AliceLog,
-    ClockBits,
+    ClockRecord,
     ResourceLimitError,
     TimeTagStream,
     fwhm_from_counts,
@@ -44,44 +43,44 @@ def with_detector(config, **changes):
     return dataclasses.replace(config, receiver=receiver)
 
 
-def synthetic_stream(clocks, detectors, timestamps, period=PERIOD):
+def synthetic_stream(clocks, detectors, timestamps):
     return TimeTagStream(
         detector_id=np.asarray(detectors, dtype=np.uint8),
         clock_index=np.asarray(clocks, dtype=np.uint64),
         timestamp=np.asarray(timestamps, dtype=np.float64),
-        meta={"gate_period_ps": period},
+        meta={"gate_period_ps": PERIOD},
     )
 
 
 class TestRecords:
-    def test_alice_log_column_mismatch(self):
-        with pytest.raises(ParameterError):
-            AliceLog(bit=np.zeros(1, dtype=np.uint8), basis=np.zeros(2, dtype=np.uint8))
-
     def test_clock_column_rejects_clocks_outside_the_run(self):
-        column = ClockBits(key=7, bit=63, n_clocks=10)
-        assert len(column) == 10
-        assert column[np.array([0, 9])].dtype == np.uint8
+        record = ClockRecord(key=7, n_clocks=10)
+        assert len(record) == 10
+        assert [column.dtype for column in record.at(np.array([0, 9]))] == [np.uint8] * 3
         for clocks in ([10], [0, 11], [-1], np.array([2**63], dtype=np.uint64)):
             with pytest.raises(IndexError):
-                column[np.asarray(clocks)]
+                record.at(np.asarray(clocks))
 
     def test_clock_column_takes_only_integer_clock_arrays(self):
-        column = ClockBits(key=7, bit=63, n_clocks=10)
+        record = ClockRecord(key=7, n_clocks=10)
         for index in (3, np.array(3), np.array([1.0]), np.zeros((2, 2), dtype=np.int64)):
             with pytest.raises(TypeError):
-                column[index]
-        # Never materialized: a whole-column conversion raises at once.
-        with pytest.raises(TypeError):
-            np.asarray(column)
+                record.at(index)
 
     def test_stream_column_mismatch(self):
         with pytest.raises(ParameterError):
             TimeTagStream([0], [1, 2], [3.0, 4.0])
 
-    def test_absolute_times(self):
-        stream = synthetic_stream([0, 2], [0, 0], [100.0, 50.0], period=1000.0)
-        assert stream.absolute_times() == pytest.approx([100.0, 2050.0])
+    # Each would be stored wrapped or truncated: as detector 0, as clock
+    # 2**64 - 1, as clock 1.
+    @pytest.mark.parametrize("detectors,clocks", [
+        (np.array([256], dtype=np.int64), [0]),
+        ([0], np.array([-1], dtype=np.int64)),
+        ([0], [1.5]),
+    ])
+    def test_stream_rejects_what_its_casts_would_change(self, detectors, clocks):
+        with pytest.raises(ParameterError):
+            TimeTagStream(detectors, clocks, [0.0])
 
 
 class TestSimulate:
@@ -94,18 +93,16 @@ class TestSimulate:
         # The per-clock columns are read at clocks, never whole.
         clocks = np.union1d(a.tags.clock_index.astype(np.int64), _clock_sample(100_000, 1))
         assert len(a.tags) > 100
-        for column_a, column_b in _columns(a, b):
-            assert np.array_equal(column_a[clocks], column_b[clocks])
+        for column_a, column_b in zip(a.record.at(clocks), b.record.at(clocks)):
+            assert np.array_equal(column_a, column_b)
 
-    def test_same_seed_columns_compare_equal_as_columns_and_at_clocks(self, cfg):
-        # np.array_equal cannot compare the columns themselves: it reads the
-        # TypeError of their conversion as "not equal".
+    def test_same_seed_records_compare_equal_as_records_and_at_clocks(self, cfg):
         a, b, other = (simulate(cfg.at_length(5.6), 50_000, seed=seed) for seed in (5, 5, 6))
         clocks = np.arange(50_000)
-        for (column_a, column_b), (column_other, _) in zip(_columns(a, b), _columns(other, b)):
-            assert column_a == column_b
-            assert (column_a[clocks] == column_b[clocks]).all()
-            assert column_a != column_other
+        assert a.record == b.record
+        assert a.record != other.record
+        for column_a, column_b in zip(a.record.at(clocks), b.record.at(clocks)):
+            assert (column_a == column_b).all()
 
     @pytest.mark.parametrize("length", [1e300, 1e308])
     def test_profile_beyond_every_clock_detects_nothing(self, cfg, length):
@@ -136,11 +133,11 @@ class TestSimulate:
         whole = simulate(cfg.at_length(5.6), n, seed=4)
         split = simulate(cfg.at_length(5.6), n, seed=4, segments=4)
         clocks = _clock_sample(n, 4)
-        for column_whole, column_split in _columns(whole, split):
-            assert np.array_equal(column_whole[clocks], column_split[clocks])
+        for column_whole, column_split in zip(whole.record.at(clocks), split.record.at(clocks)):
+            assert np.array_equal(column_whole, column_split)
         # A different seed moves them.
         other = simulate(cfg.at_length(5.6), n, seed=5)
-        assert not np.array_equal(whole.alice.bit[clocks], other.alice.bit[clocks])
+        assert not np.array_equal(whole.record.at(clocks)[0], other.record.at(clocks)[0])
 
     def test_billion_clocks_cost_memory_per_event(self, cfg):
         """A 1e9-clock run and its sifting allocate per event, not per
@@ -148,11 +145,11 @@ class TestSimulate:
         tracemalloc.start()
         try:
             result = simulate(cfg.at_length(101.0), 1_000_000_000, seed=12)
-            key = protocol.sift(result.alice, result.tags, result.bob_bases)
+            key = protocol.sift(result.record, result.tags)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(result.alice) == len(result.bob_bases) == 1_000_000_000
+        assert len(result.record) == 1_000_000_000
         assert key.n_sifted > 10_000
         assert peak < 64 * 2**20
 
@@ -305,15 +302,6 @@ def _clock_sample(n_pulses, segments):
     return np.union1d(edges, spread)
 
 
-def _columns(a, b):
-    """Pairs of the matching per-clock columns of two runs."""
-    return (
-        (a.alice.bit, b.alice.bit),
-        (a.alice.basis, b.alice.basis),
-        (a.bob_bases, b.bob_bases),
-    )
-
-
 class TestClockMix:
     """The counter-based mix behind Alice's and Bob's per-clock columns."""
 
@@ -355,11 +343,12 @@ class TestClockMix:
         n = 2**20
         result = simulate(cfg.at_length(65.5), n, seed=3)
         clocks = np.arange(n)
-        z = montecarlo._clock_mix(result.alice.bit.key, clocks)
+        z = montecarlo._clock_mix(result.record.key, clocks)
+        alice_bit, alice_basis, bob_basis = result.record.at(clocks)
         columns = {
-            "alice bit": result.alice.bit[clocks],
-            "alice basis": result.alice.basis[clocks],
-            "bob basis": result.bob_bases[clocks],
+            "alice bit": alice_bit,
+            "alice basis": alice_basis,
+            "bob basis": bob_basis,
             "squash keeps A": montecarlo._mix_bit(z, montecarlo.SQUASH_A),
             "mis-modulated": montecarlo._mismodulated(z, 0.5).view(np.uint8),
         }
@@ -493,7 +482,7 @@ class TestCompensatedLeakage:
                                                  config.receiver)
         assert e_interclock > 0.05
         result = simulate(config, 200_000_000, seed=61)
-        key = protocol.sift(result.alice, result.tags, result.bob_bases)
+        key = protocol.sift(result.record, result.tags)
         assert key.n_sifted > 2_000
         sigma = math.sqrt(e_interclock * (1.0 - e_interclock) / key.n_sifted)
         assert abs(key.qber_estimate - e_interclock) < self.SIGMAS * sigma, (
@@ -514,7 +503,7 @@ class TestPerClockCoins:
         config = dataclasses.replace(config, receiver=dataclasses.replace(
             config.receiver, visibility=1.0, mismodulation_error=m))
         result = simulate(config, 200_000_000, seed=51)
-        key = protocol.sift(result.alice, result.tags, result.bob_bases)
+        key = protocol.sift(result.record, result.tags)
         assert key.n_sifted > 20_000
         sigma = math.sqrt(m * (1.0 - m) / key.n_sifted)
         assert abs(key.qber_estimate - m) < self.SIGMAS * sigma, key.qber_estimate

@@ -1,5 +1,6 @@
 """Tests for interferometer routing, sifting, and key accounting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from qkdlink import montecarlo, protocol
-from qkdlink.montecarlo import AliceLog, TimeTagStream, simulate
+from qkdlink.montecarlo import TimeTagStream, simulate
 from qkdlink.params import ParameterError, ProtocolConstants
 from qkdlink.protocol import (
     ProtocolError,
@@ -72,11 +73,26 @@ class TestDecoding:
         assert np.all((0.0 <= p) & (p <= 1.0))
 
 
-def make_alice(bits, bases):
-    return AliceLog(
-        bit=np.asarray(bits, dtype=np.uint8),
-        basis=np.asarray(bases, dtype=np.uint8),
-    )
+@dataclasses.dataclass(frozen=True)
+class ArrayRecord:
+    """A clock record held as three plain per-clock arrays, read through the
+    engine record's ``len`` and ``at``."""
+
+    bit: np.ndarray
+    basis: np.ndarray
+    bob_basis: np.ndarray
+
+    def __len__(self):
+        return len(self.bit)
+
+    def at(self, clocks):
+        clocks = np.asarray(clocks).astype(np.intp)
+        return self.bit[clocks], self.basis[clocks], self.bob_basis[clocks]
+
+
+def make_record(bits, bases, bob_bases):
+    return ArrayRecord(*(np.asarray(column, dtype=np.uint8)
+                         for column in (bits, bases, bob_bases)))
 
 
 def make_tags(clocks, detectors):
@@ -89,10 +105,9 @@ def make_tags(clocks, detectors):
 
 class TestSift:
     def test_handcrafted_example(self):
-        alice = make_alice([0, 1, 0, 1, 1], [0, 0, 1, 1, 0])
-        bob_bases = np.array([0, 1, 1, 0, 0])
+        record = make_record([0, 1, 0, 1, 1], [0, 0, 1, 1, 0], [0, 1, 1, 0, 0])
         tags = make_tags([0, 1, 2, 4], [0, 1, 1, 1])
-        key = sift(alice, tags, bob_bases)
+        key = sift(record, tags)
         # Bases agree on clocks 0, 2 and 4; clock 1 was measured in the
         # wrong basis and clock 3 produced no click at all.
         assert key.clock_index.tolist() == [0, 2, 4]
@@ -102,23 +117,18 @@ class TestSift:
         assert key.qber_estimate == pytest.approx(1.0 / 3.0)
 
     def test_no_matches_yields_empty_key(self):
-        alice = make_alice([0, 1], [0, 0])
-        key = sift(alice, make_tags([0, 1], [0, 1]), np.array([1, 1]))
+        record = make_record([0, 1], [0, 0], [1, 1])
+        key = sift(record, make_tags([0, 1], [0, 1]))
         assert key.n_sifted == 0
         assert math.isnan(key.qber_estimate)
 
     def test_unknown_clock_index_rejected(self):
-        alice = make_alice([0, 1, 0], [0, 0, 0])
-        # Clock 3 is the first one past Alice's three-clock record.
+        record = make_record([0, 1, 0], [0, 0, 0], [0, 0, 0])
+        # Clock 3 is the first one past the three-clock record.
         with pytest.raises(ProtocolError, match="unknown clock index 3"):
-            sift(alice, make_tags([0, 3], [0, 0]), np.zeros(3))
+            sift(record, make_tags([0, 3], [0, 0]))
         with pytest.raises(ProtocolError, match="unknown clock index 9"):
-            sift(alice, make_tags([9], [0]), np.zeros(3))
-
-    def test_misaligned_bob_record_rejected(self):
-        alice = make_alice([0, 1, 0], [0, 0, 1])
-        with pytest.raises(ProtocolError, match="align"):
-            sift(alice, make_tags([0], [0]), np.zeros(2))
+            sift(record, make_tags([9], [0]))
 
     @settings(max_examples=60)
     @given(st.data())
@@ -134,8 +144,7 @@ class TestSift:
         dets = data.draw(
             st.lists(st.integers(0, 1), min_size=len(clicked), max_size=len(clicked))
         )
-        alice = make_alice(bits, bases)
-        key = sift(alice, make_tags(clicked, dets), np.array(bob))
+        key = sift(make_record(bits, bases, bob), make_tags(clicked, dets))
 
         expect = [
             (c, bits[c], d)
@@ -149,7 +158,7 @@ class TestSift:
 
 
 class TestSiftOneMix:
-    """A run's three per-clock columns are read with one clock mix."""
+    """A run's clock record is read with one clock mix."""
 
     def test_one_mix_over_the_tagged_clocks(self, cfg, monkeypatch):
         result = simulate(cfg, 200_000, seed=5)
@@ -157,29 +166,23 @@ class TestSiftOneMix:
         mix = montecarlo._clock_mix
         monkeypatch.setattr(montecarlo, "_clock_mix",
                             lambda key, clocks: calls.append(len(clocks)) or mix(key, clocks))
-        key = sift(result.alice, result.tags, result.bob_bases)
+        key = sift(result.record, result.tags)
         assert 0 < key.n_sifted < len(result.tags)
         assert calls == [len(result.tags)]
 
-    # Any of the three columns materialized as a plain uint8 array: all
-    # three lazy takes the one-mix read, any mix of the two indexes them.
     @seed(37)
     @settings(max_examples=40, deadline=None)
     @given(
         n_pulses=st.integers(1, 20_000),
         run_seed=st.integers(0, 2**32 - 1),
         length=st.sampled_from([0.0, 5.6, 25.3]),
-        plain=st.sets(st.sampled_from(["bit", "basis", "bob"])),
     )
-    def test_engine_columns_match_plain_arrays(self, cfg, n_pulses, run_seed, length, plain):
+    def test_engine_columns_match_plain_arrays(self, cfg, n_pulses, run_seed, length):
         result = simulate(cfg.at_length(length), n_pulses, run_seed)
-        every_clock = np.arange(n_pulses)
-        columns = {"bit": result.alice.bit, "basis": result.alice.basis, "bob": result.bob_bases}
-        arrays = {name: column[every_clock] for name, column in columns.items()}
-        assert all(array.dtype == np.uint8 for array in arrays.values())
-        mixed = {name: arrays[name] if name in plain else columns[name] for name in columns}
-        got = sift(AliceLog(bit=mixed["bit"], basis=mixed["basis"]), result.tags, mixed["bob"])
-        want = sift(AliceLog(bit=arrays["bit"], basis=arrays["basis"]), result.tags, arrays["bob"])
+        z = montecarlo._clock_mix(result.record.key, np.arange(n_pulses))
+        plain = ArrayRecord(*(montecarlo._mix_bit(z, bit) for bit in (
+            montecarlo.ALICE_BIT, montecarlo.ALICE_BASIS, montecarlo.BOB_BASIS)))
+        got, want = sift(result.record, result.tags), sift(plain, result.tags)
         for field in ("clock_index", "alice_bits", "bob_bits"):
             got_column, want_column = getattr(got, field), getattr(want, field)
             assert (got_column.dtype, got_column.tolist()) == (want_column.dtype,
@@ -282,11 +285,18 @@ class TestSiftedKeyFile:
         assert text == "".join(",".join(f"{value}" for value in record) + "\n"
                                for record in records)
 
-    def test_non_bit_rejected_before_writing(self, tmp_path):
+    # 256, 0.5 and 257 would read as bits 0, 0 and 1 after a uint8 cast.
+    @pytest.mark.parametrize("alice,bob", [
+        (np.array([2], dtype=np.uint8), [0]),
+        ([256], [0]),
+        ([0.5], [0]),
+        ([0], [257]),
+    ])
+    def test_non_bit_rejected_before_writing(self, tmp_path, alice, bob):
         key = SiftedKey(
             clock_index=np.array([1], dtype=np.uint64),
-            alice_bits=np.array([2], dtype=np.uint8),
-            bob_bits=np.array([0], dtype=np.uint8),
+            alice_bits=np.asarray(alice),
+            bob_bits=np.asarray(bob),
         )
         path = tmp_path / "key.txt"
         with pytest.raises(ProtocolError, match="0 or 1"):
