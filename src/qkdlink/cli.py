@@ -12,6 +12,8 @@ Flags follow the subcommand name, and each subcommand takes only the flags
 it reads: --config and --out on all five, --seed and --pulses on all but
 calibrate, --engine on the two sweeps.  Every run is reproducible: the
 config, seed and command line fully determine the output bytes.
+:func:`main` may be called many times in one process; it builds its
+parser once, on the first call, and never at import.
 
 Exit codes: 0 success, 2 configuration or parameter problem (including a
 run whose events would exceed the event budget), 3 fit did not converge,
@@ -21,6 +23,7 @@ run whose events would exceed the event budget), 3 fit did not converge,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -67,7 +70,11 @@ def _subcommand(sub, name: str, flags, help: str) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first :func:`main` call of a
+    process and shared by every later one: parsing reads it but leaves no
+    state in it."""
     parser = argparse.ArgumentParser(
         prog="qkdlink",
         description="Simulator and analysis toolkit for a GHz-gated fiber QKD link.",

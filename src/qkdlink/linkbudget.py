@@ -18,15 +18,23 @@ far as its jittered width reaches, like any other profile.
 
 Each law is one plain-float kernel that the public functions wrap and the
 calibration fitter calls directly, so a fit trial builds no validated
-object.  Two kernels are memoized.  ``_holdoff`` (128 entries) is keyed on
-what a detector fixes, (window, period, dead time): its offset grid,
-spacings and lookups serve every trial of a fit.  ``_window_masses`` (64
-entries) serves a line's windows again to the blocked-gate pass after its
-timing pass, to every spectral-width trial for the side line, and across
-``evaluate_point``'s timing passes and a bias sweep: a fit from the (1.13,
-0.88, 1.05, 0.92, 1.12, 0.87) start evaluates 341 of its 862 lookups.  That
-fit's other kernels seldom repeat (154 of 159 blocked-gate calls are
-distinct), and caching each window's Gaussian term was slower.
+object.  Three kernels are memoized, each with a bound on what it holds.
+``_holdoff`` (128 entries) is keyed on what a detector fixes, (window,
+period, dead time): its offset grid, spacings and lookups serve every
+trial of a fit.  An entry holds at most six arrays of 2,049 values, about
+0.1 MB, so the cache can hold about 12.6 MB (67 kB an entry with the
+shipped detector's two partial gates).
+``_window_masses`` (64 entries) serves a line's windows again to the
+blocked-gate pass after its timing pass, to every spectral-width trial for
+the side line, and across ``evaluate_point``'s timing passes and a bias
+sweep: a fit from the (1.13, 0.88, 1.05, 0.92, 1.12, 0.87) start evaluates
+353 of its 724 lookups.  An entry at the ``_MAX_WINDOWS`` cap is about
+1.1 MB, so the cache can hold about 73 MB.  ``_blocked_gates`` (256
+entries) returns an exact repeat's float: that fit makes 83 calls, 76 of
+them distinct, and a distance sweep of the refit in the same process
+repeats the 3 anchor lengths the fit evaluated, of its 5.  An entry is
+about 0.8 kB with a two-line profile, so the cache holds about 0.2 MB.
+Caching each window's Gaussian term was slower.
 """
 
 from __future__ import annotations
@@ -264,6 +272,7 @@ def _holdoff(window: float, period: float, dead: float):
     return k_always, grid, du, tuple(lookups), spacings
 
 
+@functools.lru_cache(maxsize=256)
 @np.errstate(over="ignore")
 def _blocked_gates(components, window, period, dead, p_signal, p_dark) -> float:
     """Blocked gates from the offset density of signal and dark clicks.

@@ -53,6 +53,20 @@ def test_no_command_imports_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "ok"
 
 
+def test_import_builds_no_parser():
+    # A process that only imports the package and loads its config pays
+    # nothing for the command-line parser; the first main() call builds it.
+    src = str(Path(qkdlink.__file__).resolve().parents[1])
+    code = ("import qkdlink, qkdlink.cli; qkdlink.default_config(); "
+            "print(qkdlink.cli._build_parser.cache_info().currsize)")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
+
+
 def test_no_library_module_imports_scipy():
     imported = []  # (file, top-level package) of every absolute import
     for path in sorted(Path(qkdlink.__file__).resolve().parent.rglob("*.py")):

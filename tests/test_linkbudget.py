@@ -1,11 +1,13 @@
+import importlib
 import math
-import sys
+import pkgutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import event, given, seed, settings, strategies as st
 
+import qkdlink
 from qkdlink import keyrate, linkbudget
 from qkdlink.linkbudget import (
     ClickProbabilities,
@@ -359,11 +361,13 @@ class TestQberBreakdown:
 
 
 def _kernel_caches():
-    """Every memoized function defined at module level in qkdlink."""
+    """Every memoized function defined at module level in qkdlink, whether or
+    not an earlier test imported its module."""
+    modules = [qkdlink, *(importlib.import_module(f"qkdlink.{info.name}")
+                          for info in pkgutil.iter_modules(qkdlink.__path__))]
     return {
-        f"{name}.{attr}": value
-        for name, module in list(sys.modules.items())
-        if name == "qkdlink" or name.startswith("qkdlink.")
+        f"{module.__name__}.{attr}": value
+        for module in modules
         for attr, value in vars(module).items()
         if callable(getattr(value, "cache_info", None))
     }
@@ -461,9 +465,41 @@ class TestCacheKeys:
                 linkbudget._window_masses(0.0, sigma, period, window)
         assert linkbudget._window_masses.cache_info().currsize == 0
 
+    @staticmethod
+    def blocked_args(c):
+        """The blocked-gate kernel's arguments at config ``c``."""
+        det = c.receiver.detector
+        clicks = click_probabilities(c.source, c.channel, c.receiver)
+        return (temporal_components(c.source, c.channel, c.receiver), det.gate_window,
+                c.source.gate_period, det.dead_time_ps, clicks.p_signal, clicks.p_dark)
+
+    def test_blocked_gates_memo_returns_the_computed_bits(self, cfg):
+        for name, config in self.variants(cfg):
+            args = self.blocked_args(config)
+            linkbudget._blocked_gates.cache_clear()
+            cold = linkbudget._blocked_gates(*args)
+            warm = linkbudget._blocked_gates(*args)
+            assert linkbudget._blocked_gates.cache_info()[:2] == (1, 1), name
+            plain = linkbudget._blocked_gates.__wrapped__(*args)
+            assert warm.hex() == cold.hex() == plain.hex(), name
+
+    def test_blocked_gates_past_the_window_cap_raise_on_every_call(self, cfg):
+        # An exception is not cached, so a repeated call raises again.
+        _, window, period, dead, p_signal, p_dark = self.blocked_args(cfg)
+        sigma = linkbudget._MAX_WINDOWS * period / 8.0
+        linkbudget._window_masses.cache_clear()
+        linkbudget._blocked_gates.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="gate periods"):
+                linkbudget._blocked_gates(((1.0, 0.0, sigma),), window, period, dead,
+                                          p_signal, p_dark)
+        assert linkbudget._blocked_gates.cache_info().currsize == 0
+
     def test_every_cache_is_bounded(self):
         caches = _kernel_caches()
-        assert sorted(caches) == ["qkdlink.linkbudget._holdoff",
+        assert sorted(caches) == ["qkdlink.cli._build_parser",
+                                  "qkdlink.linkbudget._blocked_gates",
+                                  "qkdlink.linkbudget._holdoff",
                                   "qkdlink.linkbudget._window_masses"]
         for name, kernel in caches.items():
             assert kernel.cache_info().maxsize is not None, name

@@ -2,7 +2,6 @@
 
 import contextlib
 import dataclasses
-import functools
 import hashlib
 import io
 import math
@@ -723,6 +722,57 @@ class TestCli:
         assert "Traceback" not in captured.err
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process, and a call leaves
+    nothing in it that a later call reads."""
+
+    SIMULATE = ["simulate", "--pulses", "20000"]
+
+    def run(self, argv, capsys):
+        rc = main(argv)
+        return rc, capsys.readouterr().out
+
+    def test_three_calls_build_one_parser(self, capsys):
+        cli._build_parser.cache_clear()
+        for lengths in ("5.6", "65.5", "5.6,101"):
+            assert self.run(["sweep-distance", "--lengths", lengths], capsys)[0] == 0
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_no_flag_leaks_into_the_next_call(self, tmp_path, capsys):
+        cli._build_parser.cache_clear()
+        seeded = tmp_path / "seeded.bin"
+        assert self.run([*self.SIMULATE, "--seed", "5", "--segments", "2",
+                         "--out", str(seeded)], capsys)[0] == 0
+        runs = []
+        for name, flags in (("default", []), ("explicit", ["--seed", "1"])):
+            path = tmp_path / f"{name}.bin"
+            rc, out = self.run([*self.SIMULATE, *flags, "--out", str(path)], capsys)
+            runs.append((rc, out, path.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][2] != seeded.read_bytes()
+
+    def test_rejected_command_line_leaves_the_parser_usable(self, capsys):
+        before = self.run(self.SIMULATE, capsys)
+        assert before[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main([*self.SIMULATE, "--seed", "x"])
+        assert exc.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+        assert self.run(self.SIMULATE, capsys) == before
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_text_is_the_same_on_every_call(self, argv, capsys):
+        cli._build_parser.cache_clear()
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: qkdlink")
+
+
 class TestBoundaryGrid:
     """Every value the grid gives a key ends in exit 0, 2 or 3, with no
     traceback and no warning."""
@@ -731,11 +781,7 @@ class TestBoundaryGrid:
         assert len(GRID_KEYS) == 25
 
     @pytest.mark.parametrize("case", [*GRID_KEYS, *GRID_CFGS])
-    def test_boundary_values_end_in_a_documented_exit_code(self, case, cfg, tmp_path,
-                                                           monkeypatch):
-        # Every run builds the same parser; building it once per key group
-        # halves the grid's time.
-        monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+    def test_boundary_values_end_in_a_documented_exit_code(self, case, cfg, tmp_path):
         bad = []
         for edits in ([EDITED_CFGS[case]] if case in EDITED_CFGS
                       else [grid_edits(case, value) for value in GRID_VALUES]):
@@ -753,7 +799,5 @@ class TestBoundaryGrid:
     @example(edits=EDITED_CFGS["<narrow-side-mode.cfg>"])
     @example(edits=EDITED_CFGS["<sub-step-line-5e-324.cfg>"])
     @given(edits=two_key_edits())
-    def test_two_key_values_end_in_a_documented_exit_code(self, edits, cfg, tmp_path,
-                                                          monkeypatch):
-        monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+    def test_two_key_values_end_in_a_documented_exit_code(self, edits, cfg, tmp_path):
         assert grid_failures(str(write_edited(cfg, edits, tmp_path / "pair.cfg"))) == []
